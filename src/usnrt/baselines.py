@@ -51,6 +51,8 @@ class HnnModel:
 
     def predict_arrays(self, X, denormalize: bool = True):
         X = np.asarray(X, dtype=float)
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         mu = self.mean_net.forward(X)[:, 0]
         sigma = predict_sigma(self.sigma_net, X)
         if denormalize and self.preprocess is not None:

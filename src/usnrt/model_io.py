@@ -83,10 +83,14 @@ def decode_mlp(obj: dict) -> Mlp:
         if isinstance(exc, ModelFormatError):
             raise
         raise ModelFormatError(f"malformed network block: {exc}") from exc
-    if len(weights) != len(net.weights) or any(
-        W.shape != ref.shape for W, ref in zip(weights, net.weights)
+    for name, arrays, expected in (
+        ("weights", weights, net.weights),
+        ("biases", biases, net.biases),
     ):
-        raise ModelFormatError("network weights do not match the declared layer sizes")
+        if len(arrays) != len(expected) or any(
+            got.shape != ref.shape for got, ref in zip(arrays, expected)
+        ):
+            raise ModelFormatError(f"network {name} do not match the declared layer sizes")
     net.weights = weights
     net.biases = biases
     return net

@@ -6,12 +6,21 @@ stopping. Everything runs in float64 and is deterministic given the seeds:
 the validation split and the per-epoch batch shuffles are all derived from
 the training seed, so identical (data, config, seed) reproduce identical
 weights bit for bit.
+
+Parameter layout: a training run first packs the network's parameters into
+one flat float64 buffer, layer by layer, W0 (row-major, fan_in x fan_out),
+b0, W1, b1, ..., and `Mlp.weights` / `Mlp.biases` become views of it. The
+gradient and the two Adam moments are flat buffers of the same layout, so
+the backward pass writes each layer's gradient straight into its slot, one
+Adam step is a few whole-buffer operations, and a snapshot is one copy.
+Assigning fresh arrays to `weights` / `biases` stays allowed: the next
+training run packs whatever they hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -20,7 +29,6 @@ import numpy as np
 __all__ = [
     "SIGMA_FLOOR",
     "Activation",
-    "AdamState",
     "Mlp",
     "TrainConfig",
     "TrainLog",
@@ -55,12 +63,9 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
 _APPLY = {
@@ -70,12 +75,17 @@ _APPLY = {
     Activation.SOFTPLUS: _softplus,
 }
 
-_DERIVATIVE = {
-    Activation.TANH: lambda z: 1.0 - np.tanh(z) ** 2,
-    Activation.RELU: lambda z: (z > 0.0).astype(float),
-    Activation.LINEAR: np.ones_like,
-    Activation.SOFTPLUS: _sigmoid,
-}
+
+def _times_derivative(act: Activation, delta: np.ndarray, z: np.ndarray, a: np.ndarray):
+    """delta * act'(z), taking the derivative from the activation a = act(z)
+    where it can: tanh' = 1 - a^2, relu' = [a > 0], linear' = 1."""
+    if act is Activation.TANH:
+        return delta * (1.0 - a * a)
+    if act is Activation.RELU:
+        return delta * (a > 0.0)
+    if act is Activation.SOFTPLUS:
+        return delta * _sigmoid(z)
+    return delta
 
 
 class Mlp:
@@ -137,35 +147,65 @@ class Mlp:
         a = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W + b
+            z = a @ W
+            z += b
             act = self.output_activation if i == last else self.hidden_activation
             a = _APPLY[act](z)
             pre.append(z)
             post.append(a)
         return pre, post
 
-    def _backward(self, pre, post, grad_output):
-        """Parameter gradients of a scalar loss given d(loss)/d(outputs)."""
-        grads_w: list[np.ndarray] = [None] * len(self.weights)  # type: ignore[list-item]
-        grads_b: list[np.ndarray] = [None] * len(self.biases)  # type: ignore[list-item]
+    def _backward(self, pre, post, grad_output, out=None):
+        """Parameter gradients of a scalar loss given d(loss)/d(outputs).
+
+        out, a (weights, biases) pair of arrays shaped like the parameters,
+        receives the gradients when given (a training run passes views of
+        its flat gradient buffer); otherwise new arrays are returned.
+        """
+        if out is None:
+            out = [np.empty_like(W) for W in self.weights], [np.empty_like(b) for b in self.biases]
+        grads_w, grads_b = out
         last = len(self.weights) - 1
         delta = grad_output
         for i in range(last, -1, -1):
             act = self.output_activation if i == last else self.hidden_activation
-            delta = delta * _DERIVATIVE[act](pre[i])
-            grads_w[i] = post[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
+            delta = _times_derivative(act, delta, pre[i], post[i + 1])
+            np.matmul(post[i].T, delta, out=grads_w[i])
+            np.add.reduce(delta, axis=0, out=grads_b[i])
             if i:
                 delta = delta @ self.weights[i].T
         return grads_w, grads_b
 
+    def _views(self, flat: np.ndarray):
+        """(weights, biases) lists viewing a flat buffer in the packed layout."""
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        offset = 0
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            end = offset + n_in * n_out
+            weights.append(flat[offset:end].reshape(n_in, n_out))
+            biases.append(flat[end : end + n_out])
+            offset = end + n_out
+        return weights, biases
+
+    def _flatten(self, weights, biases) -> np.ndarray:
+        """A new flat buffer holding the given parameters in the packed layout."""
+        params = [p for pair in zip(weights, biases) for p in pair]
+        shapes = [
+            shape
+            for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
+            for shape in ((n_in, n_out), (n_out,))
+        ]
+        if len(weights) != len(biases) or [np.shape(p) for p in params] != shapes:
+            raise ValueError("network parameters do not match the layer sizes")
+        return np.concatenate([np.ravel(p) for p in params], dtype=float)
+
     def snapshot(self):
-        return [W.copy() for W in self.weights], [b.copy() for b in self.biases]
+        """Copy of the parameters as (weights, biases), views of one buffer."""
+        return self._views(self._flatten(self.weights, self.biases))
 
     def restore(self, snapshot) -> None:
-        weights, biases = snapshot
-        self.weights = [W.copy() for W in weights]
-        self.biases = [b.copy() for b in biases]
+        self.weights, self.biases = self._views(self._flatten(*snapshot))
 
 
 @dataclass
@@ -194,44 +234,35 @@ class TrainConfig:
             raise ValueError("seed must be non-negative")
 
 
-@dataclass
-class AdamState:
-    """Per-parameter Adam moments; shapes mirror the network's parameters."""
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    t: int = 0
-    m_weights: list[np.ndarray] = field(default_factory=list)
-    v_weights: list[np.ndarray] = field(default_factory=list)
-    m_biases: list[np.ndarray] = field(default_factory=list)
-    v_biases: list[np.ndarray] = field(default_factory=list)
 
-    @classmethod
-    def for_net(cls, net: Mlp) -> "AdamState":
-        state = cls()
-        state.m_weights = [np.zeros_like(W) for W in net.weights]
-        state.v_weights = [np.zeros_like(W) for W in net.weights]
-        state.m_biases = [np.zeros_like(b) for b in net.biases]
-        state.v_biases = [np.zeros_like(b) for b in net.biases]
-        return state
+def _adam_step(params, grad, m, v, t: int, learning_rate: float, scratch) -> None:
+    """Adam step t (from 1) over flat buffers, in place.
 
-    def update(self, net: Mlp, grads_w, grads_b, learning_rate: float) -> None:
-        self.t += 1
-        correction1 = 1.0 - self.beta1**self.t
-        correction2 = 1.0 - self.beta2**self.t
-        for i in range(len(net.weights)):
-            for param, grad, m, v in (
-                (net.weights[i], grads_w[i], self.m_weights[i], self.v_weights[i]),
-                (net.biases[i], grads_b[i], self.m_biases[i], self.v_biases[i]),
-            ):
-                m *= self.beta1
-                m += (1.0 - self.beta1) * grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * grad * grad
-                m_hat = m / correction1
-                v_hat = v / correction2
-                param -= learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
+    Per element this is the textbook m = b1 m + (1 - b1) g, v = b2 v +
+    (1 - b2) g g, p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that
+    order; scratch is a (2, params.size) work buffer.
+    """
+    correction1 = 1.0 - _ADAM_BETA1**t
+    correction2 = 1.0 - _ADAM_BETA2**t
+    tmp, denom = scratch
+    m *= _ADAM_BETA1
+    np.multiply(1.0 - _ADAM_BETA1, grad, out=tmp)
+    m += tmp
+    v *= _ADAM_BETA2
+    np.multiply(1.0 - _ADAM_BETA2, grad, out=tmp)
+    tmp *= grad
+    v += tmp
+    np.divide(v, correction2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += _ADAM_EPSILON
+    np.divide(m, correction1, out=tmp)
+    tmp *= learning_rate
+    tmp /= denom
+    params -= tmp
 
 
 @dataclass
@@ -245,52 +276,61 @@ class TrainLog:
     n_val: int
 
 
-class _MseObjective:
+def _mean(x: np.ndarray) -> float:
+    """float(np.mean(x)) for a 1-d array, without np.mean's call overhead."""
+    return float(np.add.reduce(x)) / x.size
+
+
+class _Objective:
+    """A batch loss: value_and_grad(outputs, idx) gives the mean loss over
+    the rows idx and its gradient in the outputs, from one residual."""
+
+    def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
+        return self.value_and_grad(outputs, idx)[0]
+
+    def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        return self.value_and_grad(outputs, idx)[1]
+
+
+class _MseObjective(_Objective):
     def __init__(self, y: np.ndarray):
         self.y = y  # (n, out_dim)
 
-    def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
+    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
         diff = outputs - self.y[idx]
-        return float(np.mean(np.sum(diff * diff, axis=1)))
-
-    def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return 2.0 * (outputs - self.y[idx]) / outputs.shape[0]
+        loss = _mean(np.add.reduce(diff * diff, axis=1))
+        return loss, 2.0 * diff / outputs.shape[0]
 
 
-class _NllSigmaObjective:
+class _NllSigmaObjective(_Objective):
     """Gaussian NLL in the sigma network, residuals fixed."""
 
     def __init__(self, residuals: np.ndarray):
-        self.residuals = residuals  # (n,)
+        self.squared = residuals * residuals  # (n,)
 
-    def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
+    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
         sigma = outputs[:, 0] + SIGMA_FLOOR
-        r = self.residuals[idx]
-        return float(np.mean(np.log(sigma * sigma) / 2.0 + r * r / (2.0 * sigma * sigma)))
-
-    def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        sigma = outputs[:, 0] + SIGMA_FLOOR
-        r = self.residuals[idx]
-        g = (1.0 / sigma - r * r / sigma**3) / outputs.shape[0]
-        return g[:, None]
+        rr = self.squared[idx]
+        loss = _mean(np.log(sigma * sigma) / 2.0 + rr / (2.0 * sigma * sigma))
+        g = (1.0 / sigma - rr / sigma**3) / outputs.shape[0]
+        return loss, g[:, None]
 
 
-class _NllMeanObjective:
+class _NllMeanObjective(_Objective):
     """Gaussian NLL in the mean network, per-sample sigmas fixed."""
 
     def __init__(self, y: np.ndarray, sigma: np.ndarray):
         self.y = y  # (n,)
-        self.sigma = sigma  # (n,)
+        # Per-row terms that depend only on the fixed sigmas.
+        self.variance = sigma * sigma
+        self.half_log_variance = np.log(self.variance) / 2.0
+        self.twice_variance = 2.0 * sigma * sigma
 
-    def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
-        sigma = self.sigma[idx]
-        r = self.y[idx] - outputs[:, 0]
-        return float(np.mean(np.log(sigma * sigma) / 2.0 + r * r / (2.0 * sigma * sigma)))
-
-    def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        sigma = self.sigma[idx]
-        g = ((outputs[:, 0] - self.y[idx]) / (sigma * sigma)) / outputs.shape[0]
-        return g[:, None]
+    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
+        diff = outputs[:, 0] - self.y[idx]
+        loss = _mean(self.half_log_variance[idx] + diff * diff / self.twice_variance[idx])
+        g = (diff / self.variance[idx]) / outputs.shape[0]
+        return loss, g[:, None]
 
 
 def _validate_xy(net: Mlp, X, y):
@@ -328,10 +368,18 @@ def validation_split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def _run_training(net: Mlp, X: np.ndarray, objective, cfg: TrainConfig) -> TrainLog:
     val_idx, train_idx = validation_split(X.shape[0], cfg)
+    X_val = X[val_idx]
 
-    adam = AdamState.for_net(net)
+    params = net._flatten(net.weights, net.biases)
+    net.weights, net.biases = net._views(params)
+    grad = np.empty_like(params)
+    grad_views = net._views(grad)
+    m = np.zeros_like(params)
+    v = np.zeros_like(params)
+    scratch = np.empty((2, params.size))
+    step = 0
     best_val = math.inf
-    best_snapshot = net.snapshot()
+    best_params = params.copy()
     best_epoch = -1
     epochs_since_best = 0
     train_losses: list[float] = []
@@ -340,28 +388,28 @@ def _run_training(net: Mlp, X: np.ndarray, objective, cfg: TrainConfig) -> Train
     for epoch in range(cfg.max_epochs):
         perm = _derived_rng(cfg.seed, 1, epoch).permutation(train_idx.size)
         shuffled = train_idx[perm]
+        X_shuffled = X[shuffled]
         epoch_loss = 0.0
         for start in range(0, shuffled.size, cfg.batch_size):
             batch = shuffled[start : start + cfg.batch_size]
-            pre, post = net._forward_cached(X[batch])
-            outputs = post[-1]
-            loss = objective.value(outputs, batch)
+            pre, post = net._forward_cached(X_shuffled[start : start + cfg.batch_size])
+            loss, grad_output = objective.value_and_grad(post[-1], batch)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
-            grads_w, grads_b = net._backward(pre, post, objective.grad(outputs, batch))
-            adam.update(net, grads_w, grads_b, cfg.learning_rate)
+            net._backward(pre, post, grad_output, out=grad_views)
+            step += 1
+            _adam_step(params, grad, m, v, step, cfg.learning_rate, scratch)
             epoch_loss += loss * batch.size
         train_losses.append(epoch_loss / shuffled.size)
 
-        val_outputs = net.forward(X[val_idx])
-        val_loss = objective.value(val_outputs, val_idx)
+        val_loss = objective.value(net.forward(X_val), val_idx)
         if not math.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         val_losses.append(val_loss)
 
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = net.snapshot()
+            best_params = params.copy()
             best_epoch = epoch
             epochs_since_best = 0
         else:
@@ -369,7 +417,7 @@ def _run_training(net: Mlp, X: np.ndarray, objective, cfg: TrainConfig) -> Train
             if epochs_since_best >= cfg.patience:
                 break
 
-    net.restore(best_snapshot)
+    net.weights, net.biases = net._views(best_params)
     return TrainLog(
         train_losses=train_losses,
         val_losses=val_losses,

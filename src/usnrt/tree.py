@@ -510,6 +510,8 @@ def _check_features(model: UsnrtModel, X) -> np.ndarray:
     width = _model_width(model)
     if X.shape[1] != width:
         raise ValueError(f"X has width {X.shape[1]}, model expects {width}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("features must be finite")
     return X
 
 

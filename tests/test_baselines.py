@@ -122,6 +122,17 @@ class TestEnsembleAggregation:
         mean_var = np.mean(member_sigmas**2, axis=0)
         assert np.all(sigma_bar**2 >= mean_var * (1.0 - 1e-12))
 
+    def test_non_finite_features_rejected(self):
+        member = constant_hnn(0.5, 0.0)
+        ensemble = EnsembleModel(members=[member, constant_hnn(-0.5, 1.0)])
+        X = np.array([[0.0, 1.0], [np.nan, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            member.predict_arrays(X)
+        with pytest.raises(ValueError, match="finite"):
+            ensemble_predict_arrays(ensemble, X)
+        with pytest.raises(ValueError, match="finite"):
+            ensemble_predict(ensemble, X)
+
     def test_training_gives_distinct_members(self):
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, (300, 2))

@@ -7,6 +7,7 @@ import pytest
 
 from usnrt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_benchmark
 from usnrt.data import Schema, SynthSpec, generate_synthetic, load_csv
+from usnrt.model_io import ModelFormatError, decode_array, encode_array, load_model
 
 
 FAST = {"max_epochs": 40, "patience": 6, "n_min": 300}
@@ -350,6 +351,26 @@ class TestExitCodes:
             main(
                 [
                     "evaluate",
+                    "--model", str(bad),
+                    "--data", str(synth_dir / "data.csv"),
+                    "--out", str(tmp_path / "out"),
+                ]
+            )
+            == EXIT_DATA
+        )
+
+    def test_wrong_bias_length_rejected(self, trained_dir, synth_dir, tmp_path):
+        payload = json.loads((trained_dir / "model.json").read_text())
+        net = next(node for node in payload["nodes"] if "mean_net" in node)["mean_net"]
+        net["biases"][0] = encode_array(np.append(decode_array(net["biases"][0]), 0.5))
+        bad = tmp_path / "bad_bias.json"
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(ModelFormatError, match="biases"):
+            load_model(bad)
+        assert (
+            main(
+                [
+                    "predict",
                     "--model", str(bad),
                     "--data", str(synth_dir / "data.csv"),
                     "--out", str(tmp_path / "out"),

@@ -1,5 +1,6 @@
 """Network engine tests: forward contracts, training behaviour, gradient
-correctness against central finite differences, and determinism."""
+correctness against central finite differences, determinism, and bit
+identity with a textbook reference trainer."""
 
 import math
 
@@ -17,6 +18,7 @@ from usnrt.nn_core import (
     train_mse,
     train_nll_fixed_mean,
     train_nll_fixed_sigma,
+    validation_split,
 )
 from usnrt.nn_core import _MseObjective, _NllMeanObjective, _NllSigmaObjective
 
@@ -273,3 +275,221 @@ class TestNllLoss:
         sigma = rng.uniform(0.2, 2.0, size=9)
         expected = np.mean([nll_loss(a, b, c) for a, b, c in zip(y, mu, sigma)])
         assert average_nll(y, mu, sigma) == pytest.approx(expected, rel=1e-12)
+
+
+def _reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+# (activation, derivative in the pre-activation z), written out plainly.
+_REFERENCE_ACTIVATIONS = {
+    Activation.TANH: (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    Activation.RELU: (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    Activation.LINEAR: (lambda z: z, np.ones_like),
+    Activation.SOFTPLUS: (lambda z: np.logaddexp(0.0, z), _reference_sigmoid),
+}
+
+
+def reference_fit(net, X, loss, loss_grad, cfg):
+    """Textbook mini-batch Adam with early stopping: per-layer forward and
+    backward passes on separate arrays and one Adam update per array. Same
+    split, shuffles and stopping rule as the engine; returns (weights,
+    biases, TrainLog fields)."""
+    weights = [W.copy() for W in net.weights]
+    biases = [b.copy() for b in net.biases]
+    acts = [net.hidden_activation] * (len(weights) - 1) + [net.output_activation]
+
+    def forward(Xb):
+        pre, post = [], [Xb]
+        for W, b, act in zip(weights, biases, acts):
+            pre.append(post[-1] @ W + b)
+            post.append(_REFERENCE_ACTIVATIONS[act][0](pre[-1]))
+        return pre, post
+
+    params = weights + biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    val_idx, train_idx = validation_split(X.shape[0], cfg)
+    best_val, best, best_epoch, since_best = math.inf, None, -1, 0
+    train_losses, val_losses = [], []
+    for epoch in range(cfg.max_epochs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1, epoch]))
+        shuffled = train_idx[rng.permutation(train_idx.size)]
+        total = 0.0
+        for start in range(0, shuffled.size, cfg.batch_size):
+            batch = shuffled[start : start + cfg.batch_size]
+            pre, post = forward(X[batch])
+            value = loss(post[-1], batch)
+            delta = loss_grad(post[-1], batch)
+            grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+            for i in range(len(weights) - 1, -1, -1):
+                delta = delta * _REFERENCE_ACTIVATIONS[acts[i]][1](pre[i])
+                grads_w[i] = post[i].T @ delta
+                grads_b[i] = delta.sum(axis=0)
+                if i:
+                    delta = delta @ weights[i].T
+            t += 1
+            c1, c2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for p, g, mp, vp in zip(params, grads_w + grads_b, m, v):
+                mp *= 0.9
+                mp += (1.0 - 0.9) * g
+                vp *= 0.999
+                vp += (1.0 - 0.999) * g * g
+                p -= cfg.learning_rate * (mp / c1) / (np.sqrt(vp / c2) + 1e-8)
+            total += value * batch.size
+        train_losses.append(total / shuffled.size)
+        val_losses.append(loss(forward(X[val_idx])[1][-1], val_idx))
+        if val_losses[-1] < best_val:
+            best_val, best_epoch, since_best = val_losses[-1], epoch, 0
+            best = [p.copy() for p in params]
+        else:
+            since_best += 1
+            if since_best >= cfg.patience:
+                break
+    n = len(weights)
+    log = dict(
+        train_losses=train_losses,
+        val_losses=val_losses,
+        best_epoch=best_epoch,
+        n_train=int(train_idx.size),
+        n_val=int(val_idx.size),
+    )
+    return best[:n], best[n:], log
+
+
+class TestReferenceBitIdentity:
+    """The engine's flat-buffer loop must reproduce the textbook trainer bit
+    for bit, including a ragged last batch (163 training rows, batch 16)."""
+
+    cfg = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=12, patience=3, seed=4)
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(40)
+        X = rng.uniform(-1, 1, (203, 3))
+        y = np.sin(2.0 * X[:, 0]) + np.where(X[:, 1] > 0, 0.8, 0.1) * rng.standard_normal(203)
+        return X, y
+
+    def assert_identical(self, net, log, expected):
+        weights, biases, expected_log = expected
+        assert expected_log["n_train"] % self.cfg.batch_size != 0
+        for got, want in zip(net.weights + net.biases, weights + biases):
+            assert np.array_equal(got, want)
+        assert vars(log) == expected_log
+
+    def test_train_mse_tanh(self):
+        X, y = self.data()
+        net = Mlp([3, 12, 6, 1], seed=41)
+        targets = y[:, None]
+
+        def loss(out, idx):
+            diff = out - targets[idx]
+            return float(np.mean(np.sum(diff * diff, axis=1)))
+
+        def grad(out, idx):
+            return 2.0 * (out - targets[idx]) / out.shape[0]
+
+        expected = reference_fit(net, X, loss, grad, self.cfg)
+        net, log = train_mse(net, X, y, self.cfg)
+        self.assert_identical(net, log, expected)
+
+    def test_train_nll_fixed_mean_softplus_output(self):
+        X, y = self.data()
+        mean_net = Mlp([3, 5, 1], seed=42)
+        net = Mlp([3, 10, 1], output_activation=Activation.SOFTPLUS, seed=43)
+        r = y - mean_net.forward(X)[:, 0]
+
+        def loss(out, idx):
+            sigma = out[:, 0] + SIGMA_FLOOR
+            return float(
+                np.mean(np.log(sigma * sigma) / 2.0 + r[idx] * r[idx] / (2.0 * sigma * sigma))
+            )
+
+        def grad(out, idx):
+            sigma = out[:, 0] + SIGMA_FLOOR
+            return ((1.0 / sigma - r[idx] * r[idx] / sigma**3) / out.shape[0])[:, None]
+
+        expected = reference_fit(net, X, loss, grad, self.cfg)
+        net, log = train_nll_fixed_mean(net, mean_net, X, y, self.cfg)
+        self.assert_identical(net, log, expected)
+
+    def test_train_nll_fixed_sigma_relu_hidden(self):
+        X, y = self.data()
+        sigma = np.random.default_rng(44).uniform(0.2, 1.5, size=203)
+        net = Mlp([3, 12, 6, 1], hidden_activation=Activation.RELU, seed=45)
+
+        def loss(out, idx):
+            s = sigma[idx]
+            r = y[idx] - out[:, 0]
+            return float(np.mean(np.log(s * s) / 2.0 + r * r / (2.0 * s * s)))
+
+        def grad(out, idx):
+            s = sigma[idx]
+            return (((out[:, 0] - y[idx]) / (s * s)) / out.shape[0])[:, None]
+
+        expected = reference_fit(net, X, loss, grad, self.cfg)
+        net, log = train_nll_fixed_sigma(net, sigma, X, y, self.cfg)
+        self.assert_identical(net, log, expected)
+
+
+class TestParameterBuffers:
+    cfg = TrainConfig(max_epochs=3, patience=3, seed=50)
+
+    @staticmethod
+    def data():
+        rng = np.random.default_rng(51)
+        X = rng.uniform(-1, 1, (120, 2))
+        return X, X[:, 0] - X[:, 1] + 0.1 * rng.standard_normal(120)
+
+    def test_assigned_lists_are_trained(self):
+        X, y = self.data()
+        retrained = Mlp([2, 6, 1], seed=52)
+        train_mse(retrained, X, y, self.cfg)
+        retrained.weights = [np.full_like(W, 0.1) for W in retrained.weights]
+        retrained.biases = [np.zeros_like(b) for b in retrained.biases]
+        train_mse(retrained, X, y, self.cfg)
+
+        fresh = Mlp([2, 6, 1], seed=52)
+        fresh.weights = [np.full_like(W, 0.1) for W in fresh.weights]
+        fresh.biases = [np.zeros_like(b) for b in fresh.biases]
+        train_mse(fresh, X, y, self.cfg)
+        for a, b in zip(retrained.weights + retrained.biases, fresh.weights + fresh.biases):
+            assert np.array_equal(a, b)
+
+    def test_snapshot_not_mutated_by_training(self):
+        X, y = self.data()
+        net = Mlp([2, 6, 1], seed=53)
+        snap_w, snap_b = net.snapshot()
+        kept = [p.copy() for p in snap_w + snap_b]
+        train_mse(net, X, y, self.cfg)
+        assert not np.array_equal(net.weights[0], kept[0])
+        for p, k in zip(snap_w + snap_b, kept):
+            assert np.array_equal(p, k)
+        net.restore((snap_w, snap_b))
+        for p, k in zip(net.weights + net.biases, kept):
+            assert np.array_equal(p, k)
+            assert not any(np.shares_memory(p, q) for q in snap_w + snap_b)
+        # A snapshot is a copy: in-place edits of the live parameters miss it.
+        _, live_b = net.snapshot()
+        net.biases[0][:] = 7.0
+        assert np.array_equal(live_b[0], kept[len(snap_w)])
+
+    def test_alternately_trained_nets_share_no_buffer(self):
+        X, y = self.data()
+        mean_net = Mlp([2, 6, 1], hidden_activation=Activation.RELU, seed=54)
+        sigma_net = Mlp([2, 6, 1], output_activation=Activation.SOFTPLUS, seed=55)
+        for _ in range(2):
+            train_nll_fixed_sigma(mean_net, predict_sigma(sigma_net, X), X, y, self.cfg)
+            mean_before = mean_net.snapshot()
+            train_nll_fixed_mean(sigma_net, mean_net, X, y, self.cfg)
+            for a, b in zip(mean_net.weights + mean_net.biases, mean_before[0] + mean_before[1]):
+                assert np.array_equal(a, b)
+        for p in mean_net.weights + mean_net.biases:
+            for q in sigma_net.weights + sigma_net.biases:
+                assert not np.shares_memory(p, q)

@@ -338,6 +338,20 @@ class TestPredict:
             ]
             assert accepting == [region]
 
+    def test_non_finite_features_rejected(self):
+        left = constant_leaf(1, 2, mean_value=-5.0, sigma_bias=0.0)
+        right = constant_leaf(2, 2, mean_value=5.0, sigma_bias=0.0)
+        root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
+        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None, depth=1, leaf_count=2)
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.array([[bad, 0.0], [1.0, 2.0]])
+            with pytest.raises(ValueError, match="finite"):
+                predict_arrays(model, X)
+            with pytest.raises(ValueError, match="finite"):
+                leaf_assignments(model, X)
+            with pytest.raises(ValueError, match="finite"):
+                leaf_report(model, X, np.zeros(2))
+
 
 class TestLeafReport:
     def test_homoscedastic_single_leaf(self):
