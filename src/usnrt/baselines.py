@@ -9,7 +9,7 @@ import numpy as np
 
 from . import model_io
 from .data import PreprocessState
-from .metrics import GaussianPrediction
+from .metrics import GaussianPrediction, gaussian_predictions
 from .nn_core import (
     Activation,
     Mlp,
@@ -44,6 +44,8 @@ class HnnModel:
     """Two networks sharing hidden sizes [8d, 4d]: a ReLU mean network with a
     linear output and a Tanh sigma network with a Softplus output."""
 
+    model_kind = "hnn"
+
     mean_net: Mlp
     sigma_net: Mlp
     preprocess: PreprocessState | None = None
@@ -61,19 +63,60 @@ class HnnModel:
         return mu, sigma
 
     def predict(self, X) -> list[GaussianPrediction]:
-        mu, sigma = self.predict_arrays(X)
-        return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
+        return gaussian_predictions(*self.predict_arrays(X))
+
+    def to_payload(self) -> dict:
+        return {
+            "mean_net": model_io.encode_mlp(self.mean_net),
+            "sigma_net": model_io.encode_mlp(self.sigma_net),
+            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "HnnModel":
+        preprocess = payload["preprocess"]
+        return cls(
+            mean_net=model_io.decode_mlp(payload["mean_net"]),
+            sigma_net=model_io.decode_mlp(payload["sigma_net"]),
+            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+        )
 
 
 @dataclass
 class EnsembleModel:
     """Independently seeded HNNs aggregated into one Gaussian per sample."""
 
+    model_kind = "ensemble"
+
     members: list[HnnModel]
     preprocess: PreprocessState | None = None
 
+    @property
+    def train_log(self) -> dict:
+        return {"members": [member.train_log for member in self.members]}
+
+    def predict_arrays(self, X, denormalize: bool = True):
+        return ensemble_predict_arrays(self, X, denormalize)
+
     def predict(self, X) -> list[GaussianPrediction]:
         return ensemble_predict(self, X)
+
+    def to_payload(self) -> dict:
+        return {
+            "members": [member.to_payload() for member in self.members],
+            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "EnsembleModel":
+        members = payload["members"]
+        if not isinstance(members, list) or not members:
+            raise model_io.ModelFormatError("ensemble model holds no members")
+        preprocess = payload["preprocess"]
+        return cls(
+            members=[HnnModel.from_payload(entry) for entry in members],
+            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+        )
 
 
 def train_hnn(
@@ -206,66 +249,20 @@ def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):
 
 def ensemble_predict(model: EnsembleModel, X) -> list[GaussianPrediction]:
     """Aggregated per-sample Gaussians in original label units."""
-    mu_bar, sigma_bar = ensemble_predict_arrays(model, X)
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu_bar, sigma_bar)]
-
-
-def _hnn_payload(model: HnnModel) -> dict:
-    return {
-        "mean_net": model_io.encode_mlp(model.mean_net),
-        "sigma_net": model_io.encode_mlp(model.sigma_net),
-        "preprocess": None if model.preprocess is None else model.preprocess.to_dict(),
-    }
+    return gaussian_predictions(*ensemble_predict_arrays(model, X))
 
 
 def save_hnn(model: HnnModel, path) -> None:
-    payload = {
-        "format_version": model_io.FORMAT_VERSION,
-        "model_kind": "hnn",
-        **_hnn_payload(model),
-    }
-    model_io.write_payload(path, payload)
-
-
-def _hnn_from_payload(payload: dict) -> HnnModel:
-    try:
-        mean_net = model_io.decode_mlp(payload["mean_net"])
-        sigma_net = model_io.decode_mlp(payload["sigma_net"])
-    except KeyError as exc:
-        raise model_io.ModelFormatError(f"hnn model missing field {exc}") from exc
-    preprocess = payload.get("preprocess")
-    return HnnModel(
-        mean_net=mean_net,
-        sigma_net=sigma_net,
-        preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
-    )
+    model_io.save_model(model, path)
 
 
 def load_hnn(path) -> HnnModel:
-    return _hnn_from_payload(model_io.read_payload(path, expect_kind="hnn"))
+    return model_io.load_model(path, expect_kind="hnn")
 
 
 def save_ensemble(model: EnsembleModel, path) -> None:
-    payload = {
-        "format_version": model_io.FORMAT_VERSION,
-        "model_kind": "ensemble",
-        "members": [_hnn_payload(member) for member in model.members],
-        "preprocess": None if model.preprocess is None else model.preprocess.to_dict(),
-    }
-    model_io.write_payload(path, payload)
-
-
-def _ensemble_from_payload(payload: dict) -> EnsembleModel:
-    members_payload = payload.get("members")
-    if not isinstance(members_payload, list) or not members_payload:
-        raise model_io.ModelFormatError("ensemble model holds no members")
-    members = [_hnn_from_payload(entry) for entry in members_payload]
-    preprocess = payload.get("preprocess")
-    return EnsembleModel(
-        members=members,
-        preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
-    )
+    model_io.save_model(model, path)
 
 
 def load_ensemble(path) -> EnsembleModel:
-    return _ensemble_from_payload(model_io.read_payload(path, expect_kind="ensemble"))
+    return model_io.load_model(path, expect_kind="ensemble")

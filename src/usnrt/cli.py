@@ -28,12 +28,11 @@ from .data import (
     load_csv,
     train_test_split,
 )
-from .metrics import GaussianPrediction, compute_report
-from .model_io import ModelFormatError, load_model
+from .metrics import compute_report, gaussian_predictions
+from .model_io import MODEL_KINDS, ModelFormatError, load_model, save_model
 from .nn_core import TrainConfig, TrainingError
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
-MODEL_KINDS = ("usnrt", "hnn", "ensemble")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,11 +94,14 @@ def _resolved(defaults: dict, file_cfg: dict, flag_values: dict) -> dict:
     return merged
 
 
-def _echo_config(out: Path, command: str, settings: dict) -> None:
-    payload = {"command": command, **settings}
-    with open(out / "config.json", "w", encoding="utf-8") as fh:
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _echo_config(out: Path, command: str, settings: dict) -> None:
+    _write_json(out / "config.json", {"command": command, **settings})
 
 
 def _train_config(settings: dict, seed: int) -> TrainConfig:
@@ -169,16 +171,6 @@ def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: in
     raise _UsageError(f"unknown model kind {kind!r}")
 
 
-def _normalized_pred_arrays(model, X):
-    if isinstance(model, tree.UsnrtModel):
-        return tree.predict_arrays(model, X, denormalize=False)
-    if isinstance(model, baselines.HnnModel):
-        return model.predict_arrays(X, denormalize=False)
-    if isinstance(model, baselines.EnsembleModel):
-        return baselines.ensemble_predict_arrays(model, X, denormalize=False)
-    raise TypeError(f"unsupported model type {type(model)!r}")
-
-
 def _model_state(model) -> PreprocessState:
     state = model.preprocess
     if state is None:
@@ -193,18 +185,8 @@ def _evaluate(model, dataset: Dataset):
     if dataset.labels is None:
         raise DataError("evaluation data must include the label column")
     y_norm = state.transform_labels(dataset.labels)
-    mu, sigma = _normalized_pred_arrays(model, X)
-    preds = [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
-    return compute_report(preds, y_norm), sigma
-
-
-def _save_model(model, path) -> None:
-    if isinstance(model, tree.UsnrtModel):
-        tree.save(model, path)
-    elif isinstance(model, baselines.HnnModel):
-        baselines.save_hnn(model, path)
-    else:
-        baselines.save_ensemble(model, path)
+    mu, sigma = model.predict_arrays(X, denormalize=False)
+    return compute_report(gaussian_predictions(mu, sigma), y_norm), sigma
 
 
 # ----------------------------------------------------------------------
@@ -309,19 +291,12 @@ def cmd_train(args) -> int:
     model = _fit_model(kind, X, y, state, settings, seed)
 
     model_path = out / "model.json"
-    _save_model(model, model_path)
-    if isinstance(model, tree.UsnrtModel):
-        with open(out / "tree_summary.json", "w", encoding="utf-8") as fh:
-            json.dump(tree.describe(model), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        train_log = model.build_log
-    elif isinstance(model, baselines.HnnModel):
-        train_log = model.train_log
-    else:
-        train_log = {"members": [member.train_log for member in model.members]}
-    with open(out / "train_log.json", "w", encoding="utf-8") as fh:
-        json.dump(train_log, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_model(model, model_path)
+    message = f"trained {kind} -> {model_path}"
+    if kind == "usnrt":
+        _write_json(out / "tree_summary.json", tree.describe(model))
+        message = f"trained usnrt: depth {model.depth}, {model.leaf_count} leaves -> {model_path}"
+    _write_json(out / "train_log.json", model.train_log)
     _echo_config(
         out,
         "train",
@@ -333,10 +308,7 @@ def cmd_train(args) -> int:
             "schema": str(args.schema),
         },
     )
-    if isinstance(model, tree.UsnrtModel):
-        print(f"trained usnrt: depth {model.depth}, {model.leaf_count} leaves -> {model_path}")
-    else:
-        print(f"trained {kind} -> {model_path}")
+    print(message)
     return EXIT_OK
 
 
@@ -352,9 +324,7 @@ def cmd_evaluate(args) -> int:
         payload["sharpness_original_units"] = 100.0 * float(
             np.mean(state.denormalize_sigma(sigma_norm))
         )
-    with open(out / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "metrics.json", payload)
     _write_csv(
         out / "curve.csv",
         ["expected_probability", "calibration_error"],
@@ -378,12 +348,7 @@ def cmd_predict(args) -> int:
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema, require_label=False)
     X = state.transform(dataset)
-    if isinstance(model, tree.UsnrtModel):
-        mu, sigma = tree.predict_arrays(model, X)
-    elif isinstance(model, baselines.HnnModel):
-        mu, sigma = model.predict_arrays(X)
-    else:
-        mu, sigma = baselines.ensemble_predict_arrays(model, X)
+    mu, sigma = model.predict_arrays(X)
     _write_csv(
         out / "predictions.csv",
         ["mu", "sigma"],
@@ -491,7 +456,7 @@ def cmd_benchmark(args) -> int:
 def cmd_inspect(args) -> int:
     out = _out_dir(args, "inspect")
     model = load_model(args.model)
-    if not isinstance(model, tree.UsnrtModel):
+    if model.model_kind != "usnrt":
         raise _UsageError("inspect applies to usnrt models")
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema)

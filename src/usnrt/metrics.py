@@ -25,6 +25,7 @@ __all__ = [
     "calibration_curve",
     "compute_report",
     "ece",
+    "gaussian_predictions",
     "predicted_quantile",
     "sharpness",
     "tce",
@@ -68,6 +69,11 @@ class MetricsReport:
             "curve": [[expected, error] for expected, error in self.curve],
             "n_test": self.n_test,
         }
+
+
+def gaussian_predictions(mu, sigma) -> list[GaussianPrediction]:
+    """One GaussianPrediction per row of the (mu, sigma) arrays."""
+    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
 
 
 def predicted_quantile(pred: GaussianPrediction, tau: float) -> float:

@@ -5,12 +5,20 @@ A model file is a single JSON document with a "format_version" and a
 are base64-encoded little-endian float64 buffers, so a save/load round trip
 reproduces predictions bit for bit. The full layout is documented in the
 README.
+
+Every model class has the same interface: a `model_kind` class constant,
+`predict_arrays(X, denormalize=True)`, `to_payload()` (the file body without
+its header), the `from_payload(payload)` class method, and `train_log`. This
+module owns the header and the table from kind to class.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
+import importlib
 import json
+import os
 
 import numpy as np
 
@@ -25,11 +33,19 @@ __all__ = [
     "encode_mlp",
     "load_model",
     "read_payload",
+    "save_model",
     "write_payload",
 ]
 
 FORMAT_VERSION = 1
-MODEL_KINDS = ("usnrt", "hnn", "ensemble")
+# Model kind -> (module, class). Those modules import this one, so the class
+# is looked up when a file is loaded.
+_MODEL_CLASSES = {
+    "usnrt": ("tree", "UsnrtModel"),
+    "hnn": ("baselines", "HnnModel"),
+    "ensemble": ("baselines", "EnsembleModel"),
+}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
 
 
 class ModelFormatError(ValueError):
@@ -70,19 +86,16 @@ def encode_mlp(net: Mlp) -> dict:
 
 
 def decode_mlp(obj: dict) -> Mlp:
-    try:
-        net = Mlp(
-            obj["layer_sizes"],
-            hidden_activation=Activation(obj["hidden_activation"]),
-            output_activation=Activation(obj["output_activation"]),
-            seed=int(obj["seed"]),
-        )
-        weights = [decode_array(W) for W in obj["weights"]]
-        biases = [decode_array(b) for b in obj["biases"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ModelFormatError):
-            raise
-        raise ModelFormatError(f"malformed network block: {exc}") from exc
+    """The network of an encode_mlp block. A malformed block raises whatever
+    the decoding meets; load_model turns that into ModelFormatError."""
+    net = Mlp(
+        obj["layer_sizes"],
+        hidden_activation=Activation(obj["hidden_activation"]),
+        output_activation=Activation(obj["output_activation"]),
+        seed=int(obj["seed"]),
+    )
+    weights = [decode_array(W) for W in obj["weights"]]
+    biases = [decode_array(b) for b in obj["biases"]]
     for name, arrays, expected in (
         ("weights", weights, net.weights),
         ("biases", biases, net.biases),
@@ -97,9 +110,26 @@ def decode_mlp(obj: dict) -> Mlp:
 
 
 def write_payload(path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    """Write payload as JSON to a temporary file beside path, then move it
+    over path, so a failed write leaves any existing file untouched."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def save_model(model, path) -> None:
+    """Write any model kind: the versioned header, then model.to_payload()."""
+    write_payload(
+        path,
+        {"format_version": FORMAT_VERSION, "model_kind": model.model_kind, **model.to_payload()},
+    )
 
 
 def read_payload(path, expect_kind: str | None = None) -> dict:
@@ -128,16 +158,21 @@ def read_payload(path, expect_kind: str | None = None) -> dict:
     return payload
 
 
-def load_model(path):
-    """Load any supported model kind, dispatching on the file's tag."""
-    payload = read_payload(path)
+def load_model(path, expect_kind: str | None = None):
+    """Load any supported model kind, dispatching on the file's tag.
+
+    Every decoding fault raises ModelFormatError naming the file: a missing
+    key or list entry (LookupError), a value of the wrong type (TypeError,
+    AttributeError) or out of range (ValueError, ArithmeticError)."""
+    payload = read_payload(path, expect_kind)
     kind = payload["model_kind"]
-    if kind == "usnrt":
-        from . import tree
-
-        return tree._model_from_payload(payload)
-    from . import baselines
-
-    if kind == "hnn":
-        return baselines._hnn_from_payload(payload)
-    return baselines._ensemble_from_payload(payload)
+    module, name = _MODEL_CLASSES[kind]
+    cls = getattr(importlib.import_module(f".{module}", __package__), name)
+    try:
+        return cls.from_payload(payload)
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from exc
+    except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ModelFormatError(
+            f"model file {path}: malformed {kind} model ({type(exc).__name__}: {exc})"
+        ) from exc

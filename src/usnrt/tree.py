@@ -18,7 +18,7 @@ import numpy as np
 
 from . import model_io
 from .data import PreprocessState
-from .metrics import GaussianPrediction
+from .metrics import GaussianPrediction, gaussian_predictions
 from .nn_core import (
     Activation,
     Mlp,
@@ -165,9 +165,19 @@ class InternalNode:
 TreeNode = Union[InternalNode, LeafNode]
 
 
+def _walk(node: TreeNode, path: tuple[int, ...] = ()):
+    """(node, path) pairs of the subtree under node, in preorder."""
+    yield node, path
+    if isinstance(node, InternalNode):
+        yield from _walk(node.left, path + (0,))
+        yield from _walk(node.right, path + (1,))
+
+
 @dataclass
 class UsnrtModel:
     """A fitted tree: routing structure plus per-leaf networks."""
+
+    model_kind = "usnrt"
 
     root: TreeNode
     config: UsnrtConfig
@@ -176,18 +186,66 @@ class UsnrtModel:
     leaf_count: int
     build_log: dict = field(default_factory=dict, repr=False, compare=False)
 
+    @property
+    def train_log(self) -> dict:
+        return self.build_log
+
     def leaves(self) -> list[LeafNode]:
-        out: list[LeafNode] = []
+        return [node for node, _ in _walk(self.root) if isinstance(node, LeafNode)]
 
-        def walk(node: TreeNode) -> None:
+    def predict_arrays(self, X, denormalize: bool = True):
+        return predict_arrays(self, X, denormalize)
+
+    def to_payload(self) -> dict:
+        """Config, preprocessing state, then the preorder node list with
+        base64 little-endian float64 weights."""
+        return {
+            "config": self.config.to_dict(),
+            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
+            "nodes": [_encode_node(node) for node, _ in _walk(self.root)],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "UsnrtModel":
+        """Decode a model file body, rejecting a tree whose split features,
+        thresholds, region ids or leaf network sizes do not fit together."""
+        nodes = payload["nodes"]
+        if not isinstance(nodes, list) or not nodes:
+            raise model_io.ModelFormatError("model file holds no nodes")
+        cursor = [0]
+        root = _decode_nodes(nodes, cursor)
+        if cursor[0] != len(nodes):
+            raise model_io.ModelFormatError("trailing nodes after the tree preorder")
+        walk = list(_walk(root))
+        leaves = [node for node, _ in walk if isinstance(node, LeafNode)]
+        preprocess = payload["preprocess"]
+        model = cls(
+            root=root,
+            config=UsnrtConfig.from_dict(payload["config"]),
+            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+            depth=max(len(path) for node, path in walk if isinstance(node, LeafNode)),
+            leaf_count=len(leaves),
+        )
+        width = _model_width(model)
+        for node, path in walk:
             if isinstance(node, LeafNode):
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
+                continue
+            where = f"split at {_path_str(path)}"
+            if type(node.feature_index) is not int or not 0 <= node.feature_index < width:
+                raise model_io.ModelFormatError(
+                    f"{where}: feature_index {node.feature_index!r} is not an integer in [0, {width})"
+                )
+            if type(node.threshold) not in (int, float) or not math.isfinite(node.threshold):
+                raise model_io.ModelFormatError(f"{where}: threshold {node.threshold!r} is not finite")
+        if [leaf.region_id for leaf in leaves] != list(range(1, len(leaves) + 1)):
+            raise model_io.ModelFormatError("leaf region ids are not 1..leaf_count in preorder")
+        for leaf in leaves:
+            for net in (leaf.mean_net, leaf.sigma_net):
+                if net.input_dim != width or net.output_dim != 1:
+                    raise model_io.ModelFormatError(
+                        f"leaf {leaf.region_id}: networks must map {width} features to 1 output"
+                    )
+        return model
 
 
 @dataclass(frozen=True)
@@ -497,10 +555,7 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
 def _model_width(model: UsnrtModel) -> int:
     if model.preprocess is not None:
         return model.preprocess.encoded_width
-    node = model.root
-    while isinstance(node, InternalNode):
-        node = node.left
-    return node.mean_net.input_dim
+    return model.leaves()[0].mean_net.input_dim
 
 
 def _check_features(model: UsnrtModel, X) -> np.ndarray:
@@ -515,16 +570,12 @@ def _check_features(model: UsnrtModel, X) -> np.ndarray:
     return X
 
 
-def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray, mu, sigma, regions) -> None:
+def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray) -> list[tuple[LeafNode, np.ndarray]]:
+    """Each leaf under node, in preorder, with the ascending rows of idx it accepts."""
     if isinstance(node, LeafNode):
-        if idx.size:
-            mu[idx] = node.mean_net.forward(X[idx])[:, 0]
-            sigma[idx] = predict_sigma(node.sigma_net, X[idx])
-            regions[idx] = node.region_id
-        return
+        return [(node, idx)]
     mask = X[idx, node.feature_index] <= node.threshold
-    _route(node.left, X, idx[mask], mu, sigma, regions)
-    _route(node.right, X, idx[~mask], mu, sigma, regions)
+    return _route(node.left, X, idx[mask]) + _route(node.right, X, idx[~mask])
 
 
 def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
@@ -534,8 +585,10 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
     n = X.shape[0]
     mu = np.empty(n)
     sigma = np.empty(n)
-    regions = np.empty(n, dtype=int)
-    _route(model.root, X, np.arange(n), mu, sigma, regions)
+    for leaf, idx in _route(model.root, X, np.arange(n)):
+        if idx.size:
+            mu[idx] = leaf.mean_net.forward(X[idx])[:, 0]
+            sigma[idx] = predict_sigma(leaf.sigma_net, X[idx])
     if denormalize and model.preprocess is not None:
         mu = model.preprocess.denormalize_mean(mu)
         sigma = model.preprocess.denormalize_sigma(sigma)
@@ -545,18 +598,15 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
 def predict(model: UsnrtModel, X) -> list[GaussianPrediction]:
     """Route each sample to its unique leaf and report (mean, std) in
     original label units."""
-    mu, sigma = predict_arrays(model, X)
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
+    return gaussian_predictions(*predict_arrays(model, X))
 
 
 def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
     """Region id of the unique leaf accepting each row."""
     X = _check_features(model, X)
-    n = X.shape[0]
-    mu = np.empty(n)
-    sigma = np.empty(n)
-    regions = np.empty(n, dtype=int)
-    _route(model.root, X, np.arange(n), mu, sigma, regions)
+    regions = np.empty(X.shape[0], dtype=int)
+    for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
+        regions[idx] = leaf.region_id
     return regions
 
 
@@ -567,21 +617,20 @@ def leaf_report(model: UsnrtModel, X, y) -> list[LeafReportRow]:
     (denormalised) mean predictions. Empty regions report count 0 with the
     std absent.
     """
+    X = _check_features(model, X)
     y = np.asarray(y, dtype=float)
-    regions = leaf_assignments(model, X)
-    mu, _ = predict_arrays(model, X)
-    if y.shape != mu.shape:
+    if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")
     rows: list[LeafReportRow] = []
-    for leaf in model.leaves():
-        sel = regions == leaf.region_id
-        count = int(sel.sum())
-        if count:
-            residual = y[sel] - mu[sel]
+    for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
+        std = None
+        if idx.size:
+            mu = leaf.mean_net.forward(X[idx])[:, 0]
+            if model.preprocess is not None:
+                mu = model.preprocess.denormalize_mean(mu)
+            residual = y[idx] - mu
             std = float(np.sqrt(np.mean(residual * residual)))
-        else:
-            std = None
-        rows.append(LeafReportRow(region_id=leaf.region_id, count=count, residual_std=std))
+        rows.append(LeafReportRow(region_id=leaf.region_id, count=int(idx.size), residual_std=std))
     return rows
 
 
@@ -639,8 +688,7 @@ def describe(model: UsnrtModel) -> dict:
     p-values, and per-leaf training stats."""
     splits: list[dict] = []
     leaves: list[dict] = []
-
-    def walk(node: TreeNode, path: tuple[int, ...]) -> None:
+    for node, path in _walk(model.root):
         if isinstance(node, LeafNode):
             leaves.append(
                 {
@@ -650,19 +698,15 @@ def describe(model: UsnrtModel) -> dict:
                     "residual_std": node.residual_std,
                 }
             )
-            return
-        splits.append(
-            {
-                "path": _path_str(path),
-                "feature_index": node.feature_index,
-                "threshold": node.threshold,
-                "p_best": node.p_value,
-            }
-        )
-        walk(node.left, path + (0,))
-        walk(node.right, path + (1,))
-
-    walk(model.root, ())
+        else:
+            splits.append(
+                {
+                    "path": _path_str(path),
+                    "feature_index": node.feature_index,
+                    "threshold": node.threshold,
+                    "p_best": node.p_value,
+                }
+            )
     return {
         "depth": model.depth,
         "leaf_count": model.leaf_count,
@@ -671,44 +715,27 @@ def describe(model: UsnrtModel) -> dict:
     }
 
 
-def _encode_node(node: TreeNode, out: list[dict]) -> None:
+def _encode_node(node: TreeNode) -> dict:
     if isinstance(node, LeafNode):
-        out.append(
-            {
-                "kind": "leaf",
-                "region_id": node.region_id,
-                "train_count": node.train_count,
-                "residual_std": node.residual_std,
-                "mean_net": model_io.encode_mlp(node.mean_net),
-                "sigma_net": model_io.encode_mlp(node.sigma_net),
-            }
-        )
-        return
-    out.append(
-        {
-            "kind": "internal",
-            "feature_index": node.feature_index,
-            "threshold": node.threshold,
-            "p_value": node.p_value,
+        return {
+            "kind": "leaf",
+            "region_id": node.region_id,
+            "train_count": node.train_count,
+            "residual_std": node.residual_std,
+            "mean_net": model_io.encode_mlp(node.mean_net),
+            "sigma_net": model_io.encode_mlp(node.sigma_net),
         }
-    )
-    _encode_node(node.left, out)
-    _encode_node(node.right, out)
+    return {
+        "kind": "internal",
+        "feature_index": node.feature_index,
+        "threshold": node.threshold,
+        "p_value": node.p_value,
+    }
 
 
 def save(model: UsnrtModel, path) -> None:
-    """Write the model file: versioned header, config, preprocessing state,
-    then the preorder node list with base64 little-endian float64 weights."""
-    nodes: list[dict] = []
-    _encode_node(model.root, nodes)
-    payload = {
-        "format_version": model_io.FORMAT_VERSION,
-        "model_kind": "usnrt",
-        "config": model.config.to_dict(),
-        "preprocess": None if model.preprocess is None else model.preprocess.to_dict(),
-        "nodes": nodes,
-    }
-    model_io.write_payload(path, payload)
+    """Write the model file: versioned header, then UsnrtModel.to_payload()."""
+    model_io.save_model(model, path)
 
 
 def _decode_nodes(nodes: list[dict], cursor: list[int]) -> TreeNode:
@@ -716,69 +743,27 @@ def _decode_nodes(nodes: list[dict], cursor: list[int]) -> TreeNode:
         raise model_io.ModelFormatError("node list is truncated")
     entry = nodes[cursor[0]]
     cursor[0] += 1
-    kind = entry.get("kind")
+    kind = entry["kind"]
     if kind == "leaf":
-        try:
-            return LeafNode(
-                region_id=int(entry["region_id"]),
-                mean_net=model_io.decode_mlp(entry["mean_net"]),
-                sigma_net=model_io.decode_mlp(entry["sigma_net"]),
-                train_count=int(entry["train_count"]),
-                residual_std=float(entry["residual_std"]),
-            )
-        except KeyError as exc:
-            raise model_io.ModelFormatError(f"leaf node missing field {exc}") from exc
+        return LeafNode(
+            region_id=int(entry["region_id"]),
+            mean_net=model_io.decode_mlp(entry["mean_net"]),
+            sigma_net=model_io.decode_mlp(entry["sigma_net"]),
+            train_count=int(entry["train_count"]),
+            residual_std=float(entry["residual_std"]),
+        )
     if kind == "internal":
-        try:
-            feature = int(entry["feature_index"])
-            threshold = float(entry["threshold"])
-            p_value = float(entry["p_value"])
-        except KeyError as exc:
-            raise model_io.ModelFormatError(f"internal node missing field {exc}") from exc
-        left = _decode_nodes(nodes, cursor)
-        right = _decode_nodes(nodes, cursor)
+        # feature_index and threshold are checked once the width is known.
         return InternalNode(
-            feature_index=feature,
-            threshold=threshold,
-            p_value=p_value,
-            left=left,
-            right=right,
+            feature_index=entry["feature_index"],
+            threshold=entry["threshold"],
+            p_value=float(entry["p_value"]),
+            left=_decode_nodes(nodes, cursor),
+            right=_decode_nodes(nodes, cursor),
         )
     raise model_io.ModelFormatError(f"unknown node kind {kind!r}")
 
 
-def _model_from_payload(payload: dict) -> UsnrtModel:
-    nodes = payload.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
-        raise model_io.ModelFormatError("model file holds no nodes")
-    cursor = [0]
-    root = _decode_nodes(nodes, cursor)
-    if cursor[0] != len(nodes):
-        raise model_io.ModelFormatError("trailing nodes after the tree preorder")
-    depth = 0
-    leaf_count = 0
-
-    def walk(node: TreeNode, level: int) -> None:
-        nonlocal depth, leaf_count
-        if isinstance(node, LeafNode):
-            depth = max(depth, level)
-            leaf_count += 1
-        else:
-            walk(node.left, level + 1)
-            walk(node.right, level + 1)
-
-    walk(root, 0)
-    preprocess = payload.get("preprocess")
-    return UsnrtModel(
-        root=root,
-        config=UsnrtConfig.from_dict(payload["config"]),
-        preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
-        depth=depth,
-        leaf_count=leaf_count,
-    )
-
-
 def load(path) -> UsnrtModel:
     """Read a model file written by save; predictions round-trip bit-exactly."""
-    payload = model_io.read_payload(path, expect_kind="usnrt")
-    return _model_from_payload(payload)
+    return model_io.load_model(path, expect_kind="usnrt")

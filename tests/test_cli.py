@@ -396,3 +396,61 @@ class TestExitCodes:
             outs.append(out)
         a, b = outs
         assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda p: _internal_nodes(p)[0].update(feature_index=5),
+            lambda p: _internal_nodes(p)[0].update(feature_index=-1),
+            lambda p: _internal_nodes(p)[0].update(threshold=float("nan")),
+            lambda p: [leaf.update(region_id=1) for leaf in _leaf_nodes(p)],
+            lambda p: p.pop("config"),
+            lambda p: p["preprocess"].pop("continuous_stats"),
+            lambda p: p["config"]["train_cfg"].update(mystery=1),
+            lambda p: _as_hnn(p)["preprocess"].pop("continuous_stats"),
+        ],
+        ids=[
+            "feature-index-too-large",
+            "feature-index-negative",
+            "threshold-nan",
+            "duplicate-region-ids",
+            "usnrt-without-config",
+            "usnrt-preprocess-without-stats",
+            "unknown-train-cfg-key",
+            "hnn-preprocess-without-stats",
+        ],
+    )
+    def test_corrupt_model_predict_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, corrupt):
+        payload = json.loads((trained_dir / "model.json").read_text())
+        corrupt(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            [
+                "predict",
+                "--model", str(bad),
+                "--data", str(synth_dir / "data.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"data error: model file {bad}")
+        assert "Traceback" not in err
+
+
+def _internal_nodes(payload):
+    return [node for node in payload["nodes"] if node["kind"] == "internal"]
+
+
+def _leaf_nodes(payload):
+    return [node for node in payload["nodes"] if node["kind"] == "leaf"]
+
+
+def _as_hnn(payload):
+    """Turn a usnrt payload in place into an hnn payload made of its first leaf."""
+    leaf = _leaf_nodes(payload)[0]
+    for key in ("config", "nodes"):
+        del payload[key]
+    payload.update(model_kind="hnn", mean_net=leaf["mean_net"], sigma_net=leaf["sigma_net"])
+    return payload
