@@ -8,7 +8,6 @@ baselines, and a calibration-evaluation suite.
 from .baselines import (
     EnsembleModel,
     HnnModel,
-    ensemble_predict,
     train_ensemble,
     train_hnn,
 )
@@ -23,7 +22,6 @@ from .data import (
     train_test_split,
 )
 from .metrics import (
-    GaussianPrediction,
     MetricsReport,
     calibration_curve,
     compute_report,
@@ -49,7 +47,6 @@ from .tree import (
     build,
     find_best_split,
     leaf_report,
-    predict,
 )
 
 __version__ = "0.1.0"
@@ -58,7 +55,6 @@ __all__ = [
     "Activation",
     "Dataset",
     "EnsembleModel",
-    "GaussianPrediction",
     "HnnModel",
     "LeveneResult",
     "MetricsReport",
@@ -74,7 +70,6 @@ __all__ = [
     "calibration_curve",
     "compute_report",
     "ece",
-    "ensemble_predict",
     "find_best_split",
     "fit_transform",
     "generate_synthetic",
@@ -84,7 +79,6 @@ __all__ = [
     "load_model",
     "nll_loss",
     "normal_inverse_cdf",
-    "predict",
     "predicted_quantile",
     "sharpness",
     "student_t_cdf",

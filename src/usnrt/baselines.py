@@ -9,12 +9,12 @@ import numpy as np
 
 from . import model_io
 from .data import PreprocessState
-from .metrics import GaussianPrediction, gaussian_predictions
 from .nn_core import (
     Activation,
     Mlp,
     TrainConfig,
     average_nll,
+    default_hidden,
     predict_sigma,
     train_nll_fixed_mean,
     train_nll_fixed_sigma,
@@ -23,7 +23,6 @@ from .nn_core import (
 __all__ = [
     "EnsembleModel",
     "HnnModel",
-    "ensemble_predict",
     "ensemble_predict_arrays",
     "load_ensemble",
     "load_hnn",
@@ -62,9 +61,6 @@ class HnnModel:
             sigma = self.preprocess.denormalize_sigma(sigma)
         return mu, sigma
 
-    def predict(self, X) -> list[GaussianPrediction]:
-        return gaussian_predictions(*self.predict_arrays(X))
-
     def to_payload(self) -> dict:
         return {
             "mean_net": model_io.encode_mlp(self.mean_net),
@@ -74,12 +70,19 @@ class HnnModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "HnnModel":
+        """Decode a model file body, rejecting networks that do not map the
+        preprocessing state's encoded width (without one, the mean network's
+        input width) to one output."""
         preprocess = payload["preprocess"]
-        return cls(
+        model = cls(
             mean_net=model_io.decode_mlp(payload["mean_net"]),
             sigma_net=model_io.decode_mlp(payload["sigma_net"]),
             preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
         )
+        state = model.preprocess
+        width = model.mean_net.input_dim if state is None else state.encoded_width
+        model_io.check_networks("hnn", width, model.mean_net, model.sigma_net)
+        return model
 
 
 @dataclass
@@ -98,9 +101,6 @@ class EnsembleModel:
     def predict_arrays(self, X, denormalize: bool = True):
         return ensemble_predict_arrays(self, X, denormalize)
 
-    def predict(self, X) -> list[GaussianPrediction]:
-        return ensemble_predict(self, X)
-
     def to_payload(self) -> dict:
         return {
             "members": [member.to_payload() for member in self.members],
@@ -109,14 +109,21 @@ class EnsembleModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "EnsembleModel":
+        """Decode a model file body; every member's networks must fit the
+        top-level preprocessing state."""
         members = payload["members"]
         if not isinstance(members, list) or not members:
             raise model_io.ModelFormatError("ensemble model holds no members")
         preprocess = payload["preprocess"]
-        return cls(
+        model = cls(
             members=[HnnModel.from_payload(entry) for entry in members],
             preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
         )
+        state = model.preprocess
+        width = model.members[0].mean_net.input_dim if state is None else state.encoded_width
+        for j, member in enumerate(model.members):
+            model_io.check_networks(f"member {j}", width, member.mean_net, member.sigma_net)
+        return model
 
 
 def train_hnn(
@@ -143,8 +150,7 @@ def train_hnn(
         raise ValueError("rounds must be at least 1")
     if d_raw is None:
         d_raw = preprocess.d_raw if preprocess is not None else X.shape[1]
-    if hidden is None:
-        hidden = [8 * d_raw, 4 * d_raw]
+    hidden = default_hidden(hidden, d_raw, 8)
     base = cfg.seed
     mean_net = Mlp(
         [X.shape[1], *hidden, 1],
@@ -245,11 +251,6 @@ def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):
         mu_bar = model.preprocess.denormalize_mean(mu_bar)
         sigma_bar = model.preprocess.denormalize_sigma(sigma_bar)
     return mu_bar, sigma_bar
-
-
-def ensemble_predict(model: EnsembleModel, X) -> list[GaussianPrediction]:
-    """Aggregated per-sample Gaussians in original label units."""
-    return gaussian_predictions(*ensemble_predict_arrays(model, X))
 
 
 def save_hnn(model: HnnModel, path) -> None:

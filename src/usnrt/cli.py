@@ -28,8 +28,8 @@ from .data import (
     load_csv,
     train_test_split,
 )
-from .metrics import compute_report, gaussian_predictions
-from .model_io import MODEL_KINDS, ModelFormatError, load_model, save_model
+from .metrics import compute_report
+from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, save_model
 from .nn_core import TrainConfig, TrainingError
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
@@ -54,7 +54,7 @@ def _float_repr(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
@@ -95,7 +95,7 @@ def _resolved(defaults: dict, file_cfg: dict, flag_values: dict) -> dict:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -146,6 +146,18 @@ _TRAIN_DEFAULTS = {
 }
 
 
+def _train_settings(args, file_cfg: dict) -> dict:
+    """Training settings of train and benchmark: defaults < config file <
+    the tree flags of _add_tree_flags."""
+    flags = {
+        "alpha": args.alpha,
+        "n_min": args.n_min,
+        "n_leaves": args.n_leaves,
+        "stride": args.stride,
+    }
+    return _resolved(_TRAIN_DEFAULTS, file_cfg, flags)
+
+
 def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: int):
     if kind == "usnrt":
         return tree.build(X, y, _usnrt_config(settings, seed), preprocess=state)
@@ -186,7 +198,7 @@ def _evaluate(model, dataset: Dataset):
         raise DataError("evaluation data must include the label column")
     y_norm = state.transform_labels(dataset.labels)
     mu, sigma = model.predict_arrays(X, denormalize=False)
-    return compute_report(gaussian_predictions(mu, sigma), y_norm), sigma
+    return compute_report(mu, sigma, y_norm), sigma
 
 
 # ----------------------------------------------------------------------
@@ -271,13 +283,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args, "train")
     file_cfg = _load_config_file(args.config)
-    flags = {
-        "alpha": args.alpha,
-        "n_min": args.n_min,
-        "n_leaves": args.n_leaves,
-        "stride": args.stride,
-    }
-    settings = _resolved(_TRAIN_DEFAULTS, file_cfg, flags)
+    settings = _train_settings(args, file_cfg)
     seed = args.seed[0] if args.seed else int(file_cfg.get("seed", 0))
     kind = args.model_kind or str(file_cfg.get("model_kind", "usnrt"))
     if kind not in MODEL_KINDS:
@@ -400,13 +406,7 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
 def cmd_benchmark(args) -> int:
     out = _out_dir(args, "benchmark")
     file_cfg = _load_config_file(args.config)
-    flags = {
-        "alpha": args.alpha,
-        "n_min": args.n_min,
-        "n_leaves": args.n_leaves,
-        "stride": args.stride,
-    }
-    settings = _resolved(_TRAIN_DEFAULTS, file_cfg, flags)
+    settings = _train_settings(args, file_cfg)
     seeds = args.seed if args.seed else list(file_cfg.get("seeds", [0, 1, 2, 3, 4]))
     kinds = args.model_kind if args.model_kind else list(file_cfg.get("model_kinds", ["usnrt", "hnn"]))
     for kind in kinds:

@@ -1,5 +1,7 @@
 """Calibration and sharpness metrics for Gaussian mean/std predictions.
 
+Every metric takes the prediction arrays (mu, sigma) and, where it scores
+coverage, the label vector y: one entry per test row, sigma > 0.
 Quantiles come from the Gaussian assumption: q_tau = mu + sigma * PhiInv(tau).
 All indicator comparisons are strict, so an observation equal to a quantile
 counts as "not below" and one sitting exactly on an interval endpoint counts
@@ -11,21 +13,18 @@ sigma), sharpness is not (callers evaluating models normalise first).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .stats import normal_inverse_cdf
 
 __all__ = [
-    "GaussianPrediction",
     "MetricsReport",
     "QUANTILE_LEVELS",
     "TAIL_LEVELS",
     "calibration_curve",
     "compute_report",
     "ece",
-    "gaussian_predictions",
     "predicted_quantile",
     "sharpness",
     "tce",
@@ -38,17 +37,7 @@ TAIL_LEVELS = (0.05, 0.10, 0.15, 0.20)
 # Tail levels behind the probability-wise curve (expected coverage 0.9..0.1).
 _CURVE_TAIL_GRID = tuple(k for k in range(5, 50, 5))
 
-
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """A (mean, standard deviation) pair in label units."""
-
-    mu: float
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+_normal_inverse_cdf = np.vectorize(normal_inverse_cdf, otypes=[float])
 
 
 @dataclass
@@ -71,91 +60,96 @@ class MetricsReport:
         }
 
 
-def gaussian_predictions(mu, sigma) -> list[GaussianPrediction]:
-    """One GaussianPrediction per row of the (mu, sigma) arrays."""
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
+def predicted_quantile(mu, sigma, tau):
+    """Conditional tau-quantile mu + sigma * PhiInv(tau) under the Gaussian
+    assumption. tau is a level or a sequence of levels, whose PhiInv values
+    broadcast against mu and sigma. Inputs are not validated."""
+    return mu + sigma * _normal_inverse_cdf(tau)
 
 
-def predicted_quantile(pred: GaussianPrediction, tau: float) -> float:
-    """Predicted conditional tau-quantile under the Gaussian assumption."""
-    return pred.mu + pred.sigma * normal_inverse_cdf(tau)
-
-
-def _as_arrays(preds: Sequence[GaussianPrediction]):
-    mu = np.fromiter((p.mu for p in preds), dtype=float, count=len(preds))
-    sigma = np.fromiter((p.sigma for p in preds), dtype=float, count=len(preds))
-    return mu, sigma
-
-
-def _validate(preds, y) -> np.ndarray:
-    if len(preds) == 0:
+def _validate(sigma, *vectors):
+    """sigma and the vectors beside it (mu, y) as float arrays of one nonzero
+    length. Every sigma must be > 0, which NaN fails."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size == 0:
         raise ValueError("prediction set is empty")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] != len(preds):
-        raise ValueError("y must be a vector matching the predictions")
-    return y
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    if sigma.ndim != 1 or any(v.shape != sigma.shape for v in vectors):
+        raise ValueError("mu, sigma and y must be vectors of one length")
+    if not np.all(sigma > 0.0):
+        raise ValueError("sigma must be positive")
+    return (sigma, *vectors)
 
 
-def ece(preds: Sequence[GaussianPrediction], y) -> float:
-    """Expected calibration error over the 99-level quantile grid.
-
-    For each tau the observed frequency of y < q_tau is compared with tau;
-    the result is 100 times the mean absolute gap.
-    """
-    y = _validate(preds, y)
-    mu, sigma = _as_arrays(preds)
-    z = np.array([normal_inverse_cdf(t) for t in QUANTILE_LEVELS])
-    quantiles = mu[:, None] + sigma[:, None] * z[None, :]
+def _ece(mu, sigma, y) -> float:
+    quantiles = predicted_quantile(mu[:, None], sigma[:, None], QUANTILE_LEVELS)
     observed = (y[:, None] < quantiles).mean(axis=0)
     return 100.0 * float(np.mean(np.abs(observed - np.array(QUANTILE_LEVELS))))
 
 
 def _interval_error(mu, sigma, y, tau: float) -> float:
     """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|, strict bounds."""
-    lower = mu + sigma * normal_inverse_cdf(tau)
-    upper = mu + sigma * normal_inverse_cdf(1.0 - tau)
+    lower = predicted_quantile(mu, sigma, tau)
+    upper = predicted_quantile(mu, sigma, 1.0 - tau)
     coverage = float(np.mean((lower < y) & (y < upper)))
     return 100.0 * abs(coverage - (1.0 - 2.0 * tau))
 
 
-def tce(preds: Sequence[GaussianPrediction], y) -> float:
-    """Tail-interval calibration error: mean coverage gap of the central
-    90/80/70/60% intervals."""
-    y = _validate(preds, y)
-    mu, sigma = _as_arrays(preds)
+def _tce(mu, sigma, y) -> float:
     return float(np.mean([_interval_error(mu, sigma, y, tau) for tau in TAIL_LEVELS]))
 
 
-def sharpness(preds: Sequence[GaussianPrediction]) -> float:
-    """100 times the mean predicted standard deviation (smaller is sharper)."""
-    if len(preds) == 0:
-        raise ValueError("prediction set is empty")
-    _, sigma = _as_arrays(preds)
+def _sharpness(sigma) -> float:
     return 100.0 * float(np.mean(sigma))
 
 
-def calibration_curve(preds: Sequence[GaussianPrediction], y) -> list[tuple[float, float]]:
+def _curve(mu, sigma, y) -> list[tuple[float, float]]:
+    return [
+        ((100 - 2 * k) / 100.0, _interval_error(mu, sigma, y, k / 100.0))
+        for k in reversed(_CURVE_TAIL_GRID)
+    ]
+
+
+def ece(mu, sigma, y) -> float:
+    """Expected calibration error over the 99-level quantile grid.
+
+    For each tau the observed frequency of y < q_tau is compared with tau;
+    the result is 100 times the mean absolute gap.
+    """
+    sigma, mu, y = _validate(sigma, mu, y)
+    return _ece(mu, sigma, y)
+
+
+def tce(mu, sigma, y) -> float:
+    """Tail-interval calibration error: mean coverage gap of the central
+    90/80/70/60% intervals."""
+    sigma, mu, y = _validate(sigma, mu, y)
+    return _tce(mu, sigma, y)
+
+
+def sharpness(sigma) -> float:
+    """100 times the mean predicted standard deviation (smaller is sharper)."""
+    (sigma,) = _validate(sigma)
+    return _sharpness(sigma)
+
+
+def calibration_curve(mu, sigma, y) -> list[tuple[float, float]]:
     """Per-level interval calibration errors for expected coverages 0.1..0.9.
 
     Returns (expected_probability, error) pairs in ascending expected
     probability. The four entries at 0.6..0.9 average to the TCE.
     """
-    y = _validate(preds, y)
-    mu, sigma = _as_arrays(preds)
-    curve = []
-    for k in reversed(_CURVE_TAIL_GRID):
-        expected = (100 - 2 * k) / 100.0
-        curve.append((expected, _interval_error(mu, sigma, y, k / 100.0)))
-    return curve
+    sigma, mu, y = _validate(sigma, mu, y)
+    return _curve(mu, sigma, y)
 
 
-def compute_report(preds: Sequence[GaussianPrediction], y) -> MetricsReport:
-    """All four metrics in one pass-friendly container."""
-    y = _validate(preds, y)
+def compute_report(mu, sigma, y) -> MetricsReport:
+    """All four metrics from one validation of the inputs."""
+    sigma, mu, y = _validate(sigma, mu, y)
     return MetricsReport(
-        ece=ece(preds, y),
-        tce=tce(preds, y),
-        sharpness=sharpness(preds),
-        curve=calibration_curve(preds, y),
+        ece=_ece(mu, sigma, y),
+        tce=_tce(mu, sigma, y),
+        sharpness=_sharpness(sigma),
+        curve=_curve(mu, sigma, y),
         n_test=int(y.shape[0]),
     )

@@ -27,6 +27,8 @@ from .nn_core import Activation, Mlp
 __all__ = [
     "FORMAT_VERSION",
     "ModelFormatError",
+    "atomic_write",
+    "check_networks",
     "decode_array",
     "decode_mlp",
     "encode_array",
@@ -109,19 +111,34 @@ def decode_mlp(obj: dict) -> Mlp:
     return net
 
 
-def write_payload(path, payload: dict) -> None:
-    """Write payload as JSON to a temporary file beside path, then move it
-    over path, so a failed write leaves any existing file untouched."""
+def check_networks(where: str, width: int, *nets: Mlp) -> None:
+    """Reject networks that do not map width features to one output."""
+    for net in nets:
+        if net.input_dim != width or net.output_dim != 1:
+            raise ModelFormatError(f"{where}: networks must map {width} features to 1 output")
+
+
+@contextlib.contextmanager
+def atomic_write(path):
+    """A text file to write path's new content to. It is a temporary file
+    beside path, moved over path when the block ends cleanly, so a failed
+    write leaves any existing file untouched."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_payload(path, payload: dict) -> None:
+    """Write payload as JSON through atomic_write."""
+    with atomic_write(path) as fh:
+        json.dump(payload, fh, sort_keys=True)
+        fh.write("\n")
 
 
 def save_model(model, path) -> None:

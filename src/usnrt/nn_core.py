@@ -34,6 +34,7 @@ __all__ = [
     "TrainLog",
     "TrainingError",
     "average_nll",
+    "default_hidden",
     "nll_loss",
     "predict_sigma",
     "train_mse",
@@ -475,6 +476,15 @@ def train_nll_fixed_sigma(mean_net: Mlp, sigma_values, X, y, cfg: TrainConfig):
         raise ValueError("sigma_values must be positive and finite")
     log = _run_training(mean_net, X, _NllMeanObjective(y, sigma), cfg)
     return mean_net, log
+
+
+def default_hidden(hidden: Sequence[int] | None, d_raw: int, factor: int) -> list[int]:
+    """Hidden layer sizes: hidden itself, or [factor * d, factor / 2 * d] when
+    it is None, d being the pre-encoding feature count. Splitting and HNN
+    networks use factor 8, tree leaf networks factor 4."""
+    if hidden is not None:
+        return list(hidden)
+    return [factor * d_raw, factor // 2 * d_raw]
 
 
 def predict_sigma(sigma_net: Mlp, X) -> np.ndarray:

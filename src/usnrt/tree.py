@@ -3,7 +3,7 @@
 Construction recursively partitions the feature space wherever a variance-
 equality test on splitting-network residuals finds significant
 heterogeneity; each resulting leaf region gets its own mean and sigma
-networks. Inputs to build/predict are the encoded (post one-hot,
+networks. Inputs to build/predict_arrays are the encoded (post one-hot,
 normalised) feature matrix; the attached preprocessing state maps
 predictions back to original label units.
 """
@@ -18,12 +18,12 @@ import numpy as np
 
 from . import model_io
 from .data import PreprocessState
-from .metrics import GaussianPrediction, gaussian_predictions
 from .nn_core import (
     Activation,
     Mlp,
     TrainConfig,
     TrainingError,
+    default_hidden,
     predict_sigma,
     train_mse,
     train_nll_fixed_mean,
@@ -47,7 +47,6 @@ __all__ = [
     "leaf_assignments",
     "leaf_report",
     "load",
-    "predict",
     "predict_arrays",
     "resolve_n_min",
     "root_split_scatter",
@@ -240,11 +239,7 @@ class UsnrtModel:
         if [leaf.region_id for leaf in leaves] != list(range(1, len(leaves) + 1)):
             raise model_io.ModelFormatError("leaf region ids are not 1..leaf_count in preorder")
         for leaf in leaves:
-            for net in (leaf.mean_net, leaf.sigma_net):
-                if net.input_dim != width or net.output_dim != 1:
-                    raise model_io.ModelFormatError(
-                        f"leaf {leaf.region_id}: networks must map {width} features to 1 output"
-                    )
+            model_io.check_networks(f"leaf {leaf.region_id}", width, leaf.mean_net, leaf.sigma_net)
         return model
 
 
@@ -451,12 +446,8 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     n = X.shape[0]
     d_raw = preprocess.d_raw if preprocess is not None else X.shape[1]
     n_min = resolve_n_min(cfg, n)
-    split_hidden = (
-        list(cfg.split_net_hidden) if cfg.split_net_hidden is not None else [8 * d_raw, 4 * d_raw]
-    )
-    leaf_hidden = (
-        list(cfg.leaf_net_hidden) if cfg.leaf_net_hidden is not None else [4 * d_raw, 2 * d_raw]
-    )
+    split_hidden = default_hidden(cfg.split_net_hidden, d_raw, 8)
+    leaf_hidden = default_hidden(cfg.leaf_net_hidden, d_raw, 4)
     search_cfg = replace(cfg, n_min=n_min)
     node_log: list[dict] = []
 
@@ -595,12 +586,6 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
     return mu, sigma
 
 
-def predict(model: UsnrtModel, X) -> list[GaussianPrediction]:
-    """Route each sample to its unique leaf and report (mean, std) in
-    original label units."""
-    return gaussian_predictions(*predict_arrays(model, X))
-
-
 def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
     """Region id of the unique leaf accepting each row."""
     X = _check_features(model, X)
@@ -652,11 +637,7 @@ def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:
     d_raw = model.build_log.get("d_raw") or (
         model.preprocess.d_raw if model.preprocess is not None else X.shape[1]
     )
-    hidden = (
-        list(model.config.split_net_hidden)
-        if model.config.split_net_hidden is not None
-        else [8 * d_raw, 4 * d_raw]
-    )
+    hidden = default_hidden(model.config.split_net_hidden, d_raw, 8)
     net, _ = _train_split_net(X, y, model.config, hidden, ())
     residuals = y - net.forward(X)[:, 0]
     squared = residuals * residuals

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from usnrt.data import SynthSpec, generate_synthetic
-from usnrt.nn_core import TrainConfig
+from usnrt.model_io import encode_mlp
+from usnrt.nn_core import Activation, Mlp, TrainConfig
 
 
 def feature_matrix(dataset):
@@ -14,6 +15,17 @@ def feature_matrix(dataset):
 def fast_train_cfg(seed=0, max_epochs=80, patience=10):
     """Training config scaled down for unit-test speed."""
     return TrainConfig(max_epochs=max_epochs, patience=patience, seed=seed)
+
+
+def width3_member(member):
+    """Give an hnn payload (an ensemble member) self-consistent networks of
+    input width 3 and no preprocessing state of its own, so only a width
+    check against another state can reject it."""
+    member.update(
+        preprocess=None,
+        mean_net=encode_mlp(Mlp([3, 4, 1])),
+        sigma_net=encode_mlp(Mlp([3, 4, 1], output_activation=Activation.SOFTPLUS)),
+    )
 
 
 @pytest.fixture

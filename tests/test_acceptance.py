@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from usnrt.baselines import EnsembleModel, HnnModel, ensemble_predict, train_hnn
+from usnrt.baselines import EnsembleModel, HnnModel, ensemble_predict_arrays, train_hnn
 from usnrt.data import (
     PreprocessState,
     Schema,
@@ -22,7 +22,7 @@ from usnrt.data import (
     load_csv,
     train_test_split,
 )
-from usnrt.metrics import GaussianPrediction, calibration_curve, ece, sharpness, tce
+from usnrt.metrics import calibration_curve, ece, sharpness, tce
 from usnrt.nn_core import (
     Activation,
     Mlp,
@@ -57,7 +57,7 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def preds_of(mu, sigma):
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
+    return np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
 
 
 def test_ac01_levene_oracle():
@@ -192,21 +192,18 @@ def test_ac03_gradient_checks():
 
 
 def test_ac04_metric_closed_forms():
-    one = [GaussianPrediction(0.0, 1.0)]
-    ece_above = ece(one, [1e9])
-    tce_inside = tce(one * 3, [0.0, 0.0, 0.0])
-    tce_outside = tce(one * 3, [100.0, -100.0, 100.0])
-    sharp = sharpness(
-        [GaussianPrediction(0.0, 0.2), GaussianPrediction(0.0, 0.4)]
-    )
+    ece_above = ece([0.0], [1.0], [1e9])
+    tce_inside = tce([0.0] * 3, [1.0] * 3, [0.0, 0.0, 0.0])
+    tce_outside = tce([0.0] * 3, [1.0] * 3, [100.0, -100.0, 100.0])
+    sharp = sharpness([0.2, 0.4])
 
     rng = np.random.default_rng(404)
     n = 400
     preds = preds_of(rng.normal(size=n), rng.uniform(0.2, 2.0, size=n))
     y = rng.normal(size=n)
-    curve = dict(calibration_curve(preds, y))
+    curve = dict(calibration_curve(*preds, y))
     matching = float(np.mean([curve[p] for p in (0.6, 0.7, 0.8, 0.9)]))
-    tce_value = tce(preds, y)
+    tce_value = tce(*preds, y)
 
     checks = {
         "ece all-outside 50": abs(ece_above - 50.0) <= 1e-12,
@@ -321,14 +318,12 @@ def test_ac07_heterogeneity_benefit():
         regions = (low, ~low)
 
         def region_tce(preds, y):
-            return float(np.mean([
-                tce([p for p, keep in zip(preds, mask) if keep], y[mask])
-                for mask in regions
-            ]))
+            mu, sigma = preds
+            return float(np.mean([tce(mu[mask], sigma[mask], y[mask]) for mask in regions]))
 
         hnn_region_tce = region_tce(hnn_preds, y_test)
-        ece_wins += ece(usnrt_preds, y_test) < ece(hnn_preds, y_test)
-        tce_wins += tce(usnrt_preds, y_test) < tce(hnn_preds, y_test)
+        ece_wins += ece(*usnrt_preds, y_test) < ece(*hnn_preds, y_test)
+        tce_wins += tce(*usnrt_preds, y_test) < tce(*hnn_preds, y_test)
         region_tce_wins += region_tce(usnrt_preds, y_test) < hnn_region_tce
         truth_region_tce_wins += region_tce(truth_preds, test.labels) < hnn_region_tce
 
@@ -364,8 +359,8 @@ def test_ac08_calibration_consistency():
     )
     preds = preds_of(synth.f_true, synth.sigma_true)
     y = synth.dataset.labels
-    ece_value = ece(preds, y)
-    tce_value = tce(preds, y)
+    ece_value = ece(*preds, y)
+    tce_value = tce(*preds, y)
     ok = ece_value < 0.5 and tce_value < 0.5
     report(
         "AC-8 calibration consistency",
@@ -389,11 +384,9 @@ def test_ac09_ensemble_degenerate():
     member = constant_member(0.7, 0.9)
     ensemble = EnsembleModel(members=[member] * 5)
     X = np.random.default_rng(909).uniform(-2, 2, (300, 2))
-    single = member.predict(X)
-    aggregated = ensemble_predict(ensemble, X)
-    exact = all(
-        a.mu == s.mu and a.sigma == s.sigma for a, s in zip(aggregated, single)
-    )
+    mu_single, sigma_single = member.predict_arrays(X)
+    mu_agg, sigma_agg = ensemble_predict_arrays(ensemble, X)
+    exact = np.array_equal(mu_agg, mu_single) and np.array_equal(sigma_agg, sigma_single)
 
     low = constant_member(-1.0, -14.0)  # softplus(-14) ~ 8e-7
     low.mean_net.weights = [np.zeros((2, 1))]
@@ -401,9 +394,9 @@ def test_ac09_ensemble_degenerate():
     high = constant_member(1.0, -14.0)
     high.mean_net.weights = [np.zeros((2, 1))]
     high.sigma_net.weights = [np.zeros((2, 1))]
-    pair = ensemble_predict(EnsembleModel(members=[low, high]), X[:5])
-    hand_ok = all(
-        abs(p.mu) <= 1e-12 and abs(p.sigma - 1.0) <= 1e-9 for p in pair
+    mu_pair, sigma_pair = ensemble_predict_arrays(EnsembleModel(members=[low, high]), X[:5])
+    hand_ok = bool(
+        np.all(np.abs(mu_pair) <= 1e-12) and np.all(np.abs(sigma_pair - 1.0) <= 1e-9)
     )
 
     ok = exact and hand_ok
@@ -534,12 +527,12 @@ def test_ac12_uci_electrical_spot_check():
     )
     mu, sigma = predict_arrays(model, X_test, denormalize=False)
     usnrt_preds = preds_of(mu, sigma)
-    usnrt_ece = ece(usnrt_preds, y_test)
-    usnrt_tce = tce(usnrt_preds, y_test)
+    usnrt_ece = ece(*usnrt_preds, y_test)
+    usnrt_tce = tce(*usnrt_preds, y_test)
 
     hnn = train_hnn(X_train, y_train, TrainConfig(seed=0), preprocess=state)
     mu_h, sigma_h = hnn.predict_arrays(X_test, denormalize=False)
-    hnn_tce = tce(preds_of(mu_h, sigma_h), y_test)
+    hnn_tce = tce(*preds_of(mu_h, sigma_h), y_test)
 
     ok = usnrt_ece <= 5.0 and usnrt_tce < hnn_tce
     report(

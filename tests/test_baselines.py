@@ -6,7 +6,6 @@ import pytest
 from usnrt.baselines import (
     EnsembleModel,
     HnnModel,
-    ensemble_predict,
     ensemble_predict_arrays,
     load_ensemble,
     load_hnn,
@@ -92,10 +91,10 @@ class TestEnsembleAggregation:
         member.sigma_net.weights = [np.random.default_rng(2).normal(size=(2, 1))]
         ensemble = EnsembleModel(members=[member] * 5)
         X = np.random.default_rng(3).uniform(-3, 3, (500, 2))
-        single = member.predict(X)
-        aggregated = ensemble_predict(ensemble, X)
-        assert all(a.mu == s.mu for a, s in zip(aggregated, single))
-        assert all(a.sigma == s.sigma for a, s in zip(aggregated, single))
+        mu_single, sigma_single = member.predict_arrays(X)
+        mu_agg, sigma_agg = ensemble_predict_arrays(ensemble, X)
+        assert np.array_equal(mu_agg, mu_single)
+        assert np.array_equal(sigma_agg, sigma_single)
 
     def test_two_member_hand_example(self):
         # Means -1 and +1 with sigma -> 0: mixture variance tends to 1.
@@ -104,10 +103,10 @@ class TestEnsembleAggregation:
         high = constant_hnn(1.0, eps_bias)
         ensemble = EnsembleModel(members=[low, high])
         X = np.zeros((4, 2))
-        preds = ensemble_predict(ensemble, X)
-        for p in preds:
-            assert p.mu == pytest.approx(0.0, abs=1e-15)
-            assert p.sigma == pytest.approx(1.0, abs=1e-9)
+        mu, sigma = ensemble_predict_arrays(ensemble, X)
+        for m, s in zip(mu, sigma):
+            assert m == pytest.approx(0.0, abs=1e-15)
+            assert s == pytest.approx(1.0, abs=1e-9)
 
     def test_aggregated_variance_dominates_mean_member_variance(self):
         rng = np.random.default_rng(7)
@@ -131,7 +130,7 @@ class TestEnsembleAggregation:
         with pytest.raises(ValueError, match="finite"):
             ensemble_predict_arrays(ensemble, X)
         with pytest.raises(ValueError, match="finite"):
-            ensemble_predict(ensemble, X)
+            ensemble.predict_arrays(X)
 
     def test_training_gives_distinct_members(self):
         rng = np.random.default_rng(8)

@@ -1,13 +1,18 @@
 """Command-line behaviour: happy paths, reproducibility, exit codes."""
 
+import copy
 import json
+import os
 
 import numpy as np
 import pytest
 
-from usnrt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main, run_benchmark
+from usnrt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _write_csv, main, run_benchmark
 from usnrt.data import Schema, SynthSpec, generate_synthetic, load_csv
-from usnrt.model_io import ModelFormatError, decode_array, encode_array, load_model
+from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
+from usnrt.nn_core import Mlp
+
+from conftest import width3_member
 
 
 FAST = {"max_epochs": 40, "patience": 6, "n_min": 300}
@@ -151,6 +156,20 @@ class TestPredict:
         assert len(lines) == 1201
         sigma = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(sigma > 0)
+
+    def test_failed_write_keeps_existing_predictions(self, tmp_path):
+        path = tmp_path / "predictions.csv"
+        _write_csv(path, ["mu", "sigma"], [["0.0", "1.0"]])
+        before = path.read_bytes()
+
+        def rows():
+            yield ["2.0", "3.0"]
+            raise RuntimeError("row source failed")
+
+        with pytest.raises(RuntimeError, match="row source failed"):
+            _write_csv(path, ["mu", "sigma"], rows())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["predictions.csv"]
 
 
 class TestInspect:
@@ -408,6 +427,8 @@ class TestExitCodes:
             lambda p: p["preprocess"].pop("continuous_stats"),
             lambda p: p["config"]["train_cfg"].update(mystery=1),
             lambda p: _as_hnn(p)["preprocess"].pop("continuous_stats"),
+            lambda p: _as_hnn(p).update(mean_net=encode_mlp(Mlp([3, 4, 1]))),
+            lambda p: width3_member(_as_ensemble(p)["members"][1]),
         ],
         ids=[
             "feature-index-too-large",
@@ -418,6 +439,8 @@ class TestExitCodes:
             "usnrt-preprocess-without-stats",
             "unknown-train-cfg-key",
             "hnn-preprocess-without-stats",
+            "hnn-input-width",
+            "ensemble-member-width",
         ],
     )
     def test_corrupt_model_predict_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, corrupt):
@@ -453,4 +476,15 @@ def _as_hnn(payload):
     for key in ("config", "nodes"):
         del payload[key]
     payload.update(model_kind="hnn", mean_net=leaf["mean_net"], sigma_net=leaf["sigma_net"])
+    return payload
+
+
+def _as_ensemble(payload):
+    """Turn a usnrt payload in place into a two-member ensemble payload, each
+    member the hnn of _as_hnn."""
+    hnn = _as_hnn(payload)
+    member = {key: hnn.pop(key) for key in ("mean_net", "sigma_net", "preprocess")}
+    payload.update(
+        model_kind="ensemble", members=[member, copy.deepcopy(member)], preprocess=member["preprocess"]
+    )
     return payload

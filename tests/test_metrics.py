@@ -10,7 +10,7 @@ from usnrt.data import SynthSpec, generate_synthetic
 from usnrt.metrics import (
     QUANTILE_LEVELS,
     TAIL_LEVELS,
-    GaussianPrediction,
+    _validate,
     calibration_curve,
     compute_report,
     ece,
@@ -22,7 +22,7 @@ from usnrt.stats import normal_inverse_cdf
 
 
 def preds_of(mu, sigma):
-    return [GaussianPrediction(float(m), float(s)) for m, s in zip(mu, sigma)]
+    return np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
 
 
 def truth_predictions(synth):
@@ -31,50 +31,50 @@ def truth_predictions(synth):
 
 class TestPredictedQuantile:
     def test_median(self):
-        assert predicted_quantile(GaussianPrediction(0.0, 1.0), 0.5) == 0.0
+        assert predicted_quantile(0.0, 1.0, 0.5) == 0.0
 
     def test_shifted_scaled(self):
-        value = predicted_quantile(GaussianPrediction(2.0, 3.0), 0.95)
+        value = predicted_quantile(2.0, 3.0, 0.95)
         assert value == pytest.approx(2.0 + 3.0 * 1.644853626, abs=1e-8)
 
     def test_monotone_in_tau(self):
-        pred = GaussianPrediction(0.3, 0.7)
         taus = np.linspace(0.01, 0.99, 99)
-        values = [predicted_quantile(pred, t) for t in taus]
+        values = [predicted_quantile(0.3, 0.7, t) for t in taus]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_sigma_must_be_positive(self):
         with pytest.raises(ValueError):
-            GaussianPrediction(0.0, 0.0)
+            _validate([0.0], [0.0])
+        with pytest.raises(ValueError, match="positive"):
+            _validate([np.nan], [0.0])
 
 
 class TestClosedForms:
     def test_ece_all_outside_is_50(self):
         # A label above every quantile: observed frequencies are all 0.
-        preds = [GaussianPrediction(0.0, 1.0)]
-        assert ece(preds, [1e9]) == pytest.approx(50.0, abs=1e-12)
+        preds = preds_of([0.0], [1.0])
+        assert ece(*preds, [1e9]) == pytest.approx(50.0, abs=1e-12)
         # And below every quantile: observed frequencies are all 1.
-        assert ece(preds, [-1e9]) == pytest.approx(50.0, abs=1e-12)
+        assert ece(*preds, [-1e9]) == pytest.approx(50.0, abs=1e-12)
 
     def test_tce_inside_everywhere_is_25(self):
-        preds = [GaussianPrediction(0.0, 1.0)] * 3
-        assert tce(preds, [0.0, 0.0, 0.0]) == pytest.approx(25.0, abs=1e-12)
+        preds = preds_of([0.0] * 3, [1.0] * 3)
+        assert tce(*preds, [0.0, 0.0, 0.0]) == pytest.approx(25.0, abs=1e-12)
 
     def test_tce_outside_everywhere_is_75(self):
-        preds = [GaussianPrediction(0.0, 1.0)] * 3
-        assert tce(preds, [100.0, -100.0, 100.0]) == pytest.approx(75.0, abs=1e-12)
+        preds = preds_of([0.0] * 3, [1.0] * 3)
+        assert tce(*preds, [100.0, -100.0, 100.0]) == pytest.approx(75.0, abs=1e-12)
 
     def test_sharpness_values(self):
-        assert sharpness([GaussianPrediction(0.0, 1.0)] * 4 ) == pytest.approx(100.0, abs=1e-12)
-        assert sharpness([GaussianPrediction(0.0, 0.5)] * 4) == pytest.approx(50.0, abs=1e-12)
-        mixed = [GaussianPrediction(0.0, 0.2), GaussianPrediction(0.0, 0.4)]
-        assert sharpness(mixed) == pytest.approx(30.0, abs=1e-12)
+        assert sharpness([1.0] * 4) == pytest.approx(100.0, abs=1e-12)
+        assert sharpness([0.5] * 4) == pytest.approx(50.0, abs=1e-12)
+        assert sharpness([0.2, 0.4]) == pytest.approx(30.0, abs=1e-12)
 
     def test_curve_all_inside(self):
         # Always-covered intervals: error at expected p is 100 * (1 - p),
         # i.e. 200 * tau.
-        preds = [GaussianPrediction(0.0, 1.0)] * 2
-        curve = calibration_curve(preds, [0.0, 0.0])
+        preds = preds_of([0.0] * 2, [1.0] * 2)
+        curve = calibration_curve(*preds, [0.0, 0.0])
         assert [expected for expected, _ in curve] == pytest.approx(
             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
         )
@@ -88,7 +88,7 @@ class TestClosedForms:
         n = 10_000
         z = rng.standard_normal(n)
         preds = preds_of(np.zeros(n), np.ones(n))
-        curve = calibration_curve(preds, z)
+        curve = calibration_curve(*preds, z)
         for expected, error in curve:
             assert error < 2.5  # sampling noise only
 
@@ -99,9 +99,9 @@ class TestClosedForms:
         sigma = rng.uniform(0.2, 2.0, size=n)
         y = rng.normal(size=n)
         preds = preds_of(mu, sigma)
-        curve = dict(calibration_curve(preds, y))
+        curve = dict(calibration_curve(*preds, y))
         matching = [curve[p] for p in (0.6, 0.7, 0.8, 0.9)]
-        assert tce(preds, y) == pytest.approx(float(np.mean(matching)), abs=1e-12)
+        assert tce(*preds, y) == pytest.approx(float(np.mean(matching)), abs=1e-12)
 
 
 class TestStrictness:
@@ -109,20 +109,20 @@ class TestStrictness:
         # y equal to the tau=0.6 quantile: the strict comparison leaves that
         # level's indicator at 0, so observed frequencies are 1 exactly for
         # tau > 0.6.
-        pred = GaussianPrediction(1.0, 2.0)
+        pred = preds_of([1.0], [2.0])
         y_tie = 1.0 + 2.0 * normal_inverse_cdf(0.6)
         taus = np.array(QUANTILE_LEVELS)
         expected = 100.0 * np.mean(np.abs((taus > 0.6).astype(float) - taus))
-        assert ece([pred], [y_tie]) == pytest.approx(expected, abs=1e-12)
+        assert ece(*pred, [y_tie]) == pytest.approx(expected, abs=1e-12)
         # Nudging y just below the quantile flips exactly that indicator.
         nudged_expected = 100.0 * np.mean(np.abs((taus >= 0.6).astype(float) - taus))
-        assert ece([pred], [y_tie - 1e-9]) == pytest.approx(nudged_expected, abs=1e-12)
+        assert ece(*pred, [y_tie - 1e-9]) == pytest.approx(nudged_expected, abs=1e-12)
 
     def test_interval_endpoint_counts_as_outside(self):
-        pred = GaussianPrediction(0.0, 1.0)
-        lower = predicted_quantile(pred, 0.05)
-        inside = tce([pred], [lower + 1e-9])
-        on_edge = tce([pred], [lower])
+        pred = preds_of([0.0], [1.0])
+        lower = predicted_quantile(*pred, 0.05)[0]
+        inside = tce(*pred, [lower + 1e-9])
+        on_edge = tce(*pred, [lower])
         assert inside != on_edge
 
 
@@ -140,7 +140,7 @@ class TestOracle:
         for tau in QUANTILE_LEVELS:
             below = sum(1 for i in range(n) if y[i] < mu[i] + sigma[i] * z[tau])
             gaps.append(abs(below / n - tau))
-        assert ece(preds, y) == pytest.approx(100.0 * np.mean(gaps), abs=1e-12)
+        assert ece(*preds, y) == pytest.approx(100.0 * np.mean(gaps), abs=1e-12)
 
         tail_gaps = []
         for tau in TAIL_LEVELS:
@@ -152,9 +152,9 @@ class TestOracle:
                 if mu[i] + sigma[i] * z_lo < y[i] < mu[i] + sigma[i] * z_hi
             )
             tail_gaps.append(abs(covered / n - (1.0 - 2.0 * tau)))
-        assert tce(preds, y) == pytest.approx(100.0 * np.mean(tail_gaps), abs=1e-12)
+        assert tce(*preds, y) == pytest.approx(100.0 * np.mean(tail_gaps), abs=1e-12)
 
-        assert sharpness(preds) == pytest.approx(100.0 * sigma.mean(), abs=1e-12)
+        assert sharpness(preds[1]) == pytest.approx(100.0 * sigma.mean(), abs=1e-12)
 
 
 class TestInvariance:
@@ -170,8 +170,8 @@ class TestInvariance:
         mu = rng.normal(size=n)
         sigma = rng.uniform(0.2, 2.0, size=n)
         y = rng.normal(size=n)
-        base = ece(preds_of(mu, sigma), y)
-        moved = ece(preds_of(scale * mu + shift, scale * sigma), scale * y + shift)
+        base = ece(*preds_of(mu, sigma), y)
+        moved = ece(*preds_of(scale * mu + shift, scale * sigma), scale * y + shift)
         assert moved == pytest.approx(base, abs=1e-9)
 
     @given(
@@ -186,8 +186,8 @@ class TestInvariance:
         mu = rng.normal(size=n)
         sigma = rng.uniform(0.2, 2.0, size=n)
         y = rng.normal(size=n)
-        base = tce(preds_of(mu, sigma), y)
-        moved = tce(preds_of(scale * mu + shift, scale * sigma), scale * y + shift)
+        base = tce(*preds_of(mu, sigma), y)
+        moved = tce(*preds_of(scale * mu + shift, scale * sigma), scale * y + shift)
         assert moved == pytest.approx(base, abs=1e-9)
 
 
@@ -201,19 +201,19 @@ class TestConsistency:
         )
         preds = truth_predictions(synth)
         y = synth.dataset.labels
-        assert ece(preds, y) < 0.5
-        assert tce(preds, y) < 0.5
+        assert ece(*preds, y) < 0.5
+        assert tce(*preds, y) < 0.5
 
     def test_report_fields(self):
         rng = np.random.default_rng(3)
         n = 40
         preds = preds_of(rng.normal(size=n), rng.uniform(0.5, 1.5, size=n))
         y = rng.normal(size=n)
-        report = compute_report(preds, y)
+        report = compute_report(*preds, y)
         assert report.n_test == n
-        assert report.ece == ece(preds, y)
-        assert report.tce == tce(preds, y)
-        assert report.sharpness == sharpness(preds)
+        assert report.ece == ece(*preds, y)
+        assert report.tce == tce(*preds, y)
+        assert report.sharpness == sharpness(preds[1])
         assert len(report.curve) == 9
         assert 0.0 <= report.ece <= 100.0
         assert 0.0 <= report.tce <= 100.0
@@ -221,6 +221,23 @@ class TestConsistency:
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            ece([], [])
+            ece([], [], [])
         with pytest.raises(ValueError):
             sharpness([])
+
+    @pytest.mark.parametrize("metric", [ece, tce, calibration_curve, compute_report])
+    def test_every_metric_validates(self, metric):
+        with pytest.raises(ValueError, match="positive"):
+            metric([0.0, 0.0], [1.0, 0.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="one length"):
+            metric([0.0, 0.0], [1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="one length"):
+            metric([0.0], [1.0], [0.0, 0.0])
+        with pytest.raises(ValueError, match="one length"):
+            metric([[0.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="empty"):
+            metric([], [], [])
+
+    def test_sharpness_rejects_non_positive_sigma(self):
+        with pytest.raises(ValueError, match="positive"):
+            sharpness([1.0, np.nan])

@@ -24,6 +24,8 @@ from usnrt.model_io import (
 from usnrt.nn_core import Activation, Mlp
 from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel, load, predict_arrays
 
+from conftest import width3_member
+
 WIDTH = 2
 
 
@@ -83,21 +85,24 @@ def _leaves(payload):
 
 
 @pytest.mark.parametrize(
-    "corrupt, message",
+    "kind, corrupt, message",
     [
-        (lambda p: _internal(p).update(feature_index=5), "feature_index 5 is not an integer in"),
-        (lambda p: _internal(p, 1).update(feature_index=-1), r"root\.R: feature_index -1"),
-        (lambda p: _internal(p).update(feature_index=1.0), "feature_index 1.0"),
-        (lambda p: _internal(p).update(threshold=float("nan")), "threshold nan is not finite"),
-        (lambda p: _internal(p).update(threshold=float("inf")), "threshold inf is not finite"),
-        (lambda p: _internal(p).update(threshold="0.5"), "threshold '0.5' is not finite"),
-        (lambda p: _leaves(p)[2].update(region_id=2), "region ids are not 1..leaf_count"),
-        (lambda p: _leaves(p)[0].update(region_id=0), "region ids are not 1..leaf_count"),
-        (lambda p: _leaves(p)[1].update(mean_net=encode_mlp(Mlp([3, 3, 1]))), "networks must map"),
-        (lambda p: _leaves(p)[1].update(sigma_net=encode_mlp(Mlp([2, 3, 2]))), "networks must map"),
-        (lambda p: _leaves(p)[0].update(region_id=float("inf")), "OverflowError"),
-        (lambda p: p["preprocess"].update(continuous_stats=[]), "AttributeError"),
-        (lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5]), "IndexError"),
+        ("usnrt", lambda p: _internal(p).update(feature_index=5), "feature_index 5 is not an integer in"),
+        ("usnrt", lambda p: _internal(p, 1).update(feature_index=-1), r"root\.R: feature_index -1"),
+        ("usnrt", lambda p: _internal(p).update(feature_index=1.0), "feature_index 1.0"),
+        ("usnrt", lambda p: _internal(p).update(threshold=float("nan")), "threshold nan is not finite"),
+        ("usnrt", lambda p: _internal(p).update(threshold=float("inf")), "threshold inf is not finite"),
+        ("usnrt", lambda p: _internal(p).update(threshold="0.5"), "threshold '0.5' is not finite"),
+        ("usnrt", lambda p: _leaves(p)[2].update(region_id=2), "region ids are not 1..leaf_count"),
+        ("usnrt", lambda p: _leaves(p)[0].update(region_id=0), "region ids are not 1..leaf_count"),
+        ("usnrt", lambda p: _leaves(p)[1].update(mean_net=encode_mlp(Mlp([3, 3, 1]))), "networks must map"),
+        ("usnrt", lambda p: _leaves(p)[1].update(sigma_net=encode_mlp(Mlp([2, 3, 2]))), "networks must map"),
+        ("usnrt", lambda p: _leaves(p)[0].update(region_id=float("inf")), "OverflowError"),
+        ("usnrt", lambda p: p["preprocess"].update(continuous_stats=[]), "AttributeError"),
+        ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5]), "IndexError"),
+        ("hnn", lambda p: p.update(mean_net=encode_mlp(Mlp([3, 3, 1]))), "hnn: networks must map 2 features"),
+        ("hnn", lambda p: p.update(sigma_net=encode_mlp(Mlp([2, 3, 2]))), "hnn: networks must map 2 features"),
+        ("ensemble", lambda p: width3_member(p["members"][1]), "member 1: networks must map 2 features"),
     ],
     ids=[
         "feature-index-too-large",
@@ -113,16 +118,21 @@ def _leaves(payload):
         "region-id-infinite",
         "stats-not-a-mapping",
         "stats-pair-too-short",
+        "hnn-input-width",
+        "hnn-output-width",
+        "ensemble-member-width",
     ],
 )
-def test_corrupt_file_rejected(usnrt_model, tmp_path, corrupt, message):
+def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):
+    ensemble = EnsembleModel(members=[hnn_model, hnn_model], preprocess=state)
+    model = {"usnrt": usnrt_model, "hnn": hnn_model, "ensemble": ensemble}[kind]
     path = tmp_path / "model.json"
-    save_model(usnrt_model, path)
+    save_model(model, path)
     payload = json.loads(path.read_text())
     corrupt(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=message):
-        load(path)
+        load_model(path, expect_kind=kind)
 
 
 def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from usnrt.data import SynthSpec, generate_synthetic
-from usnrt.metrics import GaussianPrediction
 from usnrt.model_io import ModelFormatError
 from usnrt import tree as tree_module
 from usnrt.nn_core import (
@@ -30,7 +29,6 @@ from usnrt.tree import (
     leaf_assignments,
     leaf_report,
     load,
-    predict,
     predict_arrays,
     resolve_n_min,
     root_split_scatter,
@@ -185,6 +183,14 @@ class TestBuild:
         assert model.depth == 0
         assert isinstance(model.root, LeafNode)
 
+    def test_default_leaf_hidden_sizes_follow_dimension(self):
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-1, 1, (200, 3))
+        y = X.sum(axis=1)
+        model = build(X, y, small_cfg(n_min=150, split_net_hidden=None, leaf_net_hidden=None))
+        assert model.root.mean_net.layer_sizes == [3, 12, 6, 1]
+        assert model.root.sigma_net.layer_sizes == [3, 12, 6, 1]
+
     def test_piecewise_sigma_splits_on_boundary(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=3))
@@ -293,22 +299,23 @@ class TestPredict:
         right = constant_leaf(2, 2, mean_value=5.0, sigma_bias=0.0)
         root = InternalNode(feature_index=0, threshold=0.25, p_value=0.001, left=left, right=right)
         model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None, depth=1, leaf_count=2)
-        preds = predict(model, np.array([[0.25, 9.9], [0.2500000001, 0.0]]))
-        assert preds[0].mu == -5.0  # exactly on the threshold: left branch
-        assert preds[1].mu == 5.0
+        mu, _ = predict_arrays(model, np.array([[0.25, 9.9], [0.2500000001, 0.0]]))
+        assert mu[0] == -5.0  # exactly on the threshold: left branch
+        assert mu[1] == 5.0
 
     def test_predictions_are_gaussian_pairs(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=10))
-        preds = predict(model, X[:50])
-        assert all(isinstance(p, GaussianPrediction) for p in preds)
-        assert all(p.sigma > SIGMA_FLOOR / 2 for p in preds)
+        mu, sigma = predict_arrays(model, X[:50])
+        assert mu.shape == sigma.shape == (50,)
+        assert np.all(np.isfinite(mu))
+        assert np.all(sigma > SIGMA_FLOOR / 2)
 
     def test_dimension_mismatch(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=11))
         with pytest.raises(ValueError):
-            predict(model, np.ones((5, 9)))
+            predict_arrays(model, np.ones((5, 9)))
 
     def test_unique_leaf_partition(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
