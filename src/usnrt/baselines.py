@@ -24,13 +24,14 @@ __all__ = [
     "EnsembleModel",
     "HnnModel",
     "ensemble_predict_arrays",
-    "load_ensemble",
-    "load_hnn",
-    "save_ensemble",
-    "save_hnn",
     "train_ensemble",
     "train_hnn",
 ]
+
+
+# Defaults of train_hnn's rounds and train_ensemble's n_members.
+HNN_ROUNDS = 2
+ENSEMBLE_MEMBERS = 5
 
 
 def _derived_seed(*parts: int) -> int:
@@ -133,7 +134,7 @@ def train_hnn(
     d_raw: int | None = None,
     hidden: list[int] | None = None,
     preprocess: PreprocessState | None = None,
-    rounds: int = 2,
+    rounds: int = HNN_ROUNDS,
 ) -> HnnModel:
     """Alternating heteroscedastic-network training.
 
@@ -200,11 +201,11 @@ def train_ensemble(
     X,
     y,
     cfg: TrainConfig,
-    n_members: int = 5,
+    n_members: int = ENSEMBLE_MEMBERS,
     d_raw: int | None = None,
     hidden: list[int] | None = None,
     preprocess: PreprocessState | None = None,
-    rounds: int = 2,
+    rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
     """Train n_members HNNs that differ only in their derived seeds."""
     if n_members < 1:
@@ -251,19 +252,3 @@ def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):
         mu_bar = model.preprocess.denormalize_mean(mu_bar)
         sigma_bar = model.preprocess.denormalize_sigma(sigma_bar)
     return mu_bar, sigma_bar
-
-
-def save_hnn(model: HnnModel, path) -> None:
-    model_io.save_model(model, path)
-
-
-def load_hnn(path) -> HnnModel:
-    return model_io.load_model(path, expect_kind="hnn")
-
-
-def save_ensemble(model: EnsembleModel, path) -> None:
-    model_io.save_model(model, path)
-
-
-def load_ensemble(path) -> EnsembleModel:
-    return model_io.load_model(path, expect_kind="ensemble")

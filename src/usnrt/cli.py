@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from .data import (
     PreprocessState,
     Schema,
     SynthSpec,
+    fit_transform,
     generate_synthetic,
     load_csv,
     train_test_split,
@@ -104,82 +106,54 @@ def _echo_config(out: Path, command: str, settings: dict) -> None:
     _write_json(out / "config.json", {"command": command, **settings})
 
 
-def _train_config(settings: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        batch_size=int(settings["batch_size"]),
-        learning_rate=float(settings["learning_rate"]),
-        max_epochs=int(settings["max_epochs"]),
-        validation_fraction=float(settings["validation_fraction"]),
-        patience=int(settings["patience"]),
-        seed=seed,
-    )
+# Settings key of a config field, where it is not the field name.
+_SETTING_KEYS = {"split_stride": "stride"}
 
 
-def _usnrt_config(settings: dict, seed: int) -> tree.UsnrtConfig:
-    return tree.UsnrtConfig(
-        alpha=float(settings["alpha"]),
-        n_min=None if settings["n_min"] is None else int(settings["n_min"]),
-        n_leaves=int(settings["n_leaves"]),
-        split_stride=None if settings["stride"] is None else int(settings["stride"]),
-        split_net_hidden=settings["split_net_hidden"],
-        leaf_net_hidden=settings["leaf_net_hidden"],
-        train_cfg=_train_config(settings, seed),
-        seed=seed,
-    )
+def _setting_fields(cls):
+    """(settings key, field) of each field of config dataclass cls that the
+    train settings carry: all but seed and train_cfg, which each fit sets."""
+    return [(_SETTING_KEYS.get(f.name, f.name), f) for f in fields(cls) if f.name not in ("seed", "train_cfg")]
 
 
+def _from_settings(cls, settings: dict, **per_fit):
+    return cls(**{f.name: settings[key] for key, f in _setting_fields(cls)}, **per_fit)
+
+
+# Settings of train and benchmark. The tree and training defaults are the
+# UsnrtConfig and TrainConfig field defaults.
 _TRAIN_DEFAULTS = {
-    "alpha": 0.01,
-    "n_min": None,
-    "n_leaves": 10,
-    "stride": None,
-    "split_net_hidden": None,
-    "leaf_net_hidden": None,
-    "batch_size": 64,
-    "learning_rate": 0.01,
-    "max_epochs": 1000,
-    "validation_fraction": 0.2,
-    "patience": 20,
+    **{key: f.default for cls in (tree.UsnrtConfig, TrainConfig) for key, f in _setting_fields(cls)},
     "hnn_hidden": None,
-    "hnn_rounds": 2,
-    "ensemble_members": 5,
+    "hnn_rounds": baselines.HNN_ROUNDS,
+    "ensemble_members": baselines.ENSEMBLE_MEMBERS,
+}
+# Each command's own settings on top of _TRAIN_DEFAULTS.
+_COMMAND_DEFAULTS = {
+    "train": {"seed": 0, "model_kind": "usnrt"},
+    "benchmark": {"seeds": [0, 1, 2, 3, 4], "model_kinds": ["usnrt", "hnn"], "test_fraction": 0.2},
 }
 
 
-def _train_settings(args, file_cfg: dict) -> dict:
-    """Training settings of train and benchmark: defaults < config file <
-    the tree flags of _add_tree_flags."""
-    flags = {
-        "alpha": args.alpha,
-        "n_min": args.n_min,
-        "n_leaves": args.n_leaves,
-        "stride": args.stride,
-    }
-    return _resolved(_TRAIN_DEFAULTS, file_cfg, flags)
+def _train_settings(args, command: str, **flags) -> dict:
+    """Settings of train or benchmark: defaults < config file < the given
+    flags and those of _add_tree_flags, whose argparse dests are their keys."""
+    tree_flags = {key: value for key, value in vars(args).items() if key in _TRAIN_DEFAULTS}
+    defaults = {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS[command]}
+    return _resolved(defaults, _load_config_file(args.config), {**tree_flags, **flags})
 
 
 def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: int):
+    train_cfg = _from_settings(TrainConfig, settings, seed=seed)
     if kind == "usnrt":
-        return tree.build(X, y, _usnrt_config(settings, seed), preprocess=state)
+        cfg = _from_settings(tree.UsnrtConfig, settings, train_cfg=train_cfg, seed=seed)
+        return tree.build(X, y, cfg, preprocess=state)
+    hnn = {"hidden": settings["hnn_hidden"], "preprocess": state, "rounds": int(settings["hnn_rounds"])}
     if kind == "hnn":
-        return baselines.train_hnn(
-            X,
-            y,
-            _train_config(settings, seed),
-            hidden=settings["hnn_hidden"],
-            preprocess=state,
-            rounds=int(settings["hnn_rounds"]),
-        )
+        return baselines.train_hnn(X, y, train_cfg, **hnn)
     if kind == "ensemble":
-        return baselines.train_ensemble(
-            X,
-            y,
-            _train_config(settings, seed),
-            n_members=int(settings["ensemble_members"]),
-            hidden=settings["hnn_hidden"],
-            preprocess=state,
-            rounds=int(settings["hnn_rounds"]),
-        )
+        members = int(settings["ensemble_members"])
+        return baselines.train_ensemble(X, y, train_cfg, n_members=members, **hnn)
     raise _UsageError(f"unknown model kind {kind!r}")
 
 
@@ -282,18 +256,16 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args, "train")
-    file_cfg = _load_config_file(args.config)
-    settings = _train_settings(args, file_cfg)
-    seed = args.seed[0] if args.seed else int(file_cfg.get("seed", 0))
-    kind = args.model_kind or str(file_cfg.get("model_kind", "usnrt"))
+    settings = _train_settings(
+        args, "train", seed=args.seed[0] if args.seed else None, model_kind=args.model_kind
+    )
+    seed, kind = int(settings["seed"]), settings["model_kind"]
     if kind not in MODEL_KINDS:
         raise _UsageError(f"unknown model kind {kind!r}")
 
     schema = Schema.from_file(args.schema)
     dataset = load_csv(args.data, schema)
-    state = PreprocessState.fit(dataset)
-    X = state.transform(dataset)
-    y = state.transform_labels(dataset.labels)
+    X, y, state = fit_transform(dataset)
     model = _fit_model(kind, X, y, state, settings, seed)
 
     model_path = out / "model.json"
@@ -309,7 +281,6 @@ def cmd_train(args) -> int:
         {
             **settings,
             "seed": seed,
-            "model_kind": kind,
             "data": str(args.data),
             "schema": str(args.schema),
         },
@@ -374,9 +345,7 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
     rows = []
     for seed in seeds:
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
-        state = PreprocessState.fit(train)
-        X = state.transform(train)
-        y = state.transform_labels(train.labels)
+        X, y, state = fit_transform(train)
         for kind in kinds:
             model = _fit_model(kind, X, y, state, settings, seed)
             report, _ = _evaluate(model, test)
@@ -405,18 +374,14 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
 
 def cmd_benchmark(args) -> int:
     out = _out_dir(args, "benchmark")
-    file_cfg = _load_config_file(args.config)
-    settings = _train_settings(args, file_cfg)
-    seeds = args.seed if args.seed else list(file_cfg.get("seeds", [0, 1, 2, 3, 4]))
-    kinds = args.model_kind if args.model_kind else list(file_cfg.get("model_kinds", ["usnrt", "hnn"]))
+    settings = _train_settings(
+        args, "benchmark", seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction
+    )
+    seeds, kinds = list(settings["seeds"]), list(settings["model_kinds"])
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise _UsageError(f"unknown model kind {kind!r}")
-    test_fraction = (
-        args.test_fraction
-        if args.test_fraction is not None
-        else float(file_cfg.get("test_fraction", 0.2))
-    )
+    test_fraction = float(settings["test_fraction"])
 
     schema = Schema.from_file(args.schema)
     dataset = load_csv(args.data, schema)
@@ -436,14 +401,15 @@ def cmd_benchmark(args) -> int:
             f"{r['model']:<10} {str(r['seed']):>6} {r['ece']:>10.4f} {r['tce']:>10.4f} "
             f"{r['sharpness']:>10.4f}"
         )
-    (out / "benchmark.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(out / "benchmark.txt") as fh:
+        fh.write("\n".join(lines) + "\n")
     _echo_config(
         out,
         "benchmark",
         {
             **settings,
-            "seeds": list(seeds),
-            "model_kinds": list(kinds),
+            "seeds": seeds,
+            "model_kinds": kinds,
             "test_fraction": test_fraction,
             "data": str(args.data),
             "schema": str(args.schema),
@@ -466,7 +432,8 @@ def cmd_inspect(args) -> int:
     scatter = tree.root_split_scatter(model, X, y_norm)
     names = state.encoded_feature_names
     if scatter is None:
-        (out / "root_split.csv").write_text("# no splits: single-leaf model\n", encoding="utf-8")
+        with atomic_write(out / "root_split.csv") as fh:
+            fh.write("# no splits: single-leaf model\n")
         print("no splits")
     else:
         _write_csv(
@@ -519,11 +486,10 @@ def _add_common(parser) -> None:
 
 def _add_tree_flags(parser) -> None:
     parser.add_argument("--alpha", type=float, help="split significance level")
-    parser.add_argument("--n-min", type=int, dest="n_min", help="minimum leaf sample count")
+    parser.add_argument("--n-min", type=int, help="minimum leaf sample count")
     parser.add_argument(
         "--n-leaves",
         type=int,
-        dest="n_leaves",
         help="cap on leaves; sets n_min = max(n_train / n_leaves, 1000)",
     )
     parser.add_argument("--stride", type=int, help="threshold stride in the split search")
@@ -549,7 +515,7 @@ def build_parser() -> _Parser:
     _add_tree_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--model-kind", dest="model_kind", choices=MODEL_KINDS)
+    p.add_argument("--model-kind", choices=MODEL_KINDS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="compute calibration metrics on a test CSV")
@@ -577,12 +543,11 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", required=True)
     p.add_argument(
         "--model-kind",
-        dest="model_kind",
         action="append",
         choices=MODEL_KINDS,
         help="model kind to benchmark (repeatable)",
     )
-    p.add_argument("--test-fraction", type=float, dest="test_fraction")
+    p.add_argument("--test-fraction", type=float)
     p.set_defaults(func=cmd_benchmark)
 
     p = sub.add_parser("inspect", help="export root-split scatter and leaf heterogeneity")

@@ -5,11 +5,14 @@ heteroscedastic generator with retained ground truth."""
 from __future__ import annotations
 
 import csv
+import json
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+
+from .model_io import atomic_write
 
 __all__ = [
     "Column",
@@ -75,8 +78,6 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
-        import json
-
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
@@ -87,9 +88,7 @@ class Schema:
         return cls.from_mapping(raw)
 
     def to_file(self, path) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_mapping(), fh, indent=2, sort_keys=False)
             fh.write("\n")
 

@@ -73,7 +73,10 @@ def decode_array(obj: dict) -> np.ndarray:
         raise ModelFormatError(
             f"array block truncated: expected {expected} bytes, got {len(raw)}"
         )
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
+    if not np.all(np.isfinite(array)):
+        raise ModelFormatError("array block holds a non-finite value")
+    return array
 
 
 def encode_mlp(net: Mlp) -> dict:

@@ -20,7 +20,7 @@ training run packs whatever they hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -34,6 +34,7 @@ __all__ = [
     "TrainLog",
     "TrainingError",
     "average_nll",
+    "coerce_fields",
     "default_hidden",
     "nll_loss",
     "predict_sigma",
@@ -209,6 +210,22 @@ class Mlp:
         self.weights, self.biases = self._views(self._flatten(*snapshot))
 
 
+# Field annotation (a string, as annotations are postponed) without " | None"
+# -> the conversion coerce_fields applies.
+_FIELD_CASTS = {"int": int, "float": float, "Sequence[int]": lambda sizes: [int(s) for s in sizes]}
+
+
+def coerce_fields(config) -> None:
+    """Convert each int, float or Sequence[int] field of a config dataclass in
+    place, keeping None in optional fields: a config file may write a number
+    as a string ("3") or an integral float (3.0)."""
+    for f in fields(config):
+        cast = _FIELD_CASTS.get(f.type.removesuffix(" | None"))
+        value = getattr(config, f.name)
+        if cast is not None and value is not None:
+            setattr(config, f.name, cast(value))
+
+
 @dataclass
 class TrainConfig:
     """Hyperparameters shared by every network training run."""
@@ -221,6 +238,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.learning_rate <= 0.0:

@@ -11,7 +11,7 @@ predictions back to original label units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -23,6 +23,7 @@ from .nn_core import (
     Mlp,
     TrainConfig,
     TrainingError,
+    coerce_fields,
     default_hidden,
     predict_sigma,
     train_mse,
@@ -46,7 +47,6 @@ __all__ = [
     "find_best_split",
     "leaf_assignments",
     "leaf_report",
-    "load",
     "predict_arrays",
     "resolve_n_min",
     "root_split_scatter",
@@ -86,6 +86,7 @@ class UsnrtConfig:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly in (0, 1)")
         if self.n_min is not None and self.n_min < 2:
@@ -96,44 +97,6 @@ class UsnrtConfig:
             raise ValueError("split_stride must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n_min": self.n_min,
-            "n_leaves": self.n_leaves,
-            "split_stride": self.split_stride,
-            "split_net_hidden": None
-            if self.split_net_hidden is None
-            else list(self.split_net_hidden),
-            "leaf_net_hidden": None
-            if self.leaf_net_hidden is None
-            else list(self.leaf_net_hidden),
-            "train_cfg": {
-                "batch_size": self.train_cfg.batch_size,
-                "learning_rate": self.train_cfg.learning_rate,
-                "max_epochs": self.train_cfg.max_epochs,
-                "validation_fraction": self.train_cfg.validation_fraction,
-                "patience": self.train_cfg.patience,
-                "seed": self.train_cfg.seed,
-            },
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "UsnrtConfig":
-        return cls(
-            alpha=float(payload["alpha"]),
-            n_min=None if payload["n_min"] is None else int(payload["n_min"]),
-            n_leaves=int(payload["n_leaves"]),
-            split_stride=None
-            if payload["split_stride"] is None
-            else int(payload["split_stride"]),
-            split_net_hidden=payload["split_net_hidden"],
-            leaf_net_hidden=payload["leaf_net_hidden"],
-            train_cfg=TrainConfig(**payload["train_cfg"]),
-            seed=int(payload["seed"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -199,7 +162,7 @@ class UsnrtModel:
         """Config, preprocessing state, then the preorder node list with
         base64 little-endian float64 weights."""
         return {
-            "config": self.config.to_dict(),
+            "config": asdict(self.config),
             "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
             "nodes": [_encode_node(node) for node, _ in _walk(self.root)],
         }
@@ -220,7 +183,7 @@ class UsnrtModel:
         preprocess = payload["preprocess"]
         model = cls(
             root=root,
-            config=UsnrtConfig.from_dict(payload["config"]),
+            config=_config_from_dict(payload["config"]),
             preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
             depth=max(len(path) for node, path in walk if isinstance(node, LeafNode)),
             leaf_count=len(leaves),
@@ -714,9 +677,19 @@ def _encode_node(node: TreeNode) -> dict:
     }
 
 
+# Kept because perfbench/tracing.py TARGETS names it and tests/test_trace_targets.py needs it.
 def save(model: UsnrtModel, path) -> None:
     """Write the model file: versioned header, then UsnrtModel.to_payload()."""
     model_io.save_model(model, path)
+
+
+def _config_from_dict(block: dict) -> UsnrtConfig:
+    """The UsnrtConfig of a model file's config block, which must hold exactly
+    the UsnrtConfig fields, and its train_cfg exactly the TrainConfig ones."""
+    expected = asdict(UsnrtConfig())
+    if set(block) != set(expected) or set(block["train_cfg"]) != set(expected["train_cfg"]):
+        raise model_io.ModelFormatError("config block keys are not the UsnrtConfig and TrainConfig fields")
+    return UsnrtConfig(**{**block, "train_cfg": TrainConfig(**block["train_cfg"])})
 
 
 def _decode_nodes(nodes: list[dict], cursor: list[int]) -> TreeNode:
@@ -743,8 +716,3 @@ def _decode_nodes(nodes: list[dict], cursor: list[int]) -> TreeNode:
             right=_decode_nodes(nodes, cursor),
         )
     raise model_io.ModelFormatError(f"unknown node kind {kind!r}")
-
-
-def load(path) -> UsnrtModel:
-    """Read a model file written by save; predictions round-trip bit-exactly."""
-    return model_io.load_model(path, expect_kind="usnrt")

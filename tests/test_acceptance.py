@@ -23,6 +23,7 @@ from usnrt.data import (
     train_test_split,
 )
 from usnrt.metrics import calibration_curve, ece, sharpness, tce
+from usnrt.model_io import load_model, save_model
 from usnrt.nn_core import (
     Activation,
     Mlp,
@@ -43,9 +44,7 @@ from usnrt.tree import (
     build,
     find_best_split,
     leaf_assignments,
-    load,
     predict_arrays,
-    save,
     _train_split_net,
 )
 
@@ -445,8 +444,8 @@ def test_ac10_structural_invariants(tmp_path):
     count_ok = model.leaf_count <= 10
 
     path = tmp_path / "model.json"
-    save(model, path)
-    clone = load(path)
+    save_model(model, path)
+    clone = load_model(path, expect_kind="usnrt")
     mu_a, sigma_a = predict_arrays(model, X)
     mu_b, sigma_b = predict_arrays(clone, X)
     round_trip = np.array_equal(mu_a, mu_b) and np.array_equal(sigma_a, sigma_b)

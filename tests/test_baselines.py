@@ -7,13 +7,10 @@ from usnrt.baselines import (
     EnsembleModel,
     HnnModel,
     ensemble_predict_arrays,
-    load_ensemble,
-    load_hnn,
-    save_ensemble,
-    save_hnn,
     train_ensemble,
     train_hnn,
 )
+from usnrt.model_io import load_model, save_model
 from usnrt.nn_core import Activation, Mlp, TrainConfig
 
 from conftest import fast_train_cfg
@@ -162,8 +159,8 @@ class TestSerialization:
         y = X.sum(axis=1) + 0.1 * rng.standard_normal(200)
         model = train_hnn(X, y, fast_train_cfg(seed=13, max_epochs=10, patience=3), hidden=[6])
         path = tmp_path / "hnn.json"
-        save_hnn(model, path)
-        clone = load_hnn(path)
+        save_model(model, path)
+        clone = load_model(path, expect_kind="hnn")
         mu_a, s_a = model.predict_arrays(X)
         mu_b, s_b = clone.predict_arrays(X)
         assert np.array_equal(mu_a, mu_b)
@@ -178,8 +175,8 @@ class TestSerialization:
             n_members=2, hidden=[4],
         )
         path = tmp_path / "ens.json"
-        save_ensemble(ensemble, path)
-        clone = load_ensemble(path)
+        save_model(ensemble, path)
+        clone = load_model(path, expect_kind="ensemble")
         mu_a, s_a = ensemble_predict_arrays(ensemble, X)
         mu_b, s_b = ensemble_predict_arrays(clone, X)
         assert np.array_equal(mu_a, mu_b)

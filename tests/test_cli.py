@@ -3,11 +3,22 @@
 import copy
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from usnrt.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _write_csv, main, run_benchmark
+from usnrt.cli import (
+    _COMMAND_DEFAULTS,
+    _TRAIN_DEFAULTS,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _write_csv,
+    main,
+    run_benchmark,
+)
 from usnrt.data import Schema, SynthSpec, generate_synthetic, load_csv
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import Mlp
@@ -102,6 +113,42 @@ class TestTrain:
         assert config["command"] == "train"
         assert config["n_min"] == FAST["n_min"]
         assert config["max_epochs"] == FAST["max_epochs"]
+
+    @pytest.mark.parametrize("kind", ["usnrt", "ensemble"])
+    def test_numbers_spelled_as_strings_or_floats_train_the_same_model(self, synth_dir, tmp_path, kind):
+        plain = {
+            "alpha": 0.01, "n_min": 300, "n_leaves": 4, "stride": 2,
+            "split_net_hidden": [6], "leaf_net_hidden": [4, 3],
+            "batch_size": 64, "learning_rate": 0.01, "max_epochs": 12,
+            "validation_fraction": 0.2, "patience": 4,
+            "hnn_hidden": [4], "hnn_rounds": 1, "ensemble_members": 2,
+            "seed": 3, "model_kind": kind,
+        }
+        spelled = {
+            "alpha": "0.01", "n_min": 300.0, "n_leaves": "4", "stride": 2.0,
+            "split_net_hidden": ["6"], "leaf_net_hidden": [4.0, "3"],
+            "batch_size": "64", "learning_rate": "0.01", "max_epochs": 12.0,
+            "validation_fraction": "0.2", "patience": "4",
+            "hnn_hidden": ["4"], "hnn_rounds": "1", "ensemble_members": 2.0,
+            "seed": "3", "model_kind": kind,
+        }
+        assert set(plain) == set(spelled) == set(_TRAIN_DEFAULTS) | set(_COMMAND_DEFAULTS["train"])
+        models = []
+        for name, config in (("plain", plain), ("spelled", spelled)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / name
+            assert main(
+                [
+                    "train",
+                    "--data", str(synth_dir / "data.csv"),
+                    "--schema", str(synth_dir / "schema.json"),
+                    "--config", str(cfg),
+                    "--out", str(out),
+                ]
+            ) == EXIT_OK
+            models.append((out / "model.json").read_bytes())
+        assert models[0] == models[1]
 
 
 class TestEvaluate:
@@ -416,6 +463,28 @@ class TestExitCodes:
         a, b = outs
         assert (a / "model.json").read_bytes() == (b / "model.json").read_bytes()
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("net", ["mean_net", "sigma_net"])
+    def test_non_finite_hnn_weight_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, command, net):
+        payload = _as_hnn(json.loads((trained_dir / "model.json").read_text()))
+        weights = decode_array(payload[net]["weights"][0])
+        weights[0, 0] = np.nan
+        payload[net]["weights"][0] = encode_array(weights)
+        bad = tmp_path / "nan.json"
+        bad.write_text(json.dumps(payload))
+        code = main(
+            [
+                command,
+                "--model", str(bad),
+                "--data", str(synth_dir / "data.csv"),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"data error: model file {bad}")
+        assert "non-finite" in err
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -488,3 +557,13 @@ def _as_ensemble(payload):
         model_kind="ensemble", members=[member, copy.deepcopy(member)], preprocess=member["preprocess"]
     )
     return payload
+
+
+def test_readme_lists_every_config_key():
+    """The README's recognised --config keys are exactly the CLI's defaults
+    tables: the shared train settings, then train's and benchmark's own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Recognised keys:")[1].split(".")[0]
+    shared, train, benchmark = re.split(r"; for (?:train|benchmark) also", sentence)
+    listed = [set(re.findall(r"`(\w+)`", part)) for part in (shared, train, benchmark)]
+    assert listed == [set(_TRAIN_DEFAULTS), set(_COMMAND_DEFAULTS["train"]), set(_COMMAND_DEFAULTS["benchmark"])]

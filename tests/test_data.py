@@ -1,5 +1,7 @@
 """Dataset ingestion, preprocessing, splitting, and generator tests."""
 
+import os
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -44,6 +46,17 @@ class TestSchema:
         path = tmp_path / "schema.json"
         CAT_SCHEMA.to_file(path)
         assert Schema.from_file(path) == CAT_SCHEMA
+
+    def test_failed_write_keeps_existing_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "schema.json"
+        SCHEMA.to_file(path)
+        before = path.read_bytes()
+        # json.dump has written part of the mapping when it meets the object.
+        monkeypatch.setattr(Schema, "to_mapping", lambda self: {"x1": "continuous", "y": object()})
+        with pytest.raises(TypeError):
+            CAT_SCHEMA.to_file(path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["schema.json"]
 
 
 class TestLoadCsv:

@@ -16,13 +16,15 @@ from usnrt.data import PreprocessState, SynthSpec, generate_synthetic
 from usnrt.model_io import (
     MODEL_KINDS,
     ModelFormatError,
+    decode_array,
+    encode_array,
     encode_mlp,
     load_model,
     save_model,
     write_payload,
 )
 from usnrt.nn_core import Activation, Mlp
-from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel, load, predict_arrays
+from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel, predict_arrays
 
 from conftest import width3_member
 
@@ -84,6 +86,13 @@ def _leaves(payload):
     return [node for node in payload["nodes"] if node["kind"] == "leaf"]
 
 
+def _set_first(net, block, value):
+    """Set the first entry of a network block's first weight or bias array."""
+    array = decode_array(net[block][0])
+    array.flat[0] = value
+    net[block][0] = encode_array(array)
+
+
 @pytest.mark.parametrize(
     "kind, corrupt, message",
     [
@@ -103,6 +112,14 @@ def _leaves(payload):
         ("hnn", lambda p: p.update(mean_net=encode_mlp(Mlp([3, 3, 1]))), "hnn: networks must map 2 features"),
         ("hnn", lambda p: p.update(sigma_net=encode_mlp(Mlp([2, 3, 2]))), "hnn: networks must map 2 features"),
         ("ensemble", lambda p: width3_member(p["members"][1]), "member 1: networks must map 2 features"),
+        ("usnrt", lambda p: _set_first(_leaves(p)[1]["mean_net"], "weights", np.nan), "non-finite"),
+        ("hnn", lambda p: _set_first(p["mean_net"], "weights", np.nan), "non-finite"),
+        ("hnn", lambda p: _set_first(p["sigma_net"], "weights", np.nan), "non-finite"),
+        ("hnn", lambda p: _set_first(p["sigma_net"], "biases", -np.inf), "non-finite"),
+        ("usnrt", lambda p: p["config"].pop("alpha"), "config block keys"),
+        ("usnrt", lambda p: p["config"]["train_cfg"].pop("patience"), "config block keys"),
+        ("usnrt", lambda p: p["config"].update(mystery=1), "config block keys"),
+        ("usnrt", lambda p: p["config"]["train_cfg"].update(mystery=1), "config block keys"),
     ],
     ids=[
         "feature-index-too-large",
@@ -121,6 +138,14 @@ def _leaves(payload):
         "hnn-input-width",
         "hnn-output-width",
         "ensemble-member-width",
+        "leaf-mean-weight-nan",
+        "hnn-mean-weight-nan",
+        "hnn-sigma-weight-nan",
+        "hnn-sigma-bias-inf",
+        "config-without-alpha",
+        "train-cfg-without-patience",
+        "config-unknown-key",
+        "train-cfg-unknown-key",
     ],
 )
 def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):
@@ -138,7 +163,7 @@ def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, co
 def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
     path = tmp_path / "model.json"
     save_model(usnrt_model, path)
-    clone = load(path)
+    clone = load_model(path, expect_kind="usnrt")
     assert (clone.depth, clone.leaf_count) == (2, 3)
     for got, want in zip(predict_arrays(clone, X), predict_arrays(usnrt_model, X)):
         assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from usnrt.data import SynthSpec, generate_synthetic
-from usnrt.model_io import ModelFormatError
+from usnrt.model_io import ModelFormatError, load_model, save_model
 from usnrt import tree as tree_module
 from usnrt.nn_core import (
     SIGMA_FLOOR,
@@ -28,11 +28,9 @@ from usnrt.tree import (
     find_best_split,
     leaf_assignments,
     leaf_report,
-    load,
     predict_arrays,
     resolve_n_min,
     root_split_scatter,
-    save,
 )
 
 from conftest import fast_train_cfg, feature_matrix
@@ -402,8 +400,8 @@ class TestSerialization:
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=18))
         path = tmp_path / "model.json"
-        save(model, path)
-        clone = load(path)
+        save_model(model, path)
+        clone = load_model(path, expect_kind="usnrt")
         mu_a, s_a = predict_arrays(model, X)
         mu_b, s_b = predict_arrays(clone, X)
         assert np.array_equal(mu_a, mu_b)
@@ -415,22 +413,22 @@ class TestSerialization:
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=1500, seed=19))
         path = tmp_path / "model.json"
-        save(model, path)
+        save_model(model, path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ModelFormatError):
-            load(path)
+            load_model(path, expect_kind="usnrt")
 
     def test_version_mismatch(self, tmp_path, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=1500, seed=20))
         path = tmp_path / "model.json"
-        save(model, path)
+        save_model(model, path)
         payload = json.loads(path.read_text())
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="version"):
-            load(path)
+            load_model(path, expect_kind="usnrt")
 
 
 class TestRootSplitScatter:
