@@ -66,22 +66,19 @@ class HnnModel:
         return {
             "mean_net": model_io.encode_mlp(self.mean_net),
             "sigma_net": model_io.encode_mlp(self.sigma_net),
-            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "HnnModel":
-        """Decode a model file body, rejecting networks that do not map the
-        preprocessing state's encoded width (without one, the mean network's
-        input width) to one output."""
-        preprocess = payload["preprocess"]
+    def from_payload(cls, payload: dict, preprocess: PreprocessState | None) -> "HnnModel":
+        """Decode a model file body (or an ensemble member), rejecting
+        networks that do not map the preprocessing state's encoded width
+        (without one, the mean network's input width) to one output."""
         model = cls(
             mean_net=model_io.decode_mlp(payload["mean_net"]),
             sigma_net=model_io.decode_mlp(payload["sigma_net"]),
-            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+            preprocess=preprocess,
         )
-        state = model.preprocess
-        width = model.mean_net.input_dim if state is None else state.encoded_width
+        width = model.mean_net.input_dim if preprocess is None else preprocess.encoded_width
         model_io.check_networks("hnn", width, model.mean_net, model.sigma_net)
         return model
 
@@ -103,25 +100,20 @@ class EnsembleModel:
         return ensemble_predict_arrays(self, X, denormalize)
 
     def to_payload(self) -> dict:
-        return {
-            "members": [member.to_payload() for member in self.members],
-            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
-        }
+        return {"members": [member.to_payload() for member in self.members]}
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "EnsembleModel":
+    def from_payload(cls, payload: dict, preprocess: PreprocessState | None) -> "EnsembleModel":
         """Decode a model file body; every member's networks must fit the
-        top-level preprocessing state."""
+        preprocessing state, which the members do not hold themselves."""
         members = payload["members"]
         if not isinstance(members, list) or not members:
             raise model_io.ModelFormatError("ensemble model holds no members")
-        preprocess = payload["preprocess"]
         model = cls(
-            members=[HnnModel.from_payload(entry) for entry in members],
-            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+            members=[HnnModel.from_payload(entry, None) for entry in members],
+            preprocess=preprocess,
         )
-        state = model.preprocess
-        width = model.members[0].mean_net.input_dim if state is None else state.encoded_width
+        width = model.members[0].mean_net.input_dim if preprocess is None else preprocess.encoded_width
         for j, member in enumerate(model.members):
             model_io.check_networks(f"member {j}", width, member.mean_net, member.sigma_net)
         return model
@@ -207,9 +199,12 @@ def train_ensemble(
     preprocess: PreprocessState | None = None,
     rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
-    """Train n_members HNNs that differ only in their derived seeds."""
+    """Train n_members HNNs that differ only in their derived seeds. The
+    members hold no preprocessing state; the ensemble holds it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
+    if d_raw is None and preprocess is not None:
+        d_raw = preprocess.d_raw
     members = [
         train_hnn(
             X,
@@ -217,7 +212,6 @@ def train_ensemble(
             replace(cfg, seed=_derived_seed(cfg.seed, 100 + j)),
             d_raw=d_raw,
             hidden=hidden,
-            preprocess=preprocess,
             rounds=rounds,
         )
         for j in range(n_members)

@@ -10,6 +10,7 @@ run can be reproduced byte for byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .data import (
 )
 from .metrics import compute_report
 from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, save_model
-from .nn_core import TrainConfig, TrainingError
+from .nn_core import TrainConfig, TrainingError, coerce_value
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
 
@@ -51,15 +52,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _float_repr(value) -> str:
-    return repr(float(value))
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_columns(path: Path, columns: dict) -> None:
+    """Write a CSV table given as {header: column}, row by row. A float cell
+    is its repr (it reads back bit for bit), None an empty cell, anything
+    else its str."""
+    # A float array becomes Python floats at once, whose repr needs no call per cell.
+    cells = [
+        map(repr, column.tolist()) if isinstance(column, np.ndarray) else map(_cell, column)
+        for column in columns.values()
+    ]
     with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(zip(*cells))
 
 
 def _out_dir(args, command: str) -> Path:
@@ -148,11 +159,15 @@ def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: in
     if kind == "usnrt":
         cfg = _from_settings(tree.UsnrtConfig, settings, train_cfg=train_cfg, seed=seed)
         return tree.build(X, y, cfg, preprocess=state)
-    hnn = {"hidden": settings["hnn_hidden"], "preprocess": state, "rounds": int(settings["hnn_rounds"])}
+    hnn = {
+        "hidden": coerce_value("hnn_hidden", settings["hnn_hidden"], "Sequence[int] | None"),
+        "preprocess": state,
+        "rounds": coerce_value("hnn_rounds", settings["hnn_rounds"], "int"),
+    }
     if kind == "hnn":
         return baselines.train_hnn(X, y, train_cfg, **hnn)
     if kind == "ensemble":
-        members = int(settings["ensemble_members"])
+        members = coerce_value("ensemble_members", settings["ensemble_members"], "int")
         return baselines.train_ensemble(X, y, train_cfg, n_members=members, **hnn)
     raise _UsageError(f"unknown model kind {kind!r}")
 
@@ -189,67 +204,25 @@ def _parse_sigma(text: str):
     raise _UsageError(f"sigma must be 'c' or 'intercept,slope', got {text!r}")
 
 
+# Settings of synth: the SynthSpec fields and defaults, plus the CLI's n and d.
+# A sigma goes through _parse_sigma, so it may also be 'intercept,slope' text.
+_SYNTH_DEFAULTS = {**{f.name: f.default for f in fields(SynthSpec)}, "n": 2000, "d": 2}
+_SIGMA_KEYS = ("sigma_low", "sigma_high")
+
+
 def cmd_synth(args) -> int:
     out = _out_dir(args, "synth")
-    file_cfg = _load_config_file(args.config)
-    defaults = {
-        "n": 2000,
-        "d": 2,
-        "boundary_feature": 0,
-        "mean_low": "linear",
-        "mean_high": "linear",
-        "sigma_low": "1.0",
-        "sigma_high": "1.0",
-        "seed": 0,
-    }
-    flags = {
-        "n": args.n,
-        "d": args.d,
-        "boundary_feature": args.boundary_feature,
-        "mean_low": args.mean_low,
-        "mean_high": args.mean_high,
-        "sigma_low": args.sigma_low,
-        "sigma_high": args.sigma_high,
-        "seed": args.seed[0] if args.seed else None,
-    }
-    settings = _resolved(defaults, file_cfg, flags)
-    try:
-        spec = SynthSpec(
-            n=int(settings["n"]),
-            d=int(settings["d"]),
-            boundary_feature=int(settings["boundary_feature"]),
-            mean_low=str(settings["mean_low"]),
-            mean_high=str(settings["mean_high"]),
-            sigma_low=_parse_sigma(settings["sigma_low"]),
-            sigma_high=_parse_sigma(settings["sigma_high"]),
-            seed=int(settings["seed"]),
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    flags = {key: value for key, value in vars(args).items() if key in _SYNTH_DEFAULTS}
+    flags["seed"] = args.seed[0] if args.seed else None
+    settings = _resolved(_SYNTH_DEFAULTS, _load_config_file(args.config), flags)
+    spec = SynthSpec(**{**settings, **{key: _parse_sigma(settings[key]) for key in _SIGMA_KEYS}})
     result = generate_synthetic(spec)
     dataset = result.dataset
 
-    feature_names = [c.name for c in dataset.schema.feature_columns]
-    header = feature_names + ["y"]
-    rows = (
-        [_float_repr(dataset.continuous[name][i]) for name in feature_names]
-        + [_float_repr(dataset.labels[i])]
-        for i in range(dataset.n_rows)
-    )
-    _write_csv(out / "data.csv", header, rows)
-    _write_csv(
-        out / "truth.csv",
-        ["f_true", "sigma_true"],
-        (
-            [_float_repr(result.f_true[i]), _float_repr(result.sigma_true[i])]
-            for i in range(dataset.n_rows)
-        ),
-    )
+    _write_columns(out / "data.csv", {**dataset.continuous, "y": dataset.labels})
+    _write_columns(out / "truth.csv", {"f_true": result.f_true, "sigma_true": result.sigma_true})
     dataset.schema.to_file(out / "schema.json")
-    echo = dict(settings)
-    echo["sigma_low"] = str(settings["sigma_low"])
-    echo["sigma_high"] = str(settings["sigma_high"])
-    _echo_config(out, "synth", echo)
+    _echo_config(out, "synth", {**settings, **{key: str(settings[key]) for key in _SIGMA_KEYS}})
     print(f"wrote {dataset.n_rows} rows to {out / 'data.csv'}")
     return EXIT_OK
 
@@ -259,7 +232,7 @@ def cmd_train(args) -> int:
     settings = _train_settings(
         args, "train", seed=args.seed[0] if args.seed else None, model_kind=args.model_kind
     )
-    seed, kind = int(settings["seed"]), settings["model_kind"]
+    seed, kind = coerce_value("seed", settings["seed"], "int"), settings["model_kind"]
     if kind not in MODEL_KINDS:
         raise _UsageError(f"unknown model kind {kind!r}")
 
@@ -302,11 +275,8 @@ def cmd_evaluate(args) -> int:
             np.mean(state.denormalize_sigma(sigma_norm))
         )
     _write_json(out / "metrics.json", payload)
-    _write_csv(
-        out / "curve.csv",
-        ["expected_probability", "calibration_error"],
-        ([_float_repr(expected), _float_repr(err)] for expected, err in report.curve),
-    )
+    expected, error = zip(*report.curve)
+    _write_columns(out / "curve.csv", {"expected_probability": expected, "calibration_error": error})
     _echo_config(
         out,
         "evaluate",
@@ -326,11 +296,7 @@ def cmd_predict(args) -> int:
     dataset = load_csv(args.data, state.schema, require_label=False)
     X = state.transform(dataset)
     mu, sigma = model.predict_arrays(X)
-    _write_csv(
-        out / "predictions.csv",
-        ["mu", "sigma"],
-        ([_float_repr(m), _float_repr(s)] for m, s in zip(mu, sigma)),
-    )
+    _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
     _echo_config(out, "predict", {"model": str(args.model), "data": str(args.data)})
     print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
     return EXIT_OK
@@ -377,24 +343,19 @@ def cmd_benchmark(args) -> int:
     settings = _train_settings(
         args, "benchmark", seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction
     )
-    seeds, kinds = list(settings["seeds"]), list(settings["model_kinds"])
+    seeds = coerce_value("seeds", settings["seeds"], "Sequence[int]")
+    kinds = coerce_value("model_kinds", settings["model_kinds"], "Sequence[str]")
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise _UsageError(f"unknown model kind {kind!r}")
-    test_fraction = float(settings["test_fraction"])
+    test_fraction = coerce_value("test_fraction", settings["test_fraction"], "float")
 
     schema = Schema.from_file(args.schema)
     dataset = load_csv(args.data, schema)
     rows = run_benchmark(dataset, kinds, seeds, settings, test_fraction)
 
-    _write_csv(
-        out / "benchmark.csv",
-        ["model", "seed", "ece", "tce", "sharpness"],
-        (
-            [r["model"], str(r["seed"]), _float_repr(r["ece"]), _float_repr(r["tce"]), _float_repr(r["sharpness"])]
-            for r in rows
-        ),
-    )
+    columns = ("model", "seed", "ece", "tce", "sharpness")
+    _write_columns(out / "benchmark.csv", {key: [r[key] for r in rows] for key in columns})
     lines = [f"{'model':<10} {'seed':>6} {'ece':>10} {'tce':>10} {'sharpness':>10}"]
     for r in rows:
         lines.append(
@@ -436,23 +397,14 @@ def cmd_inspect(args) -> int:
             fh.write("# no splits: single-leaf model\n")
         print("no splits")
     else:
-        _write_csv(
+        _write_columns(
             out / "root_split.csv",
-            [
-                f"split_value:{names[scatter.split_feature_index]}",
-                f"companion_value:{names[scatter.companion_feature_index]}",
-                "squared_residual",
-                "residual_quantile",
-            ],
-            (
-                [
-                    _float_repr(scatter.split_values[i]),
-                    _float_repr(scatter.companion_values[i]),
-                    _float_repr(scatter.squared_residuals[i]),
-                    _float_repr(scatter.residual_quantiles[i]),
-                ]
-                for i in range(scatter.split_values.size)
-            ),
+            {
+                f"split_value:{names[scatter.split_feature_index]}": scatter.split_values,
+                f"companion_value:{names[scatter.companion_feature_index]}": scatter.companion_values,
+                "squared_residual": scatter.squared_residuals,
+                "residual_quantile": scatter.residual_quantiles,
+            },
         )
         print(
             f"root split on {names[scatter.split_feature_index]} at "
@@ -460,14 +412,8 @@ def cmd_inspect(args) -> int:
         )
 
     rows = tree.leaf_report(model, X, dataset.labels)
-    _write_csv(
-        out / "leaf_report.csv",
-        ["region_id", "count", "residual_std"],
-        (
-            [str(r.region_id), str(r.count), "" if r.residual_std is None else _float_repr(r.residual_std)]
-            for r in rows
-        ),
-    )
+    columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(tree.LeafReportRow)}
+    _write_columns(out / "leaf_report.csv", columns)
     _echo_config(out, "inspect", {"model": str(args.model), "data": str(args.data)})
     print(f"{len(rows)} leaf regions -> {out / 'leaf_report.csv'}")
     return EXIT_OK
@@ -503,11 +449,11 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--boundary-feature", type=int, dest="boundary_feature")
-    p.add_argument("--mean-low", dest="mean_low")
-    p.add_argument("--mean-high", dest="mean_high")
-    p.add_argument("--sigma-low", dest="sigma_low", help="constant or 'intercept,slope'")
-    p.add_argument("--sigma-high", dest="sigma_high")
+    p.add_argument("--boundary-feature", type=int)
+    p.add_argument("--mean-low")
+    p.add_argument("--mean-high")
+    p.add_argument("--sigma-low", help="constant or 'intercept,slope'")
+    p.add_argument("--sigma-high")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a labelled CSV")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_io import atomic_write
+from .nn_core import coerce_fields
 
 __all__ = [
     "Column",
@@ -60,10 +61,6 @@ class Schema:
             raise DataError("schema must declare exactly one label column")
         if len(self.columns) < 2:
             raise DataError("schema needs at least one feature column")
-
-    @property
-    def label_column(self) -> str:
-        return next(c.name for c in self.columns if c.kind == "label")
 
     @property
     def feature_columns(self) -> tuple[Column, ...]:
@@ -130,9 +127,12 @@ class Dataset:
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     """Parse a headered CSV against the schema.
 
-    Continuous and label cells must be finite numbers; bad cells are reported
-    with their 1-based data row and column name. The label column may be
-    absent when require_label is False (prediction-only inputs).
+    Continuous and label cells must be finite numbers. The first fault is
+    reported with its 1-based data row and column name: a row whose length
+    differs from the header's, then, column by column in schema order, a
+    column missing from the header, a missing cell, or the first cell that is
+    not a finite number. The label column may be absent when require_label is
+    False (prediction-only inputs).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -146,65 +146,46 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     data_rows = rows[1:]
     if not data_rows:
         raise DataError(f"{path}: no data rows")
+    for i, row in enumerate(data_rows, start=1):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
 
-    positions: dict[str, int] = {}
-    label_name = schema.label_column
+    continuous: dict[str, np.ndarray] = {}
+    categorical: dict[str, list[str]] = {}
+    labels = None
     for col in schema.columns:
-        if col.name in header:
-            positions[col.name] = header.index(col.name)
-        elif col.kind == "label" and not require_label:
-            continue
-        else:
+        if col.name not in header:
+            if col.kind == "label" and not require_label:
+                continue
             raise DataError(f"{path}: missing column {col.name!r}")
-    has_label = label_name in positions
+        position = header.index(col.name)
+        cells = [row[position].strip() for row in data_rows]
+        if "" in cells:
+            raise DataError(f"{path}: row {cells.index('') + 1}, column {col.name!r}: missing value")
+        if col.kind == "categorical":
+            categorical[col.name] = cells
+        elif col.kind == "continuous":
+            continuous[col.name] = _number_column(path, col.name, cells)
+        else:
+            labels = _number_column(path, col.name, cells)
+    return Dataset(schema=schema, continuous=continuous, categorical=categorical, labels=labels)
 
-    continuous: dict[str, list[float]] = {
-        c.name: [] for c in schema.feature_columns if c.kind == "continuous"
-    }
-    categorical: dict[str, list[str]] = {
-        c.name: [] for c in schema.feature_columns if c.kind == "categorical"
-    }
-    labels: list[float] = []
 
-    def parse_number(cell: str, row_number: int, column: str) -> float:
+def _number_column(path, name: str, cells: list[str]) -> np.ndarray:
+    """The cells of column name as floats, naming the 1-based row of the
+    first one that is not a finite number."""
+    values = []
+    for i, cell in enumerate(cells, start=1):
         try:
             value = float(cell)
         except ValueError:
             raise DataError(
-                f"{path}: row {row_number}, column {column!r}: "
-                f"cannot parse {cell!r} as a number"
+                f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
             ) from None
         if not math.isfinite(value):
-            raise DataError(
-                f"{path}: row {row_number}, column {column!r}: non-finite value {cell!r}"
-            )
-        return value
-
-    for i, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
-        for name, values in continuous.items():
-            cell = row[positions[name]].strip()
-            if cell == "":
-                raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-            values.append(parse_number(cell, i, name))
-        for name, cats in categorical.items():
-            cell = row[positions[name]].strip()
-            if cell == "":
-                raise DataError(f"{path}: row {i}, column {name!r}: missing value")
-            cats.append(cell)
-        if has_label:
-            cell = row[positions[label_name]].strip()
-            if cell == "":
-                raise DataError(f"{path}: row {i}, column {label_name!r}: missing value")
-            labels.append(parse_number(cell, i, label_name))
-
-    return Dataset(
-        schema=schema,
-        continuous={k: np.asarray(v, dtype=float) for k, v in continuous.items()},
-        categorical=categorical,
-        labels=np.asarray(labels, dtype=float) if has_label else None,
-    )
+            raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
+        values.append(value)
+    return np.asarray(values, dtype=float)
 
 
 @dataclass
@@ -399,6 +380,7 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        coerce_fields(self)
         if self.n < 1 or self.d < 1:
             raise ValueError("n and d must be positive")
         if not 0 <= self.boundary_feature < self.d:

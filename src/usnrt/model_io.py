@@ -1,15 +1,16 @@
 """Versioned on-disk model format shared by the tree and the baselines.
 
-A model file is a single JSON document with a "format_version" and a
-"model_kind" tag ("usnrt", "hnn", or "ensemble"). Network weights and biases
-are base64-encoded little-endian float64 buffers, so a save/load round trip
-reproduces predictions bit for bit. The full layout is documented in the
-README.
+A model file is a single JSON document with a "format_version", a
+"model_kind" tag ("usnrt", "hnn", or "ensemble") and the "preprocess" state.
+Network weights and biases are base64-encoded little-endian float64 buffers,
+so a save/load round trip reproduces predictions bit for bit. The full
+layout is documented in the README.
 
 Every model class has the same interface: a `model_kind` class constant,
-`predict_arrays(X, denormalize=True)`, `to_payload()` (the file body without
-its header), the `from_payload(payload)` class method, and `train_log`. This
-module owns the header and the table from kind to class.
+`preprocess`, `predict_arrays(X, denormalize=True)`, `to_payload()` (the
+file body without its header), the `from_payload(payload, preprocess)` class
+method, and `train_log`. This module owns the header and the table from kind
+to class.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ __all__ = [
     "write_payload",
 ]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Version 1 also gave each ensemble member a copy of "preprocess", which loading ignores.
+_READABLE_VERSIONS = (1, 2)
 # Model kind -> (module, class). Those modules import this one, so the class
 # is looked up when a file is loaded.
 _MODEL_CLASSES = {
@@ -145,11 +148,11 @@ def write_payload(path, payload: dict) -> None:
 
 
 def save_model(model, path) -> None:
-    """Write any model kind: the versioned header, then model.to_payload()."""
-    write_payload(
-        path,
-        {"format_version": FORMAT_VERSION, "model_kind": model.model_kind, **model.to_payload()},
-    )
+    """Write any model kind: the versioned header with the preprocessing
+    state, then model.to_payload()."""
+    state = None if model.preprocess is None else model.preprocess.to_dict()
+    header = {"format_version": FORMAT_VERSION, "model_kind": model.model_kind, "preprocess": state}
+    write_payload(path, {**header, **model.to_payload()})
 
 
 def read_payload(path, expect_kind: str | None = None) -> dict:
@@ -163,10 +166,10 @@ def read_payload(path, expect_kind: str | None = None) -> dict:
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not hold a model document")
     version = payload.get("format_version")
-    if version != FORMAT_VERSION:
+    if version not in _READABLE_VERSIONS:
         raise ModelFormatError(
             f"model file {path}: format version {version!r} not supported "
-            f"(expected {FORMAT_VERSION})"
+            f"(expected one of {_READABLE_VERSIONS})"
         )
     kind = payload.get("model_kind")
     if kind not in MODEL_KINDS:
@@ -184,12 +187,15 @@ def load_model(path, expect_kind: str | None = None):
     Every decoding fault raises ModelFormatError naming the file: a missing
     key or list entry (LookupError), a value of the wrong type (TypeError,
     AttributeError) or out of range (ValueError, ArithmeticError)."""
+    from .data import PreprocessState  # data imports this module
+
     payload = read_payload(path, expect_kind)
     kind = payload["model_kind"]
     module, name = _MODEL_CLASSES[kind]
     cls = getattr(importlib.import_module(f".{module}", __package__), name)
     try:
-        return cls.from_payload(payload)
+        state = payload["preprocess"]
+        return cls.from_payload(payload, None if state is None else PreprocessState.from_dict(state))
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from exc
     except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError) as exc:

@@ -35,6 +35,7 @@ __all__ = [
     "TrainingError",
     "average_nll",
     "coerce_fields",
+    "coerce_value",
     "default_hidden",
     "nll_loss",
     "predict_sigma",
@@ -211,19 +212,35 @@ class Mlp:
 
 
 # Field annotation (a string, as annotations are postponed) without " | None"
-# -> the conversion coerce_fields applies.
-_FIELD_CASTS = {"int": int, "float": float, "Sequence[int]": lambda sizes: [int(s) for s in sizes]}
+# -> the conversion coerce_value applies.
+_FIELD_CASTS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "Sequence[int]": lambda values: [int(v) for v in values],
+    "Sequence[str]": lambda values: [str(v) for v in values],
+}
+
+
+def coerce_value(name: str, value, annotation: str):
+    """value converted to the type annotation names, so a config file may write
+    3 as "3" or 3.0. None passes only an optional (" | None") annotation, and
+    a failed conversion raises ValueError naming name."""
+    kind = annotation.removesuffix(" | None")
+    cast = _FIELD_CASTS.get(kind)
+    if cast is None or (value is None and kind != annotation):
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be {annotation}, got {value!r}") from None
 
 
 def coerce_fields(config) -> None:
-    """Convert each int, float or Sequence[int] field of a config dataclass in
-    place, keeping None in optional fields: a config file may write a number
-    as a string ("3") or an integral float (3.0)."""
+    """Apply coerce_value to each field of a config dataclass, frozen or not,
+    in place."""
     for f in fields(config):
-        cast = _FIELD_CASTS.get(f.type.removesuffix(" | None"))
-        value = getattr(config, f.name)
-        if cast is not None and value is not None:
-            setattr(config, f.name, cast(value))
+        object.__setattr__(config, f.name, coerce_value(f.name, getattr(config, f.name), f.type))
 
 
 @dataclass

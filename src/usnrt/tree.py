@@ -159,16 +159,15 @@ class UsnrtModel:
         return predict_arrays(self, X, denormalize)
 
     def to_payload(self) -> dict:
-        """Config, preprocessing state, then the preorder node list with
-        base64 little-endian float64 weights."""
+        """Config, then the preorder node list with base64 little-endian
+        float64 weights."""
         return {
             "config": asdict(self.config),
-            "preprocess": None if self.preprocess is None else self.preprocess.to_dict(),
             "nodes": [_encode_node(node) for node, _ in _walk(self.root)],
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "UsnrtModel":
+    def from_payload(cls, payload: dict, preprocess: PreprocessState | None) -> "UsnrtModel":
         """Decode a model file body, rejecting a tree whose split features,
         thresholds, region ids or leaf network sizes do not fit together."""
         nodes = payload["nodes"]
@@ -180,11 +179,10 @@ class UsnrtModel:
             raise model_io.ModelFormatError("trailing nodes after the tree preorder")
         walk = list(_walk(root))
         leaves = [node for node, _ in walk if isinstance(node, LeafNode)]
-        preprocess = payload["preprocess"]
         model = cls(
             root=root,
             config=_config_from_dict(payload["config"]),
-            preprocess=None if preprocess is None else PreprocessState.from_dict(preprocess),
+            preprocess=preprocess,
             depth=max(len(path) for node, path in walk if isinstance(node, LeafNode)),
             leaf_count=len(leaves),
         )

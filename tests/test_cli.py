@@ -1,6 +1,7 @@
 """Command-line behaviour: happy paths, reproducibility, exit codes."""
 
 import copy
+import csv
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from usnrt.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
-    _write_csv,
+    _write_columns,
     main,
     run_benchmark,
 )
@@ -92,6 +93,17 @@ class TestSynth:
         assert code == EXIT_OK
         assert (again / "data.csv").read_bytes() == (synth_dir / "data.csv").read_bytes()
         assert (again / "truth.csv").read_bytes() == (synth_dir / "truth.csv").read_bytes()
+
+    def test_numbers_spelled_as_strings_write_the_same_data(self, tmp_path):
+        plain = {"n": 300, "d": 3, "boundary_feature": 1, "sigma_low": 0.2, "sigma_high": "0.5,0.25", "seed": 4}
+        spelled = {**plain, "n": "300", "d": 3.0, "boundary_feature": "1", "sigma_low": "0.2", "seed": "4"}
+        data = []
+        for name, config in (("plain", plain), ("spelled", spelled)):
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / name)]) == EXIT_OK
+            data.append((tmp_path / name / "data.csv").read_bytes())
+        assert data[0] == data[1]
 
     def test_csv_loads_back(self, synth_dir):
         schema = Schema.from_file(synth_dir / "schema.json")
@@ -206,17 +218,25 @@ class TestPredict:
 
     def test_failed_write_keeps_existing_predictions(self, tmp_path):
         path = tmp_path / "predictions.csv"
-        _write_csv(path, ["mu", "sigma"], [["0.0", "1.0"]])
+        _write_columns(path, {"mu": [0.0], "sigma": [1.0]})
         before = path.read_bytes()
 
-        def rows():
-            yield ["2.0", "3.0"]
+        def column():
+            yield 2.0
             raise RuntimeError("row source failed")
 
         with pytest.raises(RuntimeError, match="row source failed"):
-            _write_csv(path, ["mu", "sigma"], rows())
+            _write_columns(path, {"mu": column(), "sigma": [3.0, 4.0]})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
+
+    def test_header_with_comma_round_trips(self, tmp_path):
+        path = tmp_path / "table.csv"
+        _write_columns(path, {"c=a,b": [0.1 + 0.2, None], "plain": ["x", 7]})
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["c=a,b", "plain"], [repr(0.1 + 0.2), "x"], ["", "7"]]
+        assert float(rows[1][0]) == 0.1 + 0.2
 
 
 class TestInspect:
@@ -484,6 +504,31 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert err.startswith(f"data error: model file {bad}")
         assert "non-finite" in err
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            ("train", {"alpha": None}, "alpha"),
+            ("train", {"split_net_hidden": 8}, "split_net_hidden"),
+            ("train", {"max_epochs": [3]}, "max_epochs"),
+            ("train", {"model_kind": "hnn", "hnn_rounds": [1]}, "hnn_rounds"),
+            ("benchmark", {"alpha": None}, "alpha"),
+            ("benchmark", {"split_net_hidden": 8}, "split_net_hidden"),
+            ("benchmark", {"max_epochs": [3]}, "max_epochs"),
+            ("benchmark", {"seeds": 5}, "seeds"),
+            ("synth", {"n": [5]}, "n"),
+        ],
+    )
+    def test_wrong_config_type_exits_1(self, synth_dir, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command != "synth":
+            argv += ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -94,6 +94,19 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="non-finite"):
             load_csv(path, SCHEMA)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2,y\nabc,2,3\n1,2,3\n1,2\n", "row 3 has 2 cells, header has 3"),
+            ("x1,x2,y\n1,2,abc\n1,zz,3\n", "row 2, column 'x2': cannot parse 'zz'"),
+        ],
+        ids=["row-length-first", "schema-order-of-columns"],
+    )
+    def test_two_faults_report_the_documented_one(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "d.csv", text)
+        with pytest.raises(DataError, match=message):
+            load_csv(path, SCHEMA)
+
     def test_label_optional_for_prediction_data(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x1,x2\n1.0,2.0\n")
         ds = load_csv(path, SCHEMA, require_label=False)

@@ -169,6 +169,26 @@ def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_version_1_file_loads_the_same(usnrt_model, hnn_model, state, X, tmp_path, kind):
+    """A version-1 file (every ensemble member carrying its own copy of the
+    preprocessing state) loads and predicts as the version-2 file does."""
+    ensemble = EnsembleModel(members=[hnn_model, HnnModel(*_nets(50))], preprocess=state)
+    model = {"usnrt": usnrt_model, "hnn": hnn_model, "ensemble": ensemble}[kind]
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2
+    assert all("preprocess" not in member for member in payload.get("members", []))
+    payload["format_version"] = 1
+    for member in payload.get("members", []):
+        member["preprocess"] = copy.deepcopy(payload["preprocess"])
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(payload))
+    for got, want in zip(load_model(old).predict_arrays(X), model.predict_arrays(X)):
+        assert np.array_equal(got, want)
+
+
 def test_failed_write_keeps_existing_file(tmp_path):
     path = tmp_path / "model.json"
     write_payload(path, {"a": 1})
