@@ -15,6 +15,7 @@ from .nn_core import (
     TrainConfig,
     average_nll,
     default_hidden,
+    derived_seed,
     predict_sigma,
     train_nll_fixed_mean,
     train_nll_fixed_sigma,
@@ -32,11 +33,6 @@ __all__ = [
 # Defaults of train_hnn's rounds and train_ensemble's n_members.
 HNN_ROUNDS = 2
 ENSEMBLE_MEMBERS = 5
-
-
-def _derived_seed(*parts: int) -> int:
-    seq = np.random.SeedSequence(list(parts))
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass
@@ -149,17 +145,17 @@ def train_hnn(
         [X.shape[1], *hidden, 1],
         hidden_activation=Activation.RELU,
         output_activation=Activation.LINEAR,
-        seed=_derived_seed(base, 0),
+        seed=derived_seed(base, 0),
     )
     sigma_net = Mlp(
         [X.shape[1], *hidden, 1],
         hidden_activation=Activation.TANH,
         output_activation=Activation.SOFTPLUS,
-        seed=_derived_seed(base, 1),
+        seed=derived_seed(base, 1),
     )
     # Fixed monitoring subset for the round-boundary NLL trajectory. Phases
     # still train on all rows (each holds out its own validation split).
-    monitor = np.random.default_rng(_derived_seed(base, 2)).permutation(X.shape[0])
+    monitor = np.random.default_rng(derived_seed(base, 2)).permutation(X.shape[0])
     monitor = monitor[: max(1, X.shape[0] // 5)]
 
     sigma_values = np.ones(X.shape[0])
@@ -168,7 +164,7 @@ def train_hnn(
     for rnd in range(rounds):
         # One derived seed per round: the sigma phase then validates on the
         # rows held out of the mean phase, keeping its early stopping honest.
-        phase_cfg = replace(cfg, seed=_derived_seed(base, 3, rnd))
+        phase_cfg = replace(cfg, seed=derived_seed(base, 3, rnd))
         _, mean_log = train_nll_fixed_sigma(mean_net, sigma_values, X, y, phase_cfg)
         _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, y, phase_cfg)
         sigma_values = predict_sigma(sigma_net, X)
@@ -209,7 +205,7 @@ def train_ensemble(
         train_hnn(
             X,
             y,
-            replace(cfg, seed=_derived_seed(cfg.seed, 100 + j)),
+            replace(cfg, seed=derived_seed(cfg.seed, 100 + j)),
             d_raw=d_raw,
             hidden=hidden,
             rounds=rounds,

@@ -10,7 +10,6 @@ run can be reproduced byte for byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -52,25 +51,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _quoted(text: str) -> str:
+    """text as a CSV field: quoted, its quotes doubled, when it holds a comma,
+    a quote, a carriage return or a newline, so csv.reader reads one field."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(float(value))
-    return "" if value is None else str(value)
+    return "" if value is None else _quoted(str(value))
 
 
 def _write_columns(path: Path, columns: dict) -> None:
     """Write a CSV table given as {header: column}, row by row. A float cell
     is its repr (it reads back bit for bit), None an empty cell, anything
-    else its str."""
-    # A float array becomes Python floats at once, whose repr needs no call per cell.
+    else its str, quoted where needed."""
+    # A float array's tolist() gives Python floats: no _cell call, never quoted.
     cells = [
         map(repr, column.tolist()) if isinstance(column, np.ndarray) else map(_cell, column)
         for column in columns.values()
     ]
     with atomic_write(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(map(_quoted, columns)) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _out_dir(args, command: str) -> Path:

@@ -239,6 +239,7 @@ class PreprocessState:
                 values = train.continuous[col.name]
                 mean = float(values.mean())
                 std = float(values.std(ddof=1))
+                _check_stats(f"continuous column {col.name!r}", mean, std)
                 if std == 0.0:
                     constant.append(col.name)
                     warnings.warn(
@@ -251,6 +252,7 @@ class PreprocessState:
                 encoding[col.name] = {cat: i for i, cat in enumerate(categories)}
         label_mean = float(train.labels.mean())
         label_std = float(train.labels.std(ddof=1))
+        _check_stats("label", label_mean, label_std)
         label_constant = label_std == 0.0
         if label_constant:
             warnings.warn("label is constant on the training data; std treated as 1")
@@ -276,7 +278,7 @@ class PreprocessState:
             if col.kind == "continuous":
                 mean, std = self.continuous_stats[col.name]
                 if col.name not in self.constant_columns:
-                    X[:, offset] = (data.continuous[col.name] - mean) / std
+                    X[:, offset] = _normalised(col.name, data.continuous[col.name], mean, std)
                 offset += 1
             else:
                 mapping = self.encoding[col.name]
@@ -288,8 +290,8 @@ class PreprocessState:
         return X
 
     def transform_labels(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        return (y - self.label_mean) / self.label_std
+        label = next(c.name for c in self.schema.columns if c.kind == "label")
+        return _normalised(label, np.asarray(y, dtype=float), self.label_mean, self.label_std)
 
     def denormalize_mean(self, mu) -> np.ndarray:
         return np.asarray(mu, dtype=float) * self.label_std + self.label_mean
@@ -299,7 +301,7 @@ class PreprocessState:
 
     def to_dict(self) -> dict:
         return {
-            "schema": self.schema.to_mapping(),
+            "schema": [[c.name, c.kind] for c in self.schema.columns],
             "continuous_stats": {k: list(v) for k, v in self.continuous_stats.items()},
             "constant_columns": list(self.constant_columns),
             "encoding": self.encoding,
@@ -310,8 +312,11 @@ class PreprocessState:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PreprocessState":
-        return cls(
-            schema=Schema.from_mapping(payload["schema"]),
+        """The state of a to_dict block: the schema as [name, kind] pairs in
+        column order (a name -> kind mapping in model format versions 1 and 2),
+        finite stats, and every std positive unless its column is constant."""
+        state = cls(
+            schema=Schema.from_mapping(dict(payload["schema"])),
             continuous_stats={
                 k: (float(v[0]), float(v[1]))
                 for k, v in payload["continuous_stats"].items()
@@ -325,6 +330,26 @@ class PreprocessState:
             label_std=float(payload["label_std"]),
             label_constant=bool(payload.get("label_constant", False)),
         )
+        for name, (mean, std) in state.continuous_stats.items():
+            _check_stats(f"continuous column {name!r}", mean, std, name in state.constant_columns)
+        _check_stats("label", state.label_mean, state.label_std, constant=False)
+        return state
+
+
+def _check_stats(what: str, mean: float, std: float, constant: bool = True) -> None:
+    """Reject a mean or std that is not finite, and a std <= 0 unless what is constant."""
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DataError(f"{what}: mean {mean!r} and std {std!r} must be finite")
+    if std <= 0.0 and not constant:
+        raise DataError(f"{what}: std {std!r} is not positive")
+
+
+def _normalised(name: str, values: np.ndarray, mean: float, std: float) -> np.ndarray:
+    """(values - mean) / std, naming column name if a result is not finite."""
+    result = (values - mean) / std
+    if not np.all(np.isfinite(result)):
+        raise DataError(f"column {name!r}: a value is not finite once normalised")
+    return result
 
 
 def fit_transform(train: Dataset):

@@ -40,9 +40,11 @@ __all__ = [
     "write_payload",
 ]
 
-FORMAT_VERSION = 2
-# Version 1 also gave each ensemble member a copy of "preprocess", which loading ignores.
-_READABLE_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+# Versions 1 and 2 wrote the schema as a name -> kind mapping, so in sorted-name
+# order; version 3 writes it as a list in column order. Version 1 also gave each
+# ensemble member a copy of "preprocess", which loading ignores.
+_READABLE_VERSIONS = (1, 2, 3)
 # Model kind -> (module, class). Those modules import this one, so the class
 # is looked up when a file is loaded.
 _MODEL_CLASSES = {

@@ -37,6 +37,7 @@ __all__ = [
     "coerce_fields",
     "coerce_value",
     "default_hidden",
+    "derived_seed",
     "nll_loss",
     "predict_sigma",
     "train_mse",
@@ -211,26 +212,36 @@ class Mlp:
         self.weights, self.biases = self._views(self._flatten(*snapshot))
 
 
+def _integer(value) -> int:
+    """int(value), refusing a number with a fractional part rather than truncating it."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 # Field annotation (a string, as annotations are postponed) without " | None"
 # -> the conversion coerce_value applies.
 _FIELD_CASTS = {
-    "int": int,
+    "int": _integer,
     "float": float,
     "str": str,
-    "Sequence[int]": lambda values: [int(v) for v in values],
+    "Sequence[int]": lambda values: [_integer(v) for v in values],
     "Sequence[str]": lambda values: [str(v) for v in values],
 }
 
 
 def coerce_value(name: str, value, annotation: str):
     """value converted to the type annotation names, so a config file may write
-    3 as "3" or 3.0. None passes only an optional (" | None") annotation, and
-    a failed conversion raises ValueError naming name."""
+    3 as "3" or 3.0 (but not 3.5), and a list as a JSON list (not a string).
+    None passes only an optional (" | None") annotation, and a failed
+    conversion raises ValueError naming name."""
     kind = annotation.removesuffix(" | None")
     cast = _FIELD_CASTS.get(kind)
     if cast is None or (value is None and kind != annotation):
         return value
     try:
+        if isinstance(value, str) and kind.startswith("Sequence"):
+            raise TypeError  # it would read as a list of its characters
         return cast(value)
     except (TypeError, ValueError):
         raise ValueError(f"{name} must be {annotation}, got {value!r}") from None
@@ -383,6 +394,11 @@ def _validate_xy(net: Mlp, X, y):
     if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
         raise ValueError("training data must be finite")
     return X, y
+
+
+def derived_seed(*parts: int) -> int:
+    """One uint64 seed hashed from the integers parts."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
 def _derived_rng(*parts: int) -> np.random.Generator:

@@ -25,6 +25,7 @@ from .nn_core import (
     TrainingError,
     coerce_fields,
     default_hidden,
+    derived_seed,
     predict_sigma,
     train_mse,
     train_nll_fixed_mean,
@@ -135,6 +136,11 @@ def _walk(node: TreeNode, path: tuple[int, ...] = ()):
         yield from _walk(node.right, path + (1,))
 
 
+def _depth_and_leaf_count(root: TreeNode) -> tuple[int, int]:
+    leaf_paths = [path for node, path in _walk(root) if isinstance(node, LeafNode)]
+    return max(map(len, leaf_paths)), len(leaf_paths)
+
+
 @dataclass
 class UsnrtModel:
     """A fitted tree: routing structure plus per-leaf networks."""
@@ -177,17 +183,9 @@ class UsnrtModel:
         root = _decode_nodes(nodes, cursor)
         if cursor[0] != len(nodes):
             raise model_io.ModelFormatError("trailing nodes after the tree preorder")
-        walk = list(_walk(root))
-        leaves = [node for node, _ in walk if isinstance(node, LeafNode)]
-        model = cls(
-            root=root,
-            config=_config_from_dict(payload["config"]),
-            preprocess=preprocess,
-            depth=max(len(path) for node, path in walk if isinstance(node, LeafNode)),
-            leaf_count=len(leaves),
-        )
+        model = cls(root, _config_from_dict(payload["config"]), preprocess, *_depth_and_leaf_count(root))
         width = _model_width(model)
-        for node, path in walk:
+        for node, path in _walk(root):
             if isinstance(node, LeafNode):
                 continue
             where = f"split at {_path_str(path)}"
@@ -197,6 +195,7 @@ class UsnrtModel:
                 )
             if type(node.threshold) not in (int, float) or not math.isfinite(node.threshold):
                 raise model_io.ModelFormatError(f"{where}: threshold {node.threshold!r} is not finite")
+        leaves = model.leaves()
         if [leaf.region_id for leaf in leaves] != list(range(1, len(leaves) + 1)):
             raise model_io.ModelFormatError("leaf region ids are not 1..leaf_count in preorder")
         for leaf in leaves:
@@ -237,8 +236,7 @@ def _stride_for(cfg: UsnrtConfig, n: int) -> int:
 
 
 def _node_seed(base: int, role: int, path: tuple[int, ...], stream: int) -> int:
-    seq = np.random.SeedSequence([base, role, stream, len(path), *path])
-    return int(seq.generate_state(1, dtype=np.uint64)[0])
+    return derived_seed(base, role, stream, len(path), *path)
 
 
 def _path_str(path: tuple[int, ...]) -> str:
@@ -302,6 +300,13 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     return best
 
 
+def _node_net(X: np.ndarray, hidden: list[int], output: Activation, seed: int) -> Mlp:
+    """A Tanh network from X's columns through hidden to one output."""
+    return Mlp(
+        [X.shape[1], *hidden, 1], hidden_activation=Activation.TANH, output_activation=output, seed=seed
+    )
+
+
 def _train_split_net(
     X: np.ndarray,
     y: np.ndarray,
@@ -309,12 +314,7 @@ def _train_split_net(
     hidden: list[int],
     path: tuple[int, ...],
 ):
-    net = Mlp(
-        [X.shape[1], *hidden, 1],
-        hidden_activation=Activation.TANH,
-        output_activation=Activation.LINEAR,
-        seed=_node_seed(cfg.seed, _ROLE_SPLIT, path, 0),
-    )
+    net = _node_net(X, hidden, Activation.LINEAR, _node_seed(cfg.seed, _ROLE_SPLIT, path, 0))
     train_cfg = replace(cfg.train_cfg, seed=_node_seed(cfg.seed, _ROLE_SPLIT, path, 1))
     try:
         _, log = train_mse(net, X, y, train_cfg)
@@ -345,18 +345,8 @@ def _train_leaf_nets(
     hidden: list[int],
     path: tuple[int, ...],
 ):
-    mean_net = Mlp(
-        [X.shape[1], *hidden, 1],
-        hidden_activation=Activation.TANH,
-        output_activation=Activation.LINEAR,
-        seed=_node_seed(cfg.seed, _ROLE_MEAN, path, 0),
-    )
-    sigma_net = Mlp(
-        [X.shape[1], *hidden, 1],
-        hidden_activation=Activation.TANH,
-        output_activation=Activation.SOFTPLUS,
-        seed=_node_seed(cfg.seed, _ROLE_SIGMA, path, 0),
-    )
+    mean_net = _node_net(X, hidden, Activation.LINEAR, _node_seed(cfg.seed, _ROLE_MEAN, path, 0))
+    sigma_net = _node_net(X, hidden, Activation.SOFTPLUS, _node_seed(cfg.seed, _ROLE_SIGMA, path, 0))
     # Both leaf trainings share one derived seed, so the sigma network's
     # validation subset is the mean network's held-out rows, and its target
     # there is the plain residual. On the mean network's training rows the
@@ -372,26 +362,19 @@ def _train_leaf_nets(
     return mean_net, sigma_net, mean_log, sigma_log
 
 
-@dataclass
-class _LeafSite:
-    path: tuple[int, ...]
-    indices: np.ndarray
-
-
 def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> UsnrtModel:
-    """Grow and fit the tree.
+    """Grow and fit the tree in one recursion.
 
-    Structure first: a node with fewer than 2 * n_min samples becomes a leaf;
-    otherwise a splitting network is fit by MSE, its residuals are scanned by
+    A node with fewer than 2 * n_min samples becomes a leaf; otherwise a
+    splitting network is fit by MSE, its residuals are scanned by
     find_best_split, and the node splits only when the best p-value is at
-    most alpha. Once the partition is fixed, each leaf trains its mean
-    network (MSE) then its sigma network (fixed-mean Gaussian NLL) on
-    leaf-local rows. The sigma network fits the mean network's residuals,
-    those of the mean network's training rows scaled up to its held-out
-    residual RMS (in-sample residuals understate out-of-sample error); the
-    held-out rows, on which both networks stop early, keep their plain
-    residuals. Per-node seeds derive from (cfg.seed, node path), so builds
-    are reproducible and order-independent.
+    most alpha. A node that does not split trains, on its own rows and
+    right away, its mean network (MSE) and sigma network (fixed-mean
+    Gaussian NLL; see _train_leaf_nets), and takes the next region id, so
+    region ids number the leaves in preorder. Per-node seeds derive from
+    (cfg.seed, node path), so builds are reproducible and order-independent.
+    The build log lists every node's decision in preorder, then every leaf's
+    training in preorder.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -410,97 +393,75 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     split_hidden = default_hidden(cfg.split_net_hidden, d_raw, 8)
     leaf_hidden = default_hidden(cfg.leaf_net_hidden, d_raw, 4)
     search_cfg = replace(cfg, n_min=n_min)
-    node_log: list[dict] = []
+    decisions: list[dict] = []
+    trainings: list[dict] = []
 
-    def grow(indices: np.ndarray, path: tuple[int, ...]):
-        if indices.size < 2 * n_min:
-            node_log.append(
-                {"path": _path_str(path), "kind": "leaf", "n": int(indices.size), "reason": "size"}
-            )
-            return _LeafSite(path=path, indices=indices)
-        split_net, split_log = _train_split_net(X[indices], y[indices], cfg, split_hidden, path)
-        residuals = y[indices] - split_net.forward(X[indices])[:, 0]
-        candidate = find_best_split(X[indices], residuals, search_cfg)
+    def leaf(rows: np.ndarray, path: tuple[int, ...], **decision) -> LeafNode:
+        decisions.append({"path": _path_str(path), "kind": "leaf", "n": int(rows.size), **decision})
+        mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(
+            X[rows], y[rows], cfg, leaf_hidden, path
+        )
+        residual = y[rows] - mean_net.forward(X[rows])[:, 0]
+        region_id = len(trainings) + 1
+        trainings.append(
+            {
+                "path": _path_str(path),
+                "kind": "leaf-trained",
+                "region_id": region_id,
+                "n": int(rows.size),
+                "mean_epochs": len(mean_log.train_losses),
+                "sigma_epochs": len(sigma_log.train_losses),
+            }
+        )
+        return LeafNode(
+            region_id=region_id,
+            mean_net=mean_net,
+            sigma_net=sigma_net,
+            train_count=int(rows.size),
+            residual_std=float(np.sqrt(np.mean(residual * residual))),
+        )
+
+    def grow(rows: np.ndarray, path: tuple[int, ...]) -> TreeNode:
+        if rows.size < 2 * n_min:
+            return leaf(rows, path, reason="size")
+        split_net, split_log = _train_split_net(X[rows], y[rows], cfg, split_hidden, path)
+        residuals = y[rows] - split_net.forward(X[rows])[:, 0]
+        candidate = find_best_split(X[rows], residuals, search_cfg)
         if candidate is None or candidate.p_value > cfg.alpha:
-            node_log.append(
-                {
-                    "path": _path_str(path),
-                    "kind": "leaf",
-                    "n": int(indices.size),
-                    "reason": "no split" if candidate is None else "p_best above alpha",
-                    "p_best": None if candidate is None else candidate.p_value,
-                    "split_epochs": len(split_log.train_losses),
-                }
+            return leaf(
+                rows,
+                path,
+                reason="no split" if candidate is None else "p_best above alpha",
+                p_best=None if candidate is None else candidate.p_value,
+                split_epochs=len(split_log.train_losses),
             )
-            return _LeafSite(path=path, indices=indices)
-        node_log.append(
+        decisions.append(
             {
                 "path": _path_str(path),
                 "kind": "internal",
-                "n": int(indices.size),
+                "n": int(rows.size),
                 "p_best": candidate.p_value,
                 "feature_index": candidate.feature_index,
                 "threshold": candidate.threshold,
                 "split_epochs": len(split_log.train_losses),
             }
         )
-        mask = X[indices, candidate.feature_index] <= candidate.threshold
-        left = grow(indices[mask], path + (0,))
-        right = grow(indices[~mask], path + (1,))
+        mask = X[rows, candidate.feature_index] <= candidate.threshold
         return InternalNode(
             feature_index=candidate.feature_index,
             threshold=candidate.threshold,
             p_value=candidate.p_value,
-            left=left,
-            right=right,
+            left=grow(rows[mask], path + (0,)),
+            right=grow(rows[~mask], path + (1,)),
         )
 
-    skeleton = grow(np.arange(n), ())
-
-    # Leaves are independent once the structure is fixed; train them in
-    # left-to-right order and assign contiguous region ids.
-    region_counter = 0
-    depth = 0
-
-    def realise(node):
-        nonlocal region_counter, depth
-        if isinstance(node, _LeafSite):
-            region_counter += 1
-            depth = max(depth, len(node.path))
-            rows = node.indices
-            mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(
-                X[rows], y[rows], cfg, leaf_hidden, node.path
-            )
-            residual = y[rows] - mean_net.forward(X[rows])[:, 0]
-            node_log.append(
-                {
-                    "path": _path_str(node.path),
-                    "kind": "leaf-trained",
-                    "region_id": region_counter,
-                    "n": int(rows.size),
-                    "mean_epochs": len(mean_log.train_losses),
-                    "sigma_epochs": len(sigma_log.train_losses),
-                }
-            )
-            return LeafNode(
-                region_id=region_counter,
-                mean_net=mean_net,
-                sigma_net=sigma_net,
-                train_count=int(rows.size),
-                residual_std=float(np.sqrt(np.mean(residual * residual))),
-            )
-        node.left = realise(node.left)
-        node.right = realise(node.right)
-        return node
-
-    root = realise(skeleton)
+    root = grow(np.arange(n), ())
     return UsnrtModel(
-        root=root,
-        config=cfg,
-        preprocess=preprocess,
-        depth=depth,
-        leaf_count=region_counter,
-        build_log={"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": node_log},
+        root,
+        cfg,
+        preprocess,
+        *_depth_and_leaf_count(root),
+        build_log={"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": decisions + trainings},
     )
 
 
@@ -567,15 +528,10 @@ def leaf_report(model: UsnrtModel, X, y) -> list[LeafReportRow]:
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")
+    residual = y - predict_arrays(model, X)[0]
     rows: list[LeafReportRow] = []
     for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
-        std = None
-        if idx.size:
-            mu = leaf.mean_net.forward(X[idx])[:, 0]
-            if model.preprocess is not None:
-                mu = model.preprocess.denormalize_mean(mu)
-            residual = y[idx] - mu
-            std = float(np.sqrt(np.mean(residual * residual)))
+        std = float(np.sqrt(np.mean(residual[idx] * residual[idx]))) if idx.size else None
         rows.append(LeafReportRow(region_id=leaf.region_id, count=int(idx.size), residual_std=std))
     return rows
 
@@ -595,9 +551,7 @@ def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")
-    d_raw = model.build_log.get("d_raw") or (
-        model.preprocess.d_raw if model.preprocess is not None else X.shape[1]
-    )
+    d_raw = model.preprocess.d_raw if model.preprocess is not None else X.shape[1]
     hidden = default_hidden(model.config.split_net_hidden, d_raw, 8)
     net, _ = _train_split_net(X, y, model.config, hidden, ())
     residuals = y - net.forward(X)[:, 0]

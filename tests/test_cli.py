@@ -20,9 +20,10 @@ from usnrt.cli import (
     main,
     run_benchmark,
 )
-from usnrt.data import Schema, SynthSpec, generate_synthetic, load_csv
+from usnrt import tree
+from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
-from usnrt.nn_core import Mlp
+from usnrt.nn_core import Mlp, TrainConfig
 
 from conftest import width3_member
 
@@ -229,6 +230,29 @@ class TestPredict:
             _write_columns(path, {"mu": column(), "sigma": [3.0, 4.0]})
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["predictions.csv"]
+
+    def test_columns_not_in_sorted_name_order_predict_as_the_in_memory_build(self, tmp_path):
+        """x1, x2, ..., x12 is not sorted-name order, so the saved model must
+        keep the column order for its networks to see the columns they were
+        trained on."""
+        data = tmp_path / "d12"
+        assert main(["synth", "--n", "1000", "--d", "12", "--seed", "6", "--out", str(data)]) == EXIT_OK
+        cfg = tmp_path / "fast.json"
+        cfg.write_text(json.dumps(FAST))
+        argv = ["--data", str(data / "data.csv"), "--out", str(tmp_path / "model")]
+        assert main(["train", *argv, "--schema", str(data / "schema.json"), "--config", str(cfg)]) == EXIT_OK
+        argv = ["--data", str(data / "data.csv"), "--out", str(tmp_path / "pred")]
+        assert main(["predict", "--model", str(tmp_path / "model" / "model.json"), *argv]) == EXIT_OK
+
+        dataset = load_csv(data / "data.csv", Schema.from_file(data / "schema.json"))
+        X, y, state = fit_transform(dataset)
+        train_cfg = TrainConfig(max_epochs=FAST["max_epochs"], patience=FAST["patience"])
+        model = tree.build(X, y, tree.UsnrtConfig(n_min=FAST["n_min"], train_cfg=train_cfg), preprocess=state)
+        with open(tmp_path / "pred" / "predictions.csv", newline="") as fh:
+            written = np.array([[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]])
+        mu, sigma = model.predict_arrays(X)
+        assert np.array_equal(written[:, 0], mu)
+        assert np.array_equal(written[:, 1], sigma)
 
     def test_header_with_comma_round_trips(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -517,6 +541,11 @@ class TestExitCodes:
             ("benchmark", {"max_epochs": [3]}, "max_epochs"),
             ("benchmark", {"seeds": 5}, "seeds"),
             ("synth", {"n": [5]}, "n"),
+            ("train", {"split_net_hidden": "16"}, "split_net_hidden"),
+            ("train", {"max_epochs": 2.5}, "max_epochs"),
+            ("train", {"n_min": 300.7}, "n_min"),
+            ("benchmark", {"leaf_net_hidden": [4.5]}, "leaf_net_hidden"),
+            ("benchmark", {"model_kinds": "usnrt"}, "model_kinds"),
         ],
     )
     def test_wrong_config_type_exits_1(self, synth_dir, tmp_path, capsys, command, config, key):
@@ -528,6 +557,51 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, fault",
+        [
+            ("train", "huge-cell"),
+            ("evaluate", "huge-cell"),
+            ("predict", "huge-cell"),
+            ("predict", "label-std-nan"),
+            ("predict", "label-std-zero"),
+            ("predict", "label-std-negative"),
+            ("predict", "label-mean-inf"),
+            ("predict", "feature-std-zero"),
+        ],
+    )
+    def test_statistics_that_cannot_normalise_exit_2(
+        self, trained_dir, synth_dir, fast_config, tmp_path, capsys, command, fault
+    ):
+        """A cell whose column std overflows, or a model file whose stored
+        statistics cannot normalise, is a data error."""
+        data, model = synth_dir / "data.csv", trained_dir / "model.json"
+        if fault == "huge-cell":
+            lines = data.read_text().splitlines()
+            lines[1] = "1.7e308," + lines[1].split(",", 1)[1]
+            data = tmp_path / "huge.csv"
+            data.write_text("\n".join(lines) + "\n")
+        else:
+            payload = json.loads(model.read_text())
+            key, value = {
+                "label-std-nan": ("label_std", float("nan")),
+                "label-std-zero": ("label_std", 0.0),
+                "label-std-negative": ("label_std", -1.0),
+                "label-mean-inf": ("label_mean", float("inf")),
+            }.get(fault, ("continuous_stats", {"x1": [0.0, 0.0], "x2": [0.0, 1.0]}))
+            payload["preprocess"][key] = value
+            model = tmp_path / "model.json"
+            model.write_text(json.dumps(payload))
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--schema", str(synth_dir / "schema.json"), "--config", str(fast_config)]
+        else:
+            argv += ["--model", str(model)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from usnrt.baselines import EnsembleModel, HnnModel
 from usnrt.data import PreprocessState, SynthSpec, generate_synthetic
 from usnrt.model_io import (
+    FORMAT_VERSION,
     MODEL_KINDS,
     ModelFormatError,
     decode_array,
@@ -120,6 +121,13 @@ def _set_first(net, block, value):
         ("usnrt", lambda p: p["config"]["train_cfg"].pop("patience"), "config block keys"),
         ("usnrt", lambda p: p["config"].update(mystery=1), "config block keys"),
         ("usnrt", lambda p: p["config"]["train_cfg"].update(mystery=1), "config block keys"),
+        ("usnrt", lambda p: p["preprocess"].update(label_std=float("nan")), "label: mean .* must be finite"),
+        ("usnrt", lambda p: p["preprocess"].update(label_std=0.0), "label: std 0.0 is not positive"),
+        ("usnrt", lambda p: p["preprocess"].update(label_std=-1.0), "label: std -1.0 is not positive"),
+        ("usnrt", lambda p: p["preprocess"].update(label_mean=float("inf")), "label: mean inf .* must be finite"),
+        ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x2=[float("nan"), 1.0]), "'x2': mean nan"),
+        ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5, 0.0]), "'x1': std 0.0 is not positive"),
+        ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5, -2.0]), "'x1': std -2.0 is not"),
     ],
     ids=[
         "feature-index-too-large",
@@ -146,6 +154,13 @@ def _set_first(net, block, value):
         "train-cfg-without-patience",
         "config-unknown-key",
         "train-cfg-unknown-key",
+        "label-std-nan",
+        "label-std-zero",
+        "label-std-negative",
+        "label-mean-inf",
+        "feature-mean-nan",
+        "feature-std-zero",
+        "feature-std-negative",
     ],
 )
 def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):
@@ -171,22 +186,27 @@ def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_version_1_file_loads_the_same(usnrt_model, hnn_model, state, X, tmp_path, kind):
-    """A version-1 file (every ensemble member carrying its own copy of the
-    preprocessing state) loads and predicts as the version-2 file does."""
+    """Version-1 and version-2 files (the schema a name -> kind mapping; in
+    version 1 every ensemble member also carrying its own copy of the
+    preprocessing state) load and predict as the current file does."""
     ensemble = EnsembleModel(members=[hnn_model, HnnModel(*_nets(50))], preprocess=state)
     model = {"usnrt": usnrt_model, "hnn": hnn_model, "ensemble": ensemble}[kind]
     path = tmp_path / "model.json"
     save_model(model, path)
-    payload = json.loads(path.read_text())
-    assert payload["format_version"] == 2
-    assert all("preprocess" not in member for member in payload.get("members", []))
-    payload["format_version"] = 1
-    for member in payload.get("members", []):
-        member["preprocess"] = copy.deepcopy(payload["preprocess"])
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(payload))
-    for got, want in zip(load_model(old).predict_arrays(X), model.predict_arrays(X)):
-        assert np.array_equal(got, want)
+    current = json.loads(path.read_text())
+    assert current["format_version"] == FORMAT_VERSION
+    assert all("preprocess" not in member for member in current.get("members", []))
+    for version in (1, 2):
+        payload = copy.deepcopy(current)
+        payload["format_version"] = version
+        payload["preprocess"]["schema"] = dict(payload["preprocess"]["schema"])
+        if version == 1:
+            for member in payload.get("members", []):
+                member["preprocess"] = copy.deepcopy(payload["preprocess"])
+        old = tmp_path / f"v{version}.json"
+        old.write_text(json.dumps(payload, sort_keys=True))
+        for got, want in zip(load_model(old).predict_arrays(X), model.predict_arrays(X)):
+            assert np.array_equal(got, want)
 
 
 def test_failed_write_keeps_existing_file(tmp_path):
