@@ -48,9 +48,7 @@ class HnnModel:
     train_log: dict = field(default_factory=dict, repr=False, compare=False)
 
     def predict_arrays(self, X, denormalize: bool = True):
-        X = np.asarray(X, dtype=float)
-        if not np.all(np.isfinite(X)):
-            raise ValueError("features must be finite")
+        X = model_io.check_features(X, self.mean_net.input_dim)
         mu = self.mean_net.forward(X)[:, 0]
         sigma = predict_sigma(self.sigma_net, X)
         if denormalize and self.preprocess is not None:
@@ -119,7 +117,6 @@ def train_hnn(
     X,
     y,
     cfg: TrainConfig,
-    d_raw: int | None = None,
     hidden: list[int] | None = None,
     preprocess: PreprocessState | None = None,
     rounds: int = HNN_ROUNDS,
@@ -137,9 +134,7 @@ def train_hnn(
     y = np.asarray(y, dtype=float)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    if d_raw is None:
-        d_raw = preprocess.d_raw if preprocess is not None else X.shape[1]
-    hidden = default_hidden(hidden, d_raw, 8)
+    hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
     base = cfg.seed
     mean_net = Mlp(
         [X.shape[1], *hidden, 1],
@@ -190,7 +185,6 @@ def train_ensemble(
     y,
     cfg: TrainConfig,
     n_members: int = ENSEMBLE_MEMBERS,
-    d_raw: int | None = None,
     hidden: list[int] | None = None,
     preprocess: PreprocessState | None = None,
     rounds: int = HNN_ROUNDS,
@@ -199,17 +193,10 @@ def train_ensemble(
     members hold no preprocessing state; the ensemble holds it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
-    if d_raw is None and preprocess is not None:
-        d_raw = preprocess.d_raw
+    X = np.asarray(X, dtype=float)
+    hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
     members = [
-        train_hnn(
-            X,
-            y,
-            replace(cfg, seed=derived_seed(cfg.seed, 100 + j)),
-            d_raw=d_raw,
-            hidden=hidden,
-            rounds=rounds,
-        )
+        train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
         for j in range(n_members)
     ]
     return EnsembleModel(members=members, preprocess=preprocess)

@@ -315,8 +315,11 @@ class PreprocessState:
         """The state of a to_dict block: the schema as [name, kind] pairs in
         column order (a name -> kind mapping in model format versions 1 and 2),
         finite stats, and every std positive unless its column is constant."""
+        pairs = payload["schema"]
+        if isinstance(pairs, dict):
+            pairs = pairs.items()
         state = cls(
-            schema=Schema.from_mapping(dict(payload["schema"])),
+            schema=Schema(tuple(Column(str(k), str(v)) for k, v in pairs)),
             continuous_stats={
                 k: (float(v[0]), float(v[1]))
                 for k, v in payload["continuous_stats"].items()

@@ -15,6 +15,7 @@ import numpy as np
 __all__ = [
     "DegenerateVarianceError",
     "LeveneResult",
+    "levene_statistic",
     "levene_test",
     "normal_inverse_cdf",
     "regularized_incomplete_beta",
@@ -40,8 +41,8 @@ class LeveneResult:
     p_value: float
 
 
-def levene_test(e_left, e_right) -> LeveneResult:
-    """Test whether two residual groups have equal variance.
+def levene_statistic(e_left, e_right) -> float:
+    """Statistic of the two-sample test for equal variance.
 
     Each group is reduced to absolute deviations from its own mean, and the
     statistic is the pooled-variance t statistic comparing the two deviation
@@ -50,8 +51,7 @@ def levene_test(e_left, e_right) -> LeveneResult:
         T = (zbar_L - zbar_R) / (w_pool * sqrt(1/n_L + 1/n_R))
 
     with sample variances on the n-1 convention and n_L + n_R - 2 degrees of
-    freedom. The p-value is two-sided: either direction of variance
-    inequality counts as evidence against equality.
+    freedom.
 
     Raises ValueError if a group has fewer than 2 elements and
     DegenerateVarianceError if the pooled deviation variance is zero (callers
@@ -71,21 +71,23 @@ def levene_test(e_left, e_right) -> LeveneResult:
     z_right = np.abs(right - right.mean())
     w2_left = float(z_left.var(ddof=1))
     w2_right = float(z_right.var(ddof=1))
-    df = n_l + n_r - 2
-    pooled = ((n_l - 1) * w2_left + (n_r - 1) * w2_right) / df
+    pooled = ((n_l - 1) * w2_left + (n_r - 1) * w2_right) / (n_l + n_r - 2)
     if pooled <= 0.0:
         raise DegenerateVarianceError(
             "zero pooled deviation variance (both groups have constant spread)"
         )
-    statistic = (float(z_left.mean()) - float(z_right.mean())) / math.sqrt(
+    return (float(z_left.mean()) - float(z_right.mean())) / math.sqrt(
         pooled * (1.0 / n_l + 1.0 / n_r)
     )
+
+
+def levene_test(e_left, e_right) -> LeveneResult:
+    """levene_statistic with its two-sided p-value: either direction of
+    variance inequality counts as evidence against equality."""
+    statistic = levene_statistic(e_left, e_right)
+    df = len(e_left) + len(e_right) - 2
     p_value = 2.0 * (1.0 - student_t_cdf(abs(statistic), df))
-    return LeveneResult(
-        statistic=statistic,
-        degrees_of_freedom=df,
-        p_value=min(p_value, 1.0),
-    )
+    return LeveneResult(statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0))
 
 
 def student_t_cdf(t: float, df: int) -> float:

@@ -31,7 +31,7 @@ from .nn_core import (
     train_nll_fixed_mean,
     validation_split,
 )
-from .stats import DegenerateVarianceError, levene_test
+from .stats import DegenerateVarianceError, levene_statistic, levene_test
 
 __all__ = [
     "InternalNode",
@@ -136,11 +136,6 @@ def _walk(node: TreeNode, path: tuple[int, ...] = ()):
         yield from _walk(node.right, path + (1,))
 
 
-def _depth_and_leaf_count(root: TreeNode) -> tuple[int, int]:
-    leaf_paths = [path for node, path in _walk(root) if isinstance(node, LeafNode)]
-    return max(map(len, leaf_paths)), len(leaf_paths)
-
-
 @dataclass
 class UsnrtModel:
     """A fitted tree: routing structure plus per-leaf networks."""
@@ -150,13 +145,15 @@ class UsnrtModel:
     root: TreeNode
     config: UsnrtConfig
     preprocess: PreprocessState | None
-    depth: int
-    leaf_count: int
-    build_log: dict = field(default_factory=dict, repr=False, compare=False)
+    train_log: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
-    def train_log(self) -> dict:
-        return self.build_log
+    def depth(self) -> int:
+        return max(len(path) for node, path in _walk(self.root) if isinstance(node, LeafNode))
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaves())
 
     def leaves(self) -> list[LeafNode]:
         return [node for node, _ in _walk(self.root) if isinstance(node, LeafNode)]
@@ -183,7 +180,7 @@ class UsnrtModel:
         root = _decode_nodes(nodes, cursor)
         if cursor[0] != len(nodes):
             raise model_io.ModelFormatError("trailing nodes after the tree preorder")
-        model = cls(root, _config_from_dict(payload["config"]), preprocess, *_depth_and_leaf_count(root))
+        model = cls(root, _config_from_dict(payload["config"]), preprocess)
         width = _model_width(model)
         for node, path in _walk(root):
             if isinstance(node, LeafNode):
@@ -248,14 +245,11 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
 
     Thresholds walk the sorted feature values with the configured stride;
     cuts inside runs of duplicate values and cuts leaving either side below
-    n_min are skipped, as are candidates where the test degenerates. Returns
-    the candidate with the smallest p-value, or None if no candidate is
-    feasible.
-
-    All candidates at a node share degrees of freedom n - 2, so the p-value
-    is strictly monotone in |T|; exact p ties (in particular the two-sided
-    tail underflowing to 0) are therefore broken toward larger |T|, then the
-    smallest feature index, then the smallest threshold.
+    n_min are skipped, as are candidates where the test degenerates. Every
+    cut at a node has n - 2 degrees of freedom, so the most significant one
+    is the cut with the largest |T|, the first in scan order (lowest feature
+    index, then smallest threshold) on a tie. Its p-value, computed once, is
+    returned with it; None if no candidate is feasible.
 
     When called standalone (cfg.n_min is None), n_min resolves against the
     rows given here.
@@ -270,8 +264,8 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     n_min = resolve_n_min(cfg, n)
     stride = _stride_for(cfg, n)
 
-    best: SplitCandidate | None = None
-    best_key: tuple[float, float] | None = None
+    best = None
+    best_abs_t = -1.0
     for k in range(X.shape[1]):
         order = np.argsort(X[:, k], kind="stable")
         values = X[order, k]
@@ -284,20 +278,17 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
             if left_n < n_min or right_n < n_min:
                 continue
             try:
-                result = levene_test(
-                    ordered_residuals[:left_n], ordered_residuals[left_n:]
-                )
+                abs_t = abs(levene_statistic(ordered_residuals[:left_n], ordered_residuals[left_n:]))
             except DegenerateVarianceError:
                 continue
-            key = (result.p_value, -abs(result.statistic))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = SplitCandidate(
-                    feature_index=k,
-                    threshold=float(values[i]),
-                    p_value=result.p_value,
-                )
-    return best
+            if abs_t > best_abs_t:
+                best_abs_t = abs_t
+                best = (k, float(values[i]), ordered_residuals, left_n)
+    if best is None:
+        return None
+    k, threshold, ordered_residuals, left_n = best
+    result = levene_test(ordered_residuals[:left_n], ordered_residuals[left_n:])
+    return SplitCandidate(feature_index=k, threshold=threshold, p_value=result.p_value)
 
 
 def _node_net(X: np.ndarray, hidden: list[int], output: Activation, seed: int) -> Mlp:
@@ -396,19 +387,17 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     decisions: list[dict] = []
     trainings: list[dict] = []
 
-    def leaf(rows: np.ndarray, path: tuple[int, ...], **decision) -> LeafNode:
-        decisions.append({"path": _path_str(path), "kind": "leaf", "n": int(rows.size), **decision})
-        mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(
-            X[rows], y[rows], cfg, leaf_hidden, path
-        )
-        residual = y[rows] - mean_net.forward(X[rows])[:, 0]
+    def leaf(Xn: np.ndarray, yn: np.ndarray, path: tuple[int, ...], **decision) -> LeafNode:
+        decisions.append({"path": _path_str(path), "kind": "leaf", "n": yn.size, **decision})
+        mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(Xn, yn, cfg, leaf_hidden, path)
+        residual = yn - mean_net.forward(Xn)[:, 0]
         region_id = len(trainings) + 1
         trainings.append(
             {
                 "path": _path_str(path),
                 "kind": "leaf-trained",
                 "region_id": region_id,
-                "n": int(rows.size),
+                "n": yn.size,
                 "mean_epochs": len(mean_log.train_losses),
                 "sigma_epochs": len(sigma_log.train_losses),
             }
@@ -417,19 +406,21 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
             region_id=region_id,
             mean_net=mean_net,
             sigma_net=sigma_net,
-            train_count=int(rows.size),
+            train_count=yn.size,
             residual_std=float(np.sqrt(np.mean(residual * residual))),
         )
 
     def grow(rows: np.ndarray, path: tuple[int, ...]) -> TreeNode:
+        Xn, yn = X[rows], y[rows]
         if rows.size < 2 * n_min:
-            return leaf(rows, path, reason="size")
-        split_net, split_log = _train_split_net(X[rows], y[rows], cfg, split_hidden, path)
-        residuals = y[rows] - split_net.forward(X[rows])[:, 0]
-        candidate = find_best_split(X[rows], residuals, search_cfg)
+            return leaf(Xn, yn, path, reason="size")
+        split_net, split_log = _train_split_net(Xn, yn, cfg, split_hidden, path)
+        residuals = yn - split_net.forward(Xn)[:, 0]
+        candidate = find_best_split(Xn, residuals, search_cfg)
         if candidate is None or candidate.p_value > cfg.alpha:
             return leaf(
-                rows,
+                Xn,
+                yn,
                 path,
                 reason="no split" if candidate is None else "p_best above alpha",
                 p_best=None if candidate is None else candidate.p_value,
@@ -439,14 +430,15 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
             {
                 "path": _path_str(path),
                 "kind": "internal",
-                "n": int(rows.size),
+                "n": yn.size,
                 "p_best": candidate.p_value,
                 "feature_index": candidate.feature_index,
                 "threshold": candidate.threshold,
                 "split_epochs": len(split_log.train_losses),
             }
         )
-        mask = X[rows, candidate.feature_index] <= candidate.threshold
+        mask = Xn[:, candidate.feature_index] <= candidate.threshold
+        del Xn, yn  # each child gathers its own rows; do not hold a copy per level
         return InternalNode(
             feature_index=candidate.feature_index,
             threshold=candidate.threshold,
@@ -456,31 +448,14 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
         )
 
     root = grow(np.arange(n), ())
-    return UsnrtModel(
-        root,
-        cfg,
-        preprocess,
-        *_depth_and_leaf_count(root),
-        build_log={"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": decisions + trainings},
-    )
+    log = {"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": decisions + trainings}
+    return UsnrtModel(root, cfg, preprocess, train_log=log)
 
 
 def _model_width(model: UsnrtModel) -> int:
     if model.preprocess is not None:
         return model.preprocess.encoded_width
     return model.leaves()[0].mean_net.input_dim
-
-
-def _check_features(model: UsnrtModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d sample matrix")
-    width = _model_width(model)
-    if X.shape[1] != width:
-        raise ValueError(f"X has width {X.shape[1]}, model expects {width}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    return X
 
 
 def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray) -> list[tuple[LeafNode, np.ndarray]]:
@@ -494,7 +469,7 @@ def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray) -> list[tuple[LeafNod
 def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
     """Routed (mu, sigma) arrays; original label units unless denormalize is
     off (then the model's training scale)."""
-    X = _check_features(model, X)
+    X = model_io.check_features(X, _model_width(model))
     n = X.shape[0]
     mu = np.empty(n)
     sigma = np.empty(n)
@@ -510,7 +485,7 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
 
 def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
     """Region id of the unique leaf accepting each row."""
-    X = _check_features(model, X)
+    X = model_io.check_features(X, _model_width(model))
     regions = np.empty(X.shape[0], dtype=int)
     for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
         regions[idx] = leaf.region_id
@@ -524,7 +499,7 @@ def leaf_report(model: UsnrtModel, X, y) -> list[LeafReportRow]:
     (denormalised) mean predictions. Empty regions report count 0 with the
     std absent.
     """
-    X = _check_features(model, X)
+    X = model_io.check_features(X, _model_width(model))
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")
@@ -547,7 +522,7 @@ def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:
     """
     if isinstance(model.root, LeafNode):
         return None
-    X = _check_features(model, X)
+    X = model_io.check_features(X, _model_width(model))
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")

@@ -54,7 +54,7 @@ def usnrt_model(state):
     """Three leaves: x0 <= 0.1 splits first, then x1 <= -0.3 on the right."""
     right = InternalNode(1, -0.3, 0.002, left=_leaf(2, 20), right=_leaf(3, 30))
     root = InternalNode(0, 0.1, 0.001, left=_leaf(1, 10), right=right)
-    return UsnrtModel(root=root, config=UsnrtConfig(), preprocess=state, depth=2, leaf_count=3)
+    return UsnrtModel(root=root, config=UsnrtConfig(), preprocess=state)
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +128,13 @@ def _set_first(net, block, value):
         ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x2=[float("nan"), 1.0]), "'x2': mean nan"),
         ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5, 0.0]), "'x1': std 0.0 is not positive"),
         ("usnrt", lambda p: p["preprocess"]["continuous_stats"].update(x1=[0.5, -2.0]), "'x1': std -2.0 is not"),
+        (
+            "usnrt",
+            lambda p: p["preprocess"].update(
+                schema=[["x1", "continuous"], ["x2", "continuous"], ["x1", "categorical"], ["y", "label"]]
+            ),
+            "duplicate column names",
+        ),
     ],
     ids=[
         "feature-index-too-large",
@@ -161,6 +168,7 @@ def _set_first(net, block, value):
         "feature-mean-nan",
         "feature-std-zero",
         "feature-std-negative",
+        "schema-name-twice",
     ],
 )
 def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):
@@ -320,3 +328,20 @@ def test_corrupt_field_rejected_or_harmless(saved, X, kind, data):
     assume(not _well_formed_alternative(key, container[key], value))
     container[key] = value
     assert _rejected_or_same(doc, path, X, reference), (where, value)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize(
+    "features, message",
+    [
+        (np.zeros(WIDTH), "X must be a 2-d sample matrix"),
+        (np.zeros((4, WIDTH + 1)), f"X has width {WIDTH + 1}, model expects {WIDTH}"),
+        (np.array([[0.0, np.nan]]), "features must be finite"),
+    ],
+    ids=["one-dimensional", "too-wide", "not-finite"],
+)
+def test_every_kind_checks_its_features(usnrt_model, hnn_model, state, kind, features, message):
+    ensemble = EnsembleModel(members=[hnn_model, hnn_model], preprocess=state)
+    model = {"usnrt": usnrt_model, "hnn": hnn_model, "ensemble": ensemble}[kind]
+    with pytest.raises(ValueError, match=message):
+        model.predict_arrays(features)

@@ -90,14 +90,36 @@ def brute_force_best(X, residuals, n_min):
     return best
 
 
+def cut_p_values(X, residuals, n_min):
+    """The p-value of every stride-1 cut brute_force_best ranks."""
+    n = X.shape[0]
+    for k in range(X.shape[1]):
+        order = np.argsort(X[:, k], kind="stable")
+        values, res = X[order, k], residuals[order]
+        for i in range(n):
+            if (i + 1 < n and values[i + 1] == values[i]) or min(i + 1, n - i - 1) < n_min:
+                continue
+            try:
+                yield levene_test(res[: i + 1], res[i + 1 :]).p_value
+            except DegenerateVarianceError:
+                continue
+
+
 class TestFindBestSplit:
     def test_exhaustive_oracle_agreement(self):
         rng = np.random.default_rng(17)
+        cases = []
         for trial in range(8):
             n = int(rng.integers(60, 200))
             d = int(rng.integers(1, 4))
             X = rng.uniform(-1, 1, (n, d))
-            residuals = rng.standard_normal(n) * np.where(X[:, 0] > 0, 2.0, 0.7)
+            cases.append((X, rng.standard_normal(n) * np.where(X[:, 0] > 0, 2.0, 0.7)))
+        # A 10x sigma jump: several cuts' p-values underflow to 0, and only
+        # the larger |T| tells them apart.
+        X = rng.uniform(-1, 1, (200, 2))
+        cases.append((X, rng.standard_normal(200) * np.where(X[:, 0] > 0, 10.0, 1.0)))
+        assert sum(p == 0.0 for p in cut_p_values(*cases[-1], n_min=10)) >= 2
+        for X, residuals in cases:
             cfg = UsnrtConfig(n_min=10, split_stride=1)
             found = find_best_split(X, residuals, cfg)
             expected = brute_force_best(X, residuals, n_min=10)
@@ -229,7 +251,7 @@ class TestBuild:
     def test_build_log_records_nodes(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=8))
-        kinds = {entry["kind"] for entry in model.build_log["nodes"]}
+        kinds = {entry["kind"] for entry in model.train_log["nodes"]}
         assert "leaf-trained" in kinds
         summary = describe(model)
         assert summary["leaf_count"] == model.leaf_count
@@ -296,7 +318,7 @@ class TestPredict:
         left = constant_leaf(1, 2, mean_value=-5.0, sigma_bias=0.0)
         right = constant_leaf(2, 2, mean_value=5.0, sigma_bias=0.0)
         root = InternalNode(feature_index=0, threshold=0.25, p_value=0.001, left=left, right=right)
-        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None, depth=1, leaf_count=2)
+        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
         mu, _ = predict_arrays(model, np.array([[0.25, 9.9], [0.2500000001, 0.0]]))
         assert mu[0] == -5.0  # exactly on the threshold: left branch
         assert mu[1] == 5.0
@@ -347,7 +369,7 @@ class TestPredict:
         left = constant_leaf(1, 2, mean_value=-5.0, sigma_bias=0.0)
         right = constant_leaf(2, 2, mean_value=5.0, sigma_bias=0.0)
         root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
-        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None, depth=1, leaf_count=2)
+        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
         for bad in (np.nan, np.inf, -np.inf):
             X = np.array([[bad, 0.0], [1.0, 2.0]])
             with pytest.raises(ValueError, match="finite"):
@@ -387,7 +409,7 @@ class TestLeafReport:
         left = constant_leaf(1, 1, mean_value=0.0, sigma_bias=0.0)
         right = constant_leaf(2, 1, mean_value=0.0, sigma_bias=0.0)
         root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
-        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None, depth=1, leaf_count=2)
+        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
         X = np.array([[-1.0], [-0.5]])  # everything routes left
         rows = leaf_report(model, X, np.zeros(2))
         assert rows[0].count == 2
