@@ -225,7 +225,7 @@ def cmd_synth(args) -> int:
     result = generate_synthetic(spec)
     dataset = result.dataset
 
-    _write_columns(out / "data.csv", {**dataset.continuous, "y": dataset.labels})
+    _write_columns(out / "data.csv", dataset.columns)
     _write_columns(out / "truth.csv", {"f_true": result.f_true, "sigma_true": result.sigma_true})
     dataset.schema.to_file(out / "schema.json")
     _echo_config(out, "synth", {**settings, **{key: str(settings[key]) for key in _SIGMA_KEYS}})
@@ -351,6 +351,9 @@ def cmd_benchmark(args) -> int:
     )
     seeds = coerce_value("seeds", settings["seeds"], "Sequence[int]")
     kinds = coerce_value("model_kinds", settings["model_kinds"], "Sequence[str]")
+    for key, values in (("seeds", seeds), ("model_kinds", kinds)):
+        if not values:
+            raise _UsageError(f"{key} must not be empty")
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise _UsageError(f"unknown model kind {kind!r}")

@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -66,6 +67,10 @@ class Schema:
     def feature_columns(self) -> tuple[Column, ...]:
         return tuple(c for c in self.columns if c.kind != "label")
 
+    @property
+    def label_name(self) -> str:
+        return next(c.name for c in self.columns if c.kind == "label")
+
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Schema":
         return cls(tuple(Column(str(k), str(v)) for k, v in mapping.items()))
@@ -92,22 +97,21 @@ class Schema:
 
 @dataclass
 class Dataset:
-    """Raw column-typed rows; encoding and normalisation happen separately."""
+    """Raw rows as one array per schema column, in schema order: floats for a
+    continuous or label column, the str cells (an object array) for a
+    categorical one. Encoding and normalisation happen separately."""
 
     schema: Schema
-    continuous: dict[str, np.ndarray]
-    categorical: dict[str, list[str]]
-    labels: np.ndarray | None
+    columns: dict[str, np.ndarray]
+
+    @property
+    def labels(self) -> np.ndarray | None:
+        """The label column, or None for prediction-only rows."""
+        return self.columns.get(self.schema.label_name)
 
     @property
     def n_rows(self) -> int:
-        if self.labels is not None:
-            return int(self.labels.shape[0])
-        for values in self.continuous.values():
-            return int(values.shape[0])
-        for values in self.categorical.values():
-            return len(values)
-        return 0
+        return len(next(iter(self.columns.values()), ()))
 
     @property
     def d_raw(self) -> int:
@@ -116,12 +120,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
-        return Dataset(
-            schema=self.schema,
-            continuous={k: v[idx] for k, v in self.continuous.items()},
-            categorical={k: [v[i] for i in idx] for k, v in self.categorical.items()},
-            labels=None if self.labels is None else self.labels[idx],
-        )
+        return Dataset(self.schema, {name: values[idx] for name, values in self.columns.items()})
 
 
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
@@ -130,45 +129,41 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     Continuous and label cells must be finite numbers. The first fault is
     reported with its 1-based data row and column name: a row whose length
     differs from the header's, then, column by column in schema order, a
-    column missing from the header, a missing cell, or the first cell that is
-    not a finite number. The label column may be absent when require_label is
-    False (prediction-only inputs).
+    column missing from the header or named in it twice, a missing cell, or
+    the first cell that is not a finite number. The label column may be
+    absent when require_label is False (prediction-only inputs).
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file is empty")
-    header = rows[0]
-    data_rows = rows[1:]
+    header, data_rows = rows[0], rows[1:]
     if not data_rows:
         raise DataError(f"{path}: no data rows")
     for i, row in enumerate(data_rows, start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
 
-    continuous: dict[str, np.ndarray] = {}
-    categorical: dict[str, list[str]] = {}
-    labels = None
+    columns: dict[str, np.ndarray] = {}
     for col in schema.columns:
         if col.name not in header:
             if col.kind == "label" and not require_label:
                 continue
             raise DataError(f"{path}: missing column {col.name!r}")
+        if header.count(col.name) > 1:
+            raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
         position = header.index(col.name)
         cells = [row[position].strip() for row in data_rows]
         if "" in cells:
             raise DataError(f"{path}: row {cells.index('') + 1}, column {col.name!r}: missing value")
         if col.kind == "categorical":
-            categorical[col.name] = cells
-        elif col.kind == "continuous":
-            continuous[col.name] = _number_column(path, col.name, cells)
+            columns[col.name] = np.array(cells, dtype=object)
         else:
-            labels = _number_column(path, col.name, cells)
-    return Dataset(schema=schema, continuous=continuous, categorical=categorical, labels=labels)
+            columns[col.name] = _number_column(path, col.name, cells)
+    return Dataset(schema, columns)
 
 
 def _number_column(path, name: str, cells: list[str]) -> np.ndarray:
@@ -235,8 +230,8 @@ class PreprocessState:
         constant: list[str] = []
         encoding: dict[str, dict[str, int]] = {}
         for col in train.schema.feature_columns:
+            values = train.columns[col.name]
             if col.kind == "continuous":
-                values = train.continuous[col.name]
                 mean = float(values.mean())
                 std = float(values.std(ddof=1))
                 _check_stats(f"continuous column {col.name!r}", mean, std)
@@ -248,8 +243,7 @@ class PreprocessState:
                     )
                 stats[col.name] = (mean, std)
             else:
-                categories = sorted(set(train.categorical[col.name]))
-                encoding[col.name] = {cat: i for i, cat in enumerate(categories)}
+                encoding[col.name] = {cat: i for i, cat in enumerate(sorted(set(values)))}
         label_mean = float(train.labels.mean())
         label_std = float(train.labels.std(ddof=1))
         _check_stats("label", label_mean, label_std)
@@ -271,27 +265,25 @@ class PreprocessState:
         """Encode and normalise feature columns into a float matrix."""
         if data.schema.feature_columns != self.schema.feature_columns:
             raise DataError("dataset schema does not match the fitted schema")
-        n = data.n_rows
-        X = np.zeros((n, self.encoded_width))
+        X = np.zeros((data.n_rows, self.encoded_width))
         offset = 0
         for col in self.schema.feature_columns:
+            values = data.columns[col.name]
             if col.kind == "continuous":
-                mean, std = self.continuous_stats[col.name]
                 if col.name not in self.constant_columns:
-                    X[:, offset] = _normalised(col.name, data.continuous[col.name], mean, std)
+                    X[:, offset] = _normalised(col.name, values, *self.continuous_stats[col.name])
                 offset += 1
             else:
-                mapping = self.encoding[col.name]
-                for i, cat in enumerate(data.categorical[col.name]):
-                    slot = mapping.get(cat)
-                    if slot is not None:
-                        X[i, offset + slot] = 1.0
-                offset += len(mapping)
+                # Each cell's slot, -1 for an unseen category, which leaves its block all zeros.
+                slots = self.encoding[col.name]
+                slot = np.fromiter(map(slots.get, values, repeat(-1)), dtype=np.intp, count=len(values))
+                rows = np.flatnonzero(slot >= 0)
+                X[rows, offset + slot[rows]] = 1.0
+                offset += len(slots)
         return X
 
     def transform_labels(self, y) -> np.ndarray:
-        label = next(c.name for c in self.schema.columns if c.kind == "label")
-        return _normalised(label, np.asarray(y, dtype=float), self.label_mean, self.label_std)
+        return _normalised(self.schema.label_name, np.asarray(y, dtype=float), self.label_mean, self.label_std)
 
     def denormalize_mean(self, mu) -> np.ndarray:
         return np.asarray(mu, dtype=float) * self.label_std + self.label_mean
@@ -314,7 +306,9 @@ class PreprocessState:
     def from_dict(cls, payload: dict) -> "PreprocessState":
         """The state of a to_dict block: the schema as [name, kind] pairs in
         column order (a name -> kind mapping in model format versions 1 and 2),
-        finite stats, and every std positive unless its column is constant."""
+        stats for exactly the continuous features, finite, every std positive
+        unless its column is constant, and an encoding of exactly the
+        categorical features, each numbering its k categories 0..k-1 in order."""
         pairs = payload["schema"]
         if isinstance(pairs, dict):
             pairs = pairs.items()
@@ -333,6 +327,15 @@ class PreprocessState:
             label_std=float(payload["label_std"]),
             label_constant=bool(payload.get("label_constant", False)),
         )
+        for key, block, kind in (
+            ("continuous_stats", state.continuous_stats, "continuous"),
+            ("encoding", state.encoding, "categorical"),
+        ):
+            if set(block) != {c.name for c in state.schema.feature_columns if c.kind == kind}:
+                raise DataError(f"{key} does not name exactly the {kind} features")
+        for name, slots in state.encoding.items():
+            if list(slots.values()) != list(range(len(slots))):
+                raise DataError(f"encoding of {name!r}: slots are not 0..{len(slots) - 1} in order")
         for name, (mean, std) in state.continuous_stats.items():
             _check_stats(f"continuous column {name!r}", mean, std, name in state.constant_columns)
         _check_stats("label", state.label_mean, state.label_std, constant=False)
@@ -465,10 +468,5 @@ def generate_synthetic(spec: SynthSpec) -> SyntheticData:
         _sigma_values(spec.sigma_high, X, spec.boundary_feature),
     )
     y = f + sigma * noise
-    dataset = Dataset(
-        schema=synthetic_schema(spec.d),
-        continuous={f"x{j + 1}": X[:, j].copy() for j in range(spec.d)},
-        categorical={},
-        labels=y,
-    )
-    return SyntheticData(dataset=dataset, f_true=f, sigma_true=sigma)
+    columns = {**{f"x{j + 1}": X[:, j].copy() for j in range(spec.d)}, "y": y}
+    return SyntheticData(Dataset(synthetic_schema(spec.d), columns), f_true=f, sigma_true=sigma)

@@ -171,7 +171,7 @@ def save_model(model, path) -> None:
     write_payload(path, {**header, **model.to_payload()})
 
 
-def read_payload(path, expect_kind: str | None = None) -> dict:
+def read_payload(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -190,22 +190,19 @@ def read_payload(path, expect_kind: str | None = None) -> dict:
     kind = payload.get("model_kind")
     if kind not in MODEL_KINDS:
         raise ModelFormatError(f"model file {path}: unknown model kind {kind!r}")
-    if expect_kind is not None and kind != expect_kind:
-        raise ModelFormatError(
-            f"model file {path}: holds a {kind!r} model, expected {expect_kind!r}"
-        )
     return payload
 
 
-def load_model(path, expect_kind: str | None = None):
+def load_model(path):
     """Load any supported model kind, dispatching on the file's tag.
 
     Every decoding fault raises ModelFormatError naming the file: a missing
     key or list entry (LookupError), a value of the wrong type (TypeError,
-    AttributeError) or out of range (ValueError, ArithmeticError)."""
+    AttributeError) or out of range (ValueError, ArithmeticError), and a
+    structure nested deeper than the recursion limit (RecursionError)."""
     from .data import PreprocessState  # data imports this module
 
-    payload = read_payload(path, expect_kind)
+    payload = read_payload(path)
     kind = payload["model_kind"]
     module, name = _MODEL_CLASSES[kind]
     cls = getattr(importlib.import_module(f".{module}", __package__), name)
@@ -214,7 +211,7 @@ def load_model(path, expect_kind: str | None = None):
         return cls.from_payload(payload, None if state is None else PreprocessState.from_dict(state))
     except ModelFormatError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from exc
-    except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError) as exc:
+    except (LookupError, AttributeError, TypeError, ValueError, ArithmeticError, RecursionError) as exc:
         raise ModelFormatError(
             f"model file {path}: malformed {kind} model ({type(exc).__name__}: {exc})"
         ) from exc

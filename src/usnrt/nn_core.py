@@ -488,8 +488,7 @@ def train_mse(net: Mlp, X, y, cfg: TrainConfig):
     returned, together with the loss log.
     """
     X, y = _validate_xy(net, X, y)
-    targets = y[:, None] if net.output_dim == 1 else y.reshape(X.shape[0], -1)
-    log = _run_training(net, X, _MseObjective(targets), cfg)
+    log = _run_training(net, X, _MseObjective(y[:, None]), cfg)
     return net, log
 
 

@@ -9,7 +9,7 @@ from usnrt.nn_core import Activation, Mlp, TrainConfig
 def feature_matrix(dataset):
     """Stack a synthetic dataset's continuous columns into an (n, d) matrix."""
     names = [c.name for c in dataset.schema.feature_columns]
-    return np.column_stack([dataset.continuous[name] for name in names])
+    return np.column_stack([dataset.columns[name] for name in names])
 
 
 def fast_train_cfg(seed=0, max_epochs=80, patience=10):
@@ -26,6 +26,21 @@ def width3_member(member):
         mean_net=encode_mlp(Mlp([3, 4, 1])),
         sigma_net=encode_mlp(Mlp([3, 4, 1], output_activation=Activation.SOFTPLUS)),
     )
+
+
+def with_color(payload, slots):
+    """Give an hnn payload whose features are x1 and x2 the features x1 and a
+    categorical column color with the given encoding slots, and fresh
+    networks as wide as that encoding."""
+    state = payload["preprocess"]
+    state.update(schema=[["x1", "continuous"], ["color", "categorical"], ["y", "label"]], encoding={"color": slots})
+    del state["continuous_stats"]["x2"]
+    width = 1 + len(slots)
+    payload.update(
+        mean_net=encode_mlp(Mlp([width, 4, 1])),
+        sigma_net=encode_mlp(Mlp([width, 4, 1], output_activation=Activation.SOFTPLUS)),
+    )
+    return payload
 
 
 @pytest.fixture

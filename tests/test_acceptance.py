@@ -224,7 +224,7 @@ def test_ac05_split_recovery():
             SynthSpec(n=4000, d=2, sigma_low=0.1, sigma_high=1.0, seed=200 + seed)
         )
         names = [c.name for c in synth.dataset.schema.feature_columns]
-        X = np.column_stack([synth.dataset.continuous[name] for name in names])
+        X = np.column_stack([synth.dataset.columns[name] for name in names])
         y = synth.dataset.labels
         cfg = UsnrtConfig(n_min=500, seed=seed, train_cfg=TrainConfig(seed=seed))
         net, _ = _train_split_net(X, y, cfg, [16, 8], ())
@@ -246,7 +246,7 @@ def test_ac06_null_stability():
             SynthSpec(n=2400, d=2, sigma_low=0.5, sigma_high=0.5, seed=100 + seed)
         )
         names = [c.name for c in synth.dataset.schema.feature_columns]
-        X = np.column_stack([synth.dataset.continuous[name] for name in names])
+        X = np.column_stack([synth.dataset.columns[name] for name in names])
         y = synth.dataset.labels
         cfg = UsnrtConfig(seed=seed, train_cfg=TrainConfig(seed=seed))
         model = build(X, y, cfg)
@@ -313,7 +313,7 @@ def test_ac07_heterogeneity_benefit():
         # and under-covers the high-noise one cancel its errors; the benefit
         # of modelling the heterogeneity shows in the TCE inside each
         # ground-truth noise region, averaged over the two regions.
-        low = test.continuous["x1"] <= 0.0
+        low = test.columns["x1"] <= 0.0
         regions = (low, ~low)
 
         def region_tce(preds, y):
@@ -409,7 +409,7 @@ def test_ac10_structural_invariants(tmp_path):
         SynthSpec(n=4000, d=2, sigma_low=0.1, sigma_high=1.0, seed=1010)
     )
     names = [c.name for c in synth.dataset.schema.feature_columns]
-    X = np.column_stack([synth.dataset.continuous[name] for name in names])
+    X = np.column_stack([synth.dataset.columns[name] for name in names])
     y = synth.dataset.labels
     cfg = UsnrtConfig(seed=4, train_cfg=TrainConfig(seed=4))  # default n_min rule
     model = build(X, y, cfg)
@@ -445,7 +445,7 @@ def test_ac10_structural_invariants(tmp_path):
 
     path = tmp_path / "model.json"
     save_model(model, path)
-    clone = load_model(path, expect_kind="usnrt")
+    clone = load_model(path)
     mu_a, sigma_a = predict_arrays(model, X)
     mu_b, sigma_b = predict_arrays(clone, X)
     round_trip = np.array_equal(mu_a, mu_b) and np.array_equal(sigma_a, sigma_b)

@@ -160,7 +160,7 @@ class TestSerialization:
         model = train_hnn(X, y, fast_train_cfg(seed=13, max_epochs=10, patience=3), hidden=[6])
         path = tmp_path / "hnn.json"
         save_model(model, path)
-        clone = load_model(path, expect_kind="hnn")
+        clone = load_model(path)
         mu_a, s_a = model.predict_arrays(X)
         mu_b, s_b = clone.predict_arrays(X)
         assert np.array_equal(mu_a, mu_b)
@@ -176,7 +176,7 @@ class TestSerialization:
         )
         path = tmp_path / "ens.json"
         save_model(ensemble, path)
-        clone = load_model(path, expect_kind="ensemble")
+        clone = load_model(path)
         mu_a, s_a = ensemble_predict_arrays(ensemble, X)
         mu_b, s_b = ensemble_predict_arrays(clone, X)
         assert np.array_equal(mu_a, mu_b)

@@ -25,7 +25,7 @@ from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, loa
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import Mlp, TrainConfig
 
-from conftest import width3_member
+from conftest import width3_member, with_color
 
 
 FAST = {"max_epochs": 40, "patience": 6, "n_min": 300}
@@ -559,6 +559,17 @@ class TestExitCodes:
         assert err.startswith(f"error: {key} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["seeds", "model_kinds"])
+    def test_empty_benchmark_list_exits_1(self, synth_dir, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: []}))
+        out = tmp_path / "out"
+        argv = ["benchmark", "--config", str(cfg), "--out", str(out)]
+        argv += ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {key} must not be empty\n"
+        assert not (out / "benchmark.csv").exists()
+
     @pytest.mark.parametrize(
         "command, fault",
         [
@@ -617,6 +628,9 @@ class TestExitCodes:
             lambda p: _as_hnn(p)["preprocess"].pop("continuous_stats"),
             lambda p: _as_hnn(p).update(mean_net=encode_mlp(Mlp([3, 4, 1]))),
             lambda p: width3_member(_as_ensemble(p)["members"][1]),
+            lambda p: _as_hnn(p)["preprocess"]["continuous_stats"].pop("x1"),
+            lambda p: with_color(_as_hnn(p), {"a": 0, "b": 1, "c": 7}),
+            lambda p: with_color(_as_hnn(p), {"a": 0, "b,c": 0, "d": 2}),
         ],
         ids=[
             "feature-index-too-large",
@@ -629,6 +643,9 @@ class TestExitCodes:
             "hnn-preprocess-without-stats",
             "hnn-input-width",
             "ensemble-member-width",
+            "hnn-stats-without-a-feature",
+            "hnn-slot-out-of-range",
+            "hnn-slot-repeated",
         ],
     )
     def test_corrupt_model_predict_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, corrupt):
@@ -636,11 +653,15 @@ class TestExitCodes:
         corrupt(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
+        # The synthetic rows plus a color column, so a model of x1 and color can read them.
+        header, *rows = (synth_dir / "data.csv").read_text().splitlines()
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([f"{header},color"] + [f"{row},{'abcd'[i % 4]}" for i, row in enumerate(rows)]) + "\n")
         code = main(
             [
                 "predict",
                 "--model", str(bad),
-                "--data", str(synth_dir / "data.csv"),
+                "--data", str(data),
                 "--out", str(tmp_path / "out"),
             ]
         )

@@ -1,6 +1,7 @@
 """Dataset ingestion, preprocessing, splitting, and generator tests."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.stats
 
 from usnrt.data import (
     DataError,
+    Dataset,
     PreprocessState,
     Schema,
     SynthSpec,
@@ -65,8 +67,8 @@ class TestLoadCsv:
             tmp_path / "d.csv", "x1,x2,y\n1.0,2.0,3.0\n4.5,-1.25,0.5\n7.0,8.0,9.0\n"
         )
         ds = load_csv(path, SCHEMA)
-        assert np.array_equal(ds.continuous["x1"], [1.0, 4.5, 7.0])
-        assert np.array_equal(ds.continuous["x2"], [2.0, -1.25, 8.0])
+        assert np.array_equal(ds.columns["x1"], [1.0, 4.5, 7.0])
+        assert np.array_equal(ds.columns["x2"], [2.0, -1.25, 8.0])
         assert np.array_equal(ds.labels, [3.0, 0.5, 9.0])
 
     def test_bad_cell_names_row_and_column(self, tmp_path):
@@ -106,6 +108,27 @@ class TestLoadCsv:
         path = write_csv(tmp_path / "d.csv", text)
         with pytest.raises(DataError, match=message):
             load_csv(path, SCHEMA)
+
+    def test_schema_column_twice_in_header_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "x1,x1,x2,y\n999.0,1.0,2.0,3.0\n999.0,4.0,5.0,6.0\n")
+        with pytest.raises(DataError, match="column 'x1' appears more than once in the header"):
+            load_csv(path, SCHEMA)
+
+    def test_one_array_per_schema_column(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", 'y,color,x1,extra\n1.0," b,c ",2.0,z\n3.0,a,4.0,z\n')
+        ds = load_csv(path, CAT_SCHEMA)
+        assert [f.name for f in fields(Dataset)] == ["schema", "columns"]
+        assert list(ds.columns) == ["x1", "color", "y"]
+        assert ds.columns["color"].dtype == object
+        assert ds.columns["color"].tolist() == ["b,c", "a"]
+        assert np.array_equal(ds.labels, [1.0, 3.0])
+
+    def test_prediction_only_file_has_no_labels(self, tmp_path):
+        path = write_csv(tmp_path / "d.csv", "color,x1\na,1.0\nb,2.0\na,3.0\nc,4.0\n")
+        ds = load_csv(path, CAT_SCHEMA, require_label=False)
+        assert ds.labels is None
+        assert ds.n_rows == 4
+        assert list(ds.columns) == ["x1", "color"]
 
     def test_label_optional_for_prediction_data(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x1,x2\n1.0,2.0\n")
@@ -163,6 +186,22 @@ class TestPreprocess:
         X = state.transform(new)
         assert np.array_equal(X[0, 1:], [0.0, 0.0])
 
+    def test_transform_matches_per_row_one_hot(self, tmp_path):
+        rng = np.random.default_rng(0)
+        colors = ["a", "b,c", "d", "e"]
+        train_rows = [f"{x},\"{rng.choice(colors[:3])}\",{x}" for x in rng.normal(size=40)]
+        train = load_csv(write_csv(tmp_path / "t.csv", "x1,color,y\n" + "\n".join(train_rows) + "\n"), CAT_SCHEMA)
+        state = PreprocessState.fit(train)
+        new_rows = [f"{x},\"{rng.choice(colors)}\"" for x in rng.normal(size=60)]
+        new = load_csv(write_csv(tmp_path / "n.csv", "x1,color\n" + "\n".join(new_rows) + "\n"), CAT_SCHEMA, False)
+        assert "e" in new.columns["color"] and "e" not in state.encoding["color"]
+        reference = np.zeros((new.n_rows, 4))
+        reference[:, 0] = (new.columns["x1"] - state.continuous_stats["x1"][0]) / state.continuous_stats["x1"][1]
+        for i, color in enumerate(new.columns["color"]):
+            if color in state.encoding["color"]:
+                reference[i, 1 + state.encoding["color"][color]] = 1.0
+        assert np.array_equal(state.transform(new), reference)
+
     def test_zero_variance_column_flagged(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x1,x2,y\n5.0,1.0,0.0\n5.0,2.0,1.0\n5.0,3.0,2.0\n")
         ds = load_csv(path, SCHEMA)
@@ -189,8 +228,21 @@ class TestTrainTestSplit:
         train, test = train_test_split(synth.dataset, 0.2, seed=6)
         assert train.n_rows == 8
         assert test.n_rows == 2
-        all_x = np.concatenate([train.continuous["x1"], test.continuous["x1"]])
-        assert np.array_equal(np.sort(all_x), np.sort(synth.dataset.continuous["x1"]))
+        all_x = np.concatenate([train.columns["x1"], test.columns["x1"]])
+        assert np.array_equal(np.sort(all_x), np.sort(synth.dataset.columns["x1"]))
+
+    def test_categorical_rows_stay_whole(self):
+        n = 50
+        x1 = np.arange(n, dtype=float)
+        color = np.array([f"c{i % 7}" for i in range(n)], dtype=object)
+        ds = Dataset(CAT_SCHEMA, {"x1": x1, "color": color, "y": -x1})
+        train, test = train_test_split(ds, 0.3, seed=9)
+        assert (train.n_rows, test.n_rows) == (35, 15)
+        for part in (train, test):
+            rows = part.columns["x1"].astype(int)
+            assert part.columns["color"].tolist() == [f"c{i % 7}" for i in rows]
+            assert np.array_equal(part.labels, -part.columns["x1"])
+        assert sorted(np.concatenate([train.columns["x1"], test.columns["x1"]])) == x1.tolist()
 
     def test_determinism(self):
         synth = generate_synthetic(SynthSpec(n=50, d=1, seed=7))
@@ -217,7 +269,7 @@ class TestGenerator:
     def test_per_region_stds(self):
         spec = SynthSpec(n=100_000, d=2, sigma_low=0.1, sigma_high=1.0, seed=11)
         synth = generate_synthetic(spec)
-        x_boundary = synth.dataset.continuous["x1"]
+        x_boundary = synth.dataset.columns["x1"]
         residual = synth.dataset.labels - synth.f_true
         low = residual[x_boundary <= 0]
         high = residual[x_boundary > 0]
@@ -251,6 +303,6 @@ class TestGenerator:
             mean_high="sine", seed=14,
         )
         synth = generate_synthetic(spec)
-        x_boundary = synth.dataset.continuous["x1"]
+        x_boundary = synth.dataset.columns["x1"]
         assert np.all(synth.sigma_true[x_boundary <= 0] == 0.3)
         assert np.all(synth.sigma_true[x_boundary > 0] == 0.9)

@@ -5,6 +5,7 @@ import base64
 import copy
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from usnrt.model_io import (
 from usnrt.nn_core import Activation, Mlp
 from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel, predict_arrays
 
-from conftest import width3_member
+from conftest import width3_member, with_color
 
 WIDTH = 2
 
@@ -135,6 +136,10 @@ def _set_first(net, block, value):
             ),
             "duplicate column names",
         ),
+        ("hnn", lambda p: p["preprocess"]["continuous_stats"].pop("x1"), "continuous_stats does not name exactly"),
+        ("hnn", lambda p: with_color(p, {"a": 0, "b": 1, "c": 7}), r"'color': slots are not 0\.\.2 in order"),
+        ("hnn", lambda p: with_color(p, {"a": 0, "b,c": 0, "d": 2}), r"'color': slots are not 0\.\.2 in order"),
+        ("hnn", lambda p: with_color(p, {"a": 1, "b,c": 0, "d": 2}), r"'color': slots are not 0\.\.2 in order"),
     ],
     ids=[
         "feature-index-too-large",
@@ -169,6 +174,10 @@ def _set_first(net, block, value):
         "feature-std-zero",
         "feature-std-negative",
         "schema-name-twice",
+        "stats-without-a-feature",
+        "slot-out-of-range",
+        "slot-repeated",
+        "slots-out-of-order",
     ],
 )
 def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):
@@ -180,13 +189,33 @@ def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, co
     corrupt(payload)
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match=message):
-        load_model(path, expect_kind=kind)
+        load_model(path)
+
+
+def test_categorical_state_with_slots_0_to_k_loads(hnn_model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(hnn_model, path)
+    path.write_text(json.dumps(with_color(json.loads(path.read_text()), {"a": 0, "b,c": 1, "d": 2})))
+    assert load_model(path).preprocess.encoded_feature_names == ["x1", "color=a", "color=b,c", "color=d"]
+
+
+def test_tree_deeper_than_recursion_limit_rejected(usnrt_model, tmp_path):
+    """A well-formed left spine of splits too deep to decode recursively."""
+    path = tmp_path / "model.json"
+    save_model(usnrt_model, path)
+    payload = json.loads(path.read_text())
+    split, leaf = _internal(payload), _leaves(payload)[0]
+    depth = 2 * sys.getrecursionlimit()
+    payload["nodes"] = [split] * depth + [{**leaf, "region_id": i} for i in range(1, depth + 2)]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="RecursionError"):
+        load_model(path)
 
 
 def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
     path = tmp_path / "model.json"
     save_model(usnrt_model, path)
-    clone = load_model(path, expect_kind="usnrt")
+    clone = load_model(path)
     assert (clone.depth, clone.leaf_count) == (2, 3)
     for got, want in zip(predict_arrays(clone, X), predict_arrays(usnrt_model, X)):
         assert np.array_equal(got, want)

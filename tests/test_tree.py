@@ -423,7 +423,7 @@ class TestSerialization:
         model = build(X, y, small_cfg(n_min=600, seed=18))
         path = tmp_path / "model.json"
         save_model(model, path)
-        clone = load_model(path, expect_kind="usnrt")
+        clone = load_model(path)
         mu_a, s_a = predict_arrays(model, X)
         mu_b, s_b = predict_arrays(clone, X)
         assert np.array_equal(mu_a, mu_b)
@@ -439,7 +439,7 @@ class TestSerialization:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(ModelFormatError):
-            load_model(path, expect_kind="usnrt")
+            load_model(path)
 
     def test_version_mismatch(self, tmp_path, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
@@ -450,7 +450,7 @@ class TestSerialization:
         payload["format_version"] = 99
         path.write_text(json.dumps(payload))
         with pytest.raises(ModelFormatError, match="version"):
-            load_model(path, expect_kind="usnrt")
+            load_model(path)
 
 
 class TestRootSplitScatter:
