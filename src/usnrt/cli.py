@@ -79,11 +79,11 @@ def _write_columns(path: Path, columns: dict) -> None:
         fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
-def _out_dir(args, command: str) -> Path:
+def _out_dir(args) -> Path:
     if args.out:
         out = Path(args.out)
     else:
-        out = Path(os.environ.get(OUT_ROOT_ENV, "usnrt_runs")) / command
+        out = Path(os.environ.get(OUT_ROOT_ENV, "usnrt_runs")) / args.command
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -119,8 +119,10 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
-def _echo_config(out: Path, command: str, settings: dict) -> None:
-    _write_json(out / "config.json", {"command": command, **settings})
+def _echo_config(out: Path, args, settings: dict) -> None:
+    """config.json: the command, its resolved settings and the files it read."""
+    paths = {key: str(getattr(args, key)) for key in ("model", "data", "schema") if hasattr(args, key)}
+    _write_json(out / "config.json", {"command": args.command, **settings, **paths})
 
 
 # Settings key of a config field, where it is not the field name.
@@ -217,9 +219,8 @@ _SIGMA_KEYS = ("sigma_low", "sigma_high")
 
 
 def cmd_synth(args) -> int:
-    out = _out_dir(args, "synth")
+    out = _out_dir(args)
     flags = {key: value for key, value in vars(args).items() if key in _SYNTH_DEFAULTS}
-    flags["seed"] = args.seed[0] if args.seed else None
     settings = _resolved(_SYNTH_DEFAULTS, _load_config_file(args.config), flags)
     spec = SynthSpec(**{**settings, **{key: _parse_sigma(settings[key]) for key in _SIGMA_KEYS}})
     result = generate_synthetic(spec)
@@ -228,16 +229,14 @@ def cmd_synth(args) -> int:
     _write_columns(out / "data.csv", dataset.columns)
     _write_columns(out / "truth.csv", {"f_true": result.f_true, "sigma_true": result.sigma_true})
     dataset.schema.to_file(out / "schema.json")
-    _echo_config(out, "synth", {**settings, **{key: str(settings[key]) for key in _SIGMA_KEYS}})
+    _echo_config(out, args, {**settings, **{key: str(settings[key]) for key in _SIGMA_KEYS}})
     print(f"wrote {dataset.n_rows} rows to {out / 'data.csv'}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    out = _out_dir(args, "train")
-    settings = _train_settings(
-        args, "train", seed=args.seed[0] if args.seed else None, model_kind=args.model_kind
-    )
+    out = _out_dir(args)
+    settings = _train_settings(args, "train", seed=args.seed, model_kind=args.model_kind)
     seed, kind = coerce_value("seed", settings["seed"], "int"), settings["model_kind"]
     if kind not in MODEL_KINDS:
         raise _UsageError(f"unknown model kind {kind!r}")
@@ -254,22 +253,13 @@ def cmd_train(args) -> int:
         _write_json(out / "tree_summary.json", tree.describe(model))
         message = f"trained usnrt: depth {model.depth}, {model.leaf_count} leaves -> {model_path}"
     _write_json(out / "train_log.json", model.train_log)
-    _echo_config(
-        out,
-        "train",
-        {
-            **settings,
-            "seed": seed,
-            "data": str(args.data),
-            "schema": str(args.schema),
-        },
-    )
+    _echo_config(out, args, {**settings, "seed": seed})
     print(message)
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    out = _out_dir(args, "evaluate")
+    out = _out_dir(args)
     model = load_model(args.model)
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema)
@@ -283,11 +273,7 @@ def cmd_evaluate(args) -> int:
     _write_json(out / "metrics.json", payload)
     expected, error = zip(*report.curve)
     _write_columns(out / "curve.csv", {"expected_probability": expected, "calibration_error": error})
-    _echo_config(
-        out,
-        "evaluate",
-        {"model": str(args.model), "data": str(args.data), "original_units": bool(args.original_units)},
-    )
+    _echo_config(out, args, {"original_units": bool(args.original_units)})
     print(
         f"n_test={report.n_test} ece={report.ece:.4f} tce={report.tce:.4f} "
         f"sharpness={report.sharpness:.4f}"
@@ -296,56 +282,47 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out = _out_dir(args, "predict")
+    out = _out_dir(args)
     model = load_model(args.model)
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema, require_label=False)
     X = state.transform(dataset)
     mu, sigma = model.predict_arrays(X)
     _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
-    _echo_config(out, "predict", {"model": str(args.model), "data": str(args.data)})
+    _echo_config(out, args, {})
     print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
     return EXIT_OK
 
 
-def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction: float):
-    """One row per (model kind, seed) plus a mean row per kind.
+def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction: float) -> dict[str, list]:
+    """The comparison table as {header: column}: one row per (seed, model
+    kind), seed-major, then a mean row per kind over that kind's rows.
 
     Each seed redraws the 80/20 split; every kind trains on identical
     preprocessed data within a seed, so the comparison is apples to apples.
     """
-    rows = []
+    scores = ("ece", "tce", "sharpness")
+    table = {"model": [], "seed": [], **{key: [] for key in scores}}
+
+    def add(*row):
+        for column, value in zip(table.values(), row):
+            column.append(value)
+
     for seed in seeds:
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
         X, y, state = fit_transform(train)
         for kind in kinds:
-            model = _fit_model(kind, X, y, state, settings, seed)
-            report, _ = _evaluate(model, test)
-            rows.append(
-                {
-                    "model": kind,
-                    "seed": seed,
-                    "ece": report.ece,
-                    "tce": report.tce,
-                    "sharpness": report.sharpness,
-                }
-            )
+            report, _ = _evaluate(_fit_model(kind, X, y, state, settings, seed), test)
+            add(kind, seed, *(getattr(report, key) for key in scores))
+    cells = {key: np.array(table[key]) for key in ("model", *scores)}
     for kind in kinds:
-        per_kind = [r for r in rows if r["model"] == kind and r["seed"] != "mean"]
-        rows.append(
-            {
-                "model": kind,
-                "seed": "mean",
-                "ece": float(np.mean([r["ece"] for r in per_kind])),
-                "tce": float(np.mean([r["tce"] for r in per_kind])),
-                "sharpness": float(np.mean([r["sharpness"] for r in per_kind])),
-            }
-        )
-    return rows
+        rows = cells["model"] == kind
+        add(kind, "mean", *(float(np.mean(cells[key][rows])) for key in scores))
+    return table
 
 
 def cmd_benchmark(args) -> int:
-    out = _out_dir(args, "benchmark")
+    out = _out_dir(args)
     settings = _train_settings(
         args, "benchmark", seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction
     )
@@ -361,36 +338,25 @@ def cmd_benchmark(args) -> int:
 
     schema = Schema.from_file(args.schema)
     dataset = load_csv(args.data, schema)
-    rows = run_benchmark(dataset, kinds, seeds, settings, test_fraction)
+    table = run_benchmark(dataset, kinds, seeds, settings, test_fraction)
 
-    columns = ("model", "seed", "ece", "tce", "sharpness")
-    _write_columns(out / "benchmark.csv", {key: [r[key] for r in rows] for key in columns})
+    _write_columns(out / "benchmark.csv", table)
     lines = [f"{'model':<10} {'seed':>6} {'ece':>10} {'tce':>10} {'sharpness':>10}"]
-    for r in rows:
-        lines.append(
-            f"{r['model']:<10} {str(r['seed']):>6} {r['ece']:>10.4f} {r['tce']:>10.4f} "
-            f"{r['sharpness']:>10.4f}"
-        )
+    lines += [
+        f"{kind:<10} {str(seed):>6} {ece:>10.4f} {tce:>10.4f} {sharpness:>10.4f}"
+        for kind, seed, ece, tce, sharpness in zip(*table.values())
+    ]
     with atomic_write(out / "benchmark.txt") as fh:
         fh.write("\n".join(lines) + "\n")
     _echo_config(
-        out,
-        "benchmark",
-        {
-            **settings,
-            "seeds": seeds,
-            "model_kinds": kinds,
-            "test_fraction": test_fraction,
-            "data": str(args.data),
-            "schema": str(args.schema),
-        },
+        out, args, {**settings, "seeds": seeds, "model_kinds": kinds, "test_fraction": test_fraction}
     )
     print("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_inspect(args) -> int:
-    out = _out_dir(args, "inspect")
+    out = _out_dir(args)
     model = load_model(args.model)
     if model.model_kind != "usnrt":
         raise _UsageError("inspect applies to usnrt models")
@@ -420,11 +386,10 @@ def cmd_inspect(args) -> int:
             f"{scatter.threshold:.6g}"
         )
 
-    rows = tree.leaf_report(model, X, dataset.labels)
-    columns = {f.name: [getattr(r, f.name) for r in rows] for f in fields(tree.LeafReportRow)}
-    _write_columns(out / "leaf_report.csv", columns)
-    _echo_config(out, "inspect", {"model": str(args.model), "data": str(args.data)})
-    print(f"{len(rows)} leaf regions -> {out / 'leaf_report.csv'}")
+    report = tree.leaf_report(model, X, dataset.labels)
+    _write_columns(out / "leaf_report.csv", report)
+    _echo_config(out, args, {})
+    print(f"{len(report['region_id'])} leaf regions -> {out / 'leaf_report.csv'}")
     return EXIT_OK
 
 
@@ -433,10 +398,21 @@ def cmd_inspect(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_common(parser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
+class _Once(argparse.Action):
+    """Store a flag's value, refusing the flag a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given once")
+        setattr(namespace, self.dest, values)
+
+
+def _add_common(parser, seed_action=None) -> None:
+    """--out; with a seed_action (_Once, or "append" for a repeatable seed) also --config and --seed."""
     parser.add_argument("--out", help=f"output directory (default ${OUT_ROOT_ENV}/<command>)")
+    if seed_action:
+        parser.add_argument("--config", help="JSON config file; flags override its values")
+        parser.add_argument("--seed", type=int, action=seed_action, help="seed")
 
 
 def _add_tree_flags(parser) -> None:
@@ -455,7 +431,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic heteroscedastic dataset")
-    _add_common(p)
+    _add_common(p, _Once)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--boundary-feature", type=int)
@@ -466,7 +442,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train a model on a labelled CSV")
-    _add_common(p)
+    _add_common(p, _Once)
     _add_tree_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
@@ -492,7 +468,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("benchmark", help="multi-seed train/test comparison table")
-    _add_common(p)
+    _add_common(p, "append")
     _add_tree_flags(p)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)

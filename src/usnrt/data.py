@@ -113,11 +113,6 @@ class Dataset:
     def n_rows(self) -> int:
         return len(next(iter(self.columns.values()), ()))
 
-    @property
-    def d_raw(self) -> int:
-        """Feature count before one-hot encoding."""
-        return len(self.schema.feature_columns)
-
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=int)
         return Dataset(self.schema, {name: values[idx] for name, values in self.columns.items()})
@@ -307,8 +302,9 @@ class PreprocessState:
         """The state of a to_dict block: the schema as [name, kind] pairs in
         column order (a name -> kind mapping in model format versions 1 and 2),
         stats for exactly the continuous features, finite, every std positive
-        unless its column is constant, and an encoding of exactly the
-        categorical features, each numbering its k categories 0..k-1 in order."""
+        but those of the columns listed as constant, which are 0, and an
+        encoding of exactly the categorical features, each numbering its k
+        categories 0..k-1 in order."""
         pairs = payload["schema"]
         if isinstance(pairs, dict):
             pairs = pairs.items()
@@ -338,6 +334,8 @@ class PreprocessState:
                 raise DataError(f"encoding of {name!r}: slots are not 0..{len(slots) - 1} in order")
         for name, (mean, std) in state.continuous_stats.items():
             _check_stats(f"continuous column {name!r}", mean, std, name in state.constant_columns)
+        if set(state.constant_columns) != {k for k, (_, std) in state.continuous_stats.items() if std == 0.0}:
+            raise DataError("constant_columns must name exactly the continuous features whose std is 0")
         _check_stats("label", state.label_mean, state.label_std, constant=False)
         return state
 

@@ -24,6 +24,7 @@ __all__ = [
     "TAIL_LEVELS",
     "calibration_curve",
     "compute_report",
+    "coverage",
     "ece",
     "predicted_quantile",
     "sharpness",
@@ -67,6 +68,14 @@ def predicted_quantile(mu, sigma, tau):
     return mu + sigma * _normal_inverse_cdf(tau)
 
 
+def coverage(mu, sigma, y, tau: float = 0.05) -> float:
+    """Share of y strictly inside (q_tau, q_{1-tau}), the central 1 - 2 tau
+    interval (90% at the default tau). Inputs are not validated."""
+    lower = predicted_quantile(mu, sigma, tau)
+    upper = predicted_quantile(mu, sigma, 1.0 - tau)
+    return float(np.mean((lower < y) & (y < upper)))
+
+
 def _validate(sigma, *vectors):
     """sigma and the vectors beside it (mu, y) as float arrays of one nonzero
     length. Every sigma must be > 0, which NaN fails."""
@@ -88,11 +97,8 @@ def _ece(mu, sigma, y) -> float:
 
 
 def _interval_error(mu, sigma, y, tau: float) -> float:
-    """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|, strict bounds."""
-    lower = predicted_quantile(mu, sigma, tau)
-    upper = predicted_quantile(mu, sigma, 1.0 - tau)
-    coverage = float(np.mean((lower < y) & (y < upper)))
-    return 100.0 * abs(coverage - (1.0 - 2.0 * tau))
+    """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|."""
+    return 100.0 * abs(coverage(mu, sigma, y, tau) - (1.0 - 2.0 * tau))
 
 
 def _tce(mu, sigma, y) -> float:

@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from . import model_io
+from . import metrics, model_io
 from .data import PreprocessState
 from .nn_core import (
     Activation,
@@ -36,7 +36,6 @@ from .stats import DegenerateVarianceError, levene_statistic, levene_test
 __all__ = [
     "InternalNode",
     "LeafNode",
-    "LeafReportRow",
     "RootSplitScatter",
     "SplitCandidate",
     "TreeBuildError",
@@ -198,13 +197,6 @@ class UsnrtModel:
         for leaf in leaves:
             model_io.check_networks(f"leaf {leaf.region_id}", width, leaf.mean_net, leaf.sigma_net)
         return model
-
-
-@dataclass(frozen=True)
-class LeafReportRow:
-    region_id: int
-    count: int
-    residual_std: float | None
 
 
 @dataclass
@@ -492,23 +484,35 @@ def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
     return regions
 
 
-def leaf_report(model: UsnrtModel, X, y) -> list[LeafReportRow]:
-    """Residual standard deviation per leaf region on labelled data.
+# leaf_report's statistics of (mu, sigma, y) on a leaf's rows: the residual
+# RMS, the mean sigma, the std of z = (y - mu) / sigma, the share of rows
+# inside the central 90% interval, and the TCE.
+_LEAF_STATS = {
+    "residual_std": lambda mu, sigma, y: float(np.sqrt(np.mean((y - mu) * (y - mu)))),
+    "sigma_mean": lambda mu, sigma, y: float(np.mean(sigma)),
+    "z_std": lambda mu, sigma, y: float(np.std((y - mu) / sigma)),
+    "coverage_90": metrics.coverage,
+    "tce": metrics.tce,
+}
 
-    y is in original label units; residuals are taken against the model's
-    (denormalised) mean predictions. Empty regions report count 0 with the
-    std absent.
+
+def leaf_report(model: UsnrtModel, X, y) -> dict[str, list]:
+    """Per-leaf residual spread and calibration on labelled data, as columns
+    {header: list}: one entry per leaf in preorder, its region_id and row
+    count, then each _LEAF_STATS entry on its rows (None for an empty leaf).
+
+    y is in original label units, as are the denormalised mu and sigma.
     """
     X = model_io.check_features(X, _model_width(model))
     y = np.asarray(y, dtype=float)
     if y.shape != (X.shape[0],):
         raise ValueError("y must be a vector matching the rows of X")
-    residual = y - predict_arrays(model, X)[0]
-    rows: list[LeafReportRow] = []
-    for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
-        std = float(np.sqrt(np.mean(residual[idx] * residual[idx]))) if idx.size else None
-        rows.append(LeafReportRow(region_id=leaf.region_id, count=int(idx.size), residual_std=std))
-    return rows
+    mu, sigma = predict_arrays(model, X)
+    routes = _route(model.root, X, np.arange(X.shape[0]))
+    report = {"region_id": [leaf.region_id for leaf, _ in routes], "count": [idx.size for _, idx in routes]}
+    for key, stat in _LEAF_STATS.items():
+        report[key] = [stat(mu[idx], sigma[idx], y[idx]) if idx.size else None for _, idx in routes]
+    return report
 
 
 def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:

@@ -510,7 +510,7 @@ def test_ac12_uci_electrical_spot_check():
     schema = Schema.from_mapping(mapping)
     dataset = load_csv(path, schema)
     assert dataset.n_rows == 10_000
-    assert dataset.d_raw == 12
+    assert len(dataset.schema.feature_columns) == 12
 
     train, test = train_test_split(dataset, 0.2, seed=0)
     state = PreprocessState.fit(train)

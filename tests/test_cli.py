@@ -20,8 +20,9 @@ from usnrt.cli import (
     main,
     run_benchmark,
 )
-from usnrt import tree
+from usnrt import cli, tree
 from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
+from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import Mlp, TrainConfig
 
@@ -110,7 +111,7 @@ class TestSynth:
         schema = Schema.from_file(synth_dir / "schema.json")
         ds = load_csv(synth_dir / "data.csv", schema)
         assert ds.n_rows == 1200
-        assert ds.d_raw == 2
+        assert len(ds.schema.feature_columns) == 2
 
 
 class TestTrain:
@@ -276,7 +277,7 @@ class TestInspect:
         )
         assert code == EXIT_OK
         leaf_lines = (out / "leaf_report.csv").read_text().strip().splitlines()
-        assert leaf_lines[0] == "region_id,count,residual_std"
+        assert leaf_lines[0] == "region_id,count,residual_std,sigma_mean,z_std,coverage_90,tce"
         counts = [int(line.split(",")[1]) for line in leaf_lines[1:]]
         assert sum(counts) == 1200
         scatter_lines = (out / "root_split.csv").read_text().strip().splitlines()
@@ -295,6 +296,18 @@ class TestInspect:
         right = sq[split_vals > threshold]
         ratio = max(left.mean(), right.mean()) / min(left.mean(), right.mean())
         assert ratio > 4.0
+
+    def test_leaf_report_keys_are_the_csv_header(self, trained_dir, synth_dir, tmp_path):
+        out = tmp_path / "inspect"
+        argv = ["inspect", "--model", str(trained_dir / "model.json"), "--data", str(synth_dir / "data.csv")]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        model = load_model(trained_dir / "model.json")
+        dataset = load_csv(synth_dir / "data.csv", model.preprocess.schema)
+        report = tree.leaf_report(model, model.preprocess.transform(dataset), dataset.labels)
+        with open(out / "leaf_report.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(report)
+        assert [row[:2] for row in rows] == [[str(r), str(c)] for r, c in zip(report["region_id"], report["count"])]
 
     def test_single_leaf_model_reports_no_splits(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "single.json"
@@ -355,12 +368,57 @@ class TestBenchmark:
             "validation_fraction": 0.2, "patience": 5,
             "hnn_hidden": [8], "hnn_rounds": 1, "ensemble_members": 2,
         }
-        rows = run_benchmark(dataset, ["usnrt"], [0, 1, 2], settings, 0.2)
-        seed_rows = [r for r in rows if r["seed"] != "mean"]
-        mean_row = next(r for r in rows if r["seed"] == "mean")
+        table = run_benchmark(dataset, ["usnrt"], [0, 1, 2], settings, 0.2)
+        assert table["seed"] == [0, 1, 2, "mean"]
         for key in ("ece", "tce", "sharpness"):
-            expected = float(np.mean([r[key] for r in seed_rows]))
-            assert mean_row[key] == pytest.approx(expected, abs=1e-12)
+            expected = float(np.mean(table[key][:3]))
+            assert table[key][3] == pytest.approx(expected, abs=1e-12)
+
+
+    def test_table_is_columns_and_files_match_it(self, synth_dir, tmp_path, monkeypatch):
+        """Two kinds, two seeds, with each cell's scores fixed by hand: the
+        returned columns, benchmark.csv and benchmark.txt are the expected
+        table, mean rows included."""
+        scores = {
+            ("usnrt", 3): (1.5, 2.0, 10.0),
+            ("hnn", 3): (0.5, 1.0, 20.0),
+            ("usnrt", 5): (2.5, 3.0, 12.0),
+            ("hnn", 5): (1.0, 0.5, 22.5),
+        }
+        monkeypatch.setattr(cli, "_fit_model", lambda kind, X, y, state, settings, seed: (kind, seed))
+        monkeypatch.setattr(
+            cli, "_evaluate", lambda cell, test: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
+        )
+        dataset = load_csv(synth_dir / "data.csv", Schema.from_file(synth_dir / "schema.json"))
+        assert run_benchmark(dataset, ["usnrt", "hnn"], [3, 5], {}, 0.2) == {
+            "model": ["usnrt", "hnn", "usnrt", "hnn", "usnrt", "hnn"],
+            "seed": [3, 3, 5, 5, "mean", "mean"],
+            "ece": [1.5, 0.5, 2.5, 1.0, 2.0, 0.75],
+            "tce": [2.0, 1.0, 3.0, 0.5, 2.5, 0.75],
+            "sharpness": [10.0, 20.0, 12.0, 22.5, 11.0, 21.25],
+        }
+        out = tmp_path / "bench"
+        argv = ["benchmark", "--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        argv += ["--model-kind", "usnrt", "--model-kind", "hnn", "--seed", "3", "--seed", "5", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert (out / "benchmark.csv").read_text() == (
+            "model,seed,ece,tce,sharpness\n"
+            "usnrt,3,1.5,2.0,10.0\n"
+            "hnn,3,0.5,1.0,20.0\n"
+            "usnrt,5,2.5,3.0,12.0\n"
+            "hnn,5,1.0,0.5,22.5\n"
+            "usnrt,mean,2.0,2.5,11.0\n"
+            "hnn,mean,0.75,0.75,21.25\n"
+        )
+        assert (out / "benchmark.txt").read_text() == (
+            "model        seed        ece        tce  sharpness\n"
+            "usnrt           3     1.5000     2.0000    10.0000\n"
+            "hnn             3     0.5000     1.0000    20.0000\n"
+            "usnrt           5     2.5000     3.0000    12.0000\n"
+            "hnn             5     1.0000     0.5000    22.5000\n"
+            "usnrt        mean     2.0000     2.5000    11.0000\n"
+            "hnn          mean     0.7500     0.7500    21.2500\n"
+        )
 
 
 class TestBaselineKinds:
@@ -571,6 +629,34 @@ class TestExitCodes:
         assert not (out / "benchmark.csv").exists()
 
     @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("evaluate", ["--config", "cfg.json"]),
+            ("evaluate", ["--seed", "9"]),
+            ("predict", ["--config", "cfg.json"]),
+            ("predict", ["--seed", "9"]),
+            ("inspect", ["--config", "cfg.json"]),
+            ("inspect", ["--seed", "9"]),
+            ("train", ["--seed", "1", "--seed", "7"]),
+            ("synth", ["--seed", "1", "--seed", "7"]),
+        ],
+    )
+    def test_flag_a_command_does_not_read_exits_1(self, trained_dir, synth_dir, tmp_path, capsys, command, flags):
+        """A flag the command would ignore, or a second --seed where one seed
+        is used, is a usage error, and nothing is written."""
+        (tmp_path / "cfg.json").write_text("{}")
+        flags = [str(tmp_path / flag) if flag == "cfg.json" else flag for flag in flags]
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--n", "100"],
+            "train": ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")],
+        }.get(command, ["--model", str(trained_dir / "model.json"), "--data", str(synth_dir / "data.csv")])
+        assert main([command, *argv, *flags, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: usnrt") and flags[0] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, fault",
         [
             ("train", "huge-cell"),
@@ -631,6 +717,7 @@ class TestExitCodes:
             lambda p: _as_hnn(p)["preprocess"]["continuous_stats"].pop("x1"),
             lambda p: with_color(_as_hnn(p), {"a": 0, "b": 1, "c": 7}),
             lambda p: with_color(_as_hnn(p), {"a": 0, "b,c": 0, "d": 2}),
+            lambda p: _as_hnn(p)["preprocess"]["constant_columns"].append("x1"),
         ],
         ids=[
             "feature-index-too-large",
@@ -646,6 +733,7 @@ class TestExitCodes:
             "hnn-stats-without-a-feature",
             "hnn-slot-out-of-range",
             "hnn-slot-repeated",
+            "hnn-constant-column-with-positive-std",
         ],
     )
     def test_corrupt_model_predict_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, corrupt):

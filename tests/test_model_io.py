@@ -140,6 +140,8 @@ def _set_first(net, block, value):
         ("hnn", lambda p: with_color(p, {"a": 0, "b": 1, "c": 7}), r"'color': slots are not 0\.\.2 in order"),
         ("hnn", lambda p: with_color(p, {"a": 0, "b,c": 0, "d": 2}), r"'color': slots are not 0\.\.2 in order"),
         ("hnn", lambda p: with_color(p, {"a": 1, "b,c": 0, "d": 2}), r"'color': slots are not 0\.\.2 in order"),
+        ("hnn", lambda p: p["preprocess"]["constant_columns"].append("x1"), "constant_columns must name exactly"),
+        ("hnn", lambda p: p["preprocess"]["constant_columns"].append("color"), "constant_columns must name exactly"),
     ],
     ids=[
         "feature-index-too-large",
@@ -178,6 +180,8 @@ def _set_first(net, block, value):
         "slot-out-of-range",
         "slot-repeated",
         "slots-out-of-order",
+        "constant-column-with-positive-std",
+        "constant-column-not-a-feature",
     ],
 )
 def test_corrupt_file_rejected(usnrt_model, hnn_model, state, tmp_path, kind, corrupt, message):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from usnrt.data import SynthSpec, generate_synthetic
+from usnrt.metrics import coverage, sharpness, tce
 from usnrt.model_io import ModelFormatError, load_model, save_model
 from usnrt import tree as tree_module
 from usnrt.nn_core import (
@@ -386,24 +387,21 @@ class TestLeafReport:
         X = feature_matrix(synth.dataset)
         y = synth.dataset.labels
         model = build(X, y, small_cfg(n_min=2000, seed=15, train_cfg=fast_train_cfg(seed=15, max_epochs=150, patience=15)))
-        rows = leaf_report(model, X, y)
-        assert len(rows) == 1
-        assert rows[0].count == 2000
-        assert abs(rows[0].residual_std - 0.5) / 0.5 < 0.10
+        report = leaf_report(model, X, y)
+        assert report["count"] == [2000]
+        assert abs(report["residual_std"][0] - 0.5) / 0.5 < 0.10
 
     def test_piecewise_stds_straddle_truth(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=600, seed=16))
-        rows = leaf_report(model, X, y)
-        stds = [r.residual_std for r in rows]
+        stds = leaf_report(model, X, y)["residual_std"]
         assert min(stds) < 0.35
         assert max(stds) > 0.6
 
     def test_counts_partition_dataset(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
         model = build(X, y, small_cfg(n_min=400, seed=17))
-        rows = leaf_report(model, X, y)
-        assert sum(r.count for r in rows) == X.shape[0]
+        assert sum(leaf_report(model, X, y)["count"]) == X.shape[0]
 
     def test_empty_region_reported_absent(self):
         left = constant_leaf(1, 1, mean_value=0.0, sigma_bias=0.0)
@@ -411,10 +409,41 @@ class TestLeafReport:
         root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
         model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
         X = np.array([[-1.0], [-0.5]])  # everything routes left
-        rows = leaf_report(model, X, np.zeros(2))
-        assert rows[0].count == 2
-        assert rows[1].count == 0
-        assert rows[1].residual_std is None
+        report = leaf_report(model, X, np.zeros(2))
+        assert report["count"] == [2, 0]
+        assert report["residual_std"][1] is None
+
+
+    def test_calibration_columns_match_metrics_on_each_leaf(self):
+        """Every column of a hand-built two-leaf model is the statistic that
+        metrics computes on that leaf's rows alone; an empty leaf has None."""
+        left = constant_leaf(1, 2, mean_value=-1.0, sigma_bias=0.3)
+        right = constant_leaf(2, 2, mean_value=2.0, sigma_bias=1.5)
+        root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
+        model = UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
+        rng = np.random.default_rng(21)
+        X = rng.uniform(-1.0, 1.0, (500, 2))
+        on_left = X[:, 0] <= 0.0
+        y = np.where(on_left, -1.0, 2.0) + rng.normal(0.0, np.where(on_left, 0.4, 3.0))
+        report = leaf_report(model, X, y)
+        assert list(report) == ["region_id", "count", "residual_std", "sigma_mean", "z_std", "coverage_90", "tce"]
+        mu, sigma = predict_arrays(model, X)
+        for i, rows in enumerate((on_left, ~on_left)):
+            m, s, t = mu[rows], sigma[rows], y[rows]
+            expected = {
+                "region_id": i + 1,
+                "count": int(rows.sum()),
+                "residual_std": float(np.sqrt(np.mean((t - m) ** 2))),
+                "sigma_mean": sharpness(s) / 100.0,
+                "z_std": float(np.std((t - m) / s)),
+                "coverage_90": coverage(m, s, t, 0.05),
+                "tce": tce(m, s, t),
+            }
+            assert {key: column[i] for key, column in report.items()} == pytest.approx(expected, rel=1e-12)
+        # The two leaves differ in calibration, so a wrong row set would show.
+        assert report["coverage_90"][0] != report["coverage_90"][1]
+        empty = leaf_report(model, X[on_left], y[on_left])
+        assert [column[1] for column in empty.values()] == [2, 0, None, None, None, None, None]
 
 
 class TestSerialization:
