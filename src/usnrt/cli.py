@@ -154,11 +154,11 @@ _COMMAND_DEFAULTS = {
 }
 
 
-def _train_settings(args, command: str, **flags) -> dict:
+def _train_settings(args, **flags) -> dict:
     """Settings of train or benchmark: defaults < config file < the given
     flags and those of _add_tree_flags, whose argparse dests are their keys."""
     tree_flags = {key: value for key, value in vars(args).items() if key in _TRAIN_DEFAULTS}
-    defaults = {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS[command]}
+    defaults = {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS[args.command]}
     return _resolved(defaults, _load_config_file(args.config), {**tree_flags, **flags})
 
 
@@ -236,7 +236,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    settings = _train_settings(args, "train", seed=args.seed, model_kind=args.model_kind)
+    settings = _train_settings(args, seed=args.seed, model_kind=args.model_kind)
     seed, kind = coerce_value("seed", settings["seed"], "int"), settings["model_kind"]
     if kind not in MODEL_KINDS:
         raise _UsageError(f"unknown model kind {kind!r}")
@@ -323,9 +323,7 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
 
 def cmd_benchmark(args) -> int:
     out = _out_dir(args)
-    settings = _train_settings(
-        args, "benchmark", seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction
-    )
+    settings = _train_settings(args, seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction)
     seeds = coerce_value("seeds", settings["seeds"], "Sequence[int]")
     kinds = coerce_value("model_kinds", settings["model_kinds"], "Sequence[str]")
     for key, values in (("seeds", seeds), ("model_kinds", kinds)):
