@@ -13,6 +13,7 @@ from .nn_core import (
     Activation,
     Mlp,
     TrainConfig,
+    TrainingError,
     average_nll,
     default_hidden,
     derived_seed,
@@ -128,7 +129,8 @@ def train_hnn(
     under the Gaussian NLL with per-sample sigmas frozen, followed by the
     sigma network with the mean frozen. Two rounds total by default, early
     stopping inside every phase. cfg.seed drives all initialisation, splits,
-    and shuffles.
+    and shuffles. A phase that cannot train raises TrainingError naming the
+    round and the phase.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -160,8 +162,13 @@ def train_hnn(
         # One derived seed per round: the sigma phase then validates on the
         # rows held out of the mean phase, keeping its early stopping honest.
         phase_cfg = replace(cfg, seed=derived_seed(base, 3, rnd))
-        _, mean_log = train_nll_fixed_sigma(mean_net, sigma_values, X, y, phase_cfg)
-        _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, y, phase_cfg)
+        try:
+            phase = "mean"
+            _, mean_log = train_nll_fixed_sigma(mean_net, sigma_values, X, y, phase_cfg)
+            phase = "sigma"
+            _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, y, phase_cfg)
+        except (TrainingError, ValueError) as exc:
+            raise TrainingError(f"hnn round {rnd}, {phase} phase: {exc}") from exc
         sigma_values = predict_sigma(sigma_net, X)
         mu_monitor = mean_net.forward(X[monitor])[:, 0]
         round_val_nll.append(average_nll(y[monitor], mu_monitor, sigma_values[monitor]))

@@ -94,7 +94,7 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
@@ -329,6 +329,8 @@ def cmd_benchmark(args) -> int:
     for key, values in (("seeds", seeds), ("model_kinds", kinds)):
         if not values:
             raise _UsageError(f"{key} must not be empty")
+        if len(set(values)) < len(values):
+            raise _UsageError(f"{key} must not repeat an entry")
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise _UsageError(f"unknown model kind {kind!r}")

@@ -83,7 +83,7 @@ class Schema:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read schema file {path}: {exc}") from exc
         if not isinstance(raw, dict):
             raise DataError("schema file must hold a column-name to kind mapping")
@@ -131,7 +131,7 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: file is empty")

@@ -38,8 +38,6 @@ TAIL_LEVELS = (0.05, 0.10, 0.15, 0.20)
 # Tail levels behind the probability-wise curve (expected coverage 0.9..0.1).
 _CURVE_TAIL_GRID = tuple(k for k in range(5, 50, 5))
 
-_normal_inverse_cdf = np.vectorize(normal_inverse_cdf, otypes=[float])
-
 
 @dataclass
 class MetricsReport:
@@ -62,10 +60,9 @@ class MetricsReport:
 
 
 def predicted_quantile(mu, sigma, tau):
-    """Conditional tau-quantile mu + sigma * PhiInv(tau) under the Gaussian
-    assumption. tau is a level or a sequence of levels, whose PhiInv values
-    broadcast against mu and sigma. Inputs are not validated."""
-    return mu + sigma * _normal_inverse_cdf(tau)
+    """Gaussian tau-quantile mu + sigma * PhiInv(tau) for one level tau in
+    (0, 1). mu and sigma (scalars or arrays) are not validated."""
+    return mu + sigma * normal_inverse_cdf(tau)
 
 
 def coverage(mu, sigma, y, tau: float = 0.05) -> float:
@@ -90,30 +87,9 @@ def _validate(sigma, *vectors):
     return (sigma, *vectors)
 
 
-def _ece(mu, sigma, y) -> float:
-    quantiles = predicted_quantile(mu[:, None], sigma[:, None], QUANTILE_LEVELS)
-    observed = (y[:, None] < quantiles).mean(axis=0)
-    return 100.0 * float(np.mean(np.abs(observed - np.array(QUANTILE_LEVELS))))
-
-
 def _interval_error(mu, sigma, y, tau: float) -> float:
     """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|."""
     return 100.0 * abs(coverage(mu, sigma, y, tau) - (1.0 - 2.0 * tau))
-
-
-def _tce(mu, sigma, y) -> float:
-    return float(np.mean([_interval_error(mu, sigma, y, tau) for tau in TAIL_LEVELS]))
-
-
-def _sharpness(sigma) -> float:
-    return 100.0 * float(np.mean(sigma))
-
-
-def _curve(mu, sigma, y) -> list[tuple[float, float]]:
-    return [
-        ((100 - 2 * k) / 100.0, _interval_error(mu, sigma, y, k / 100.0))
-        for k in reversed(_CURVE_TAIL_GRID)
-    ]
 
 
 def ece(mu, sigma, y) -> float:
@@ -123,20 +99,21 @@ def ece(mu, sigma, y) -> float:
     the result is 100 times the mean absolute gap.
     """
     sigma, mu, y = _validate(sigma, mu, y)
-    return _ece(mu, sigma, y)
+    observed = [np.mean(y < predicted_quantile(mu, sigma, tau)) for tau in QUANTILE_LEVELS]
+    return 100.0 * float(np.mean(np.abs(np.array(observed) - np.array(QUANTILE_LEVELS))))
 
 
 def tce(mu, sigma, y) -> float:
     """Tail-interval calibration error: mean coverage gap of the central
     90/80/70/60% intervals."""
     sigma, mu, y = _validate(sigma, mu, y)
-    return _tce(mu, sigma, y)
+    return float(np.mean([_interval_error(mu, sigma, y, tau) for tau in TAIL_LEVELS]))
 
 
 def sharpness(sigma) -> float:
     """100 times the mean predicted standard deviation (smaller is sharper)."""
     (sigma,) = _validate(sigma)
-    return _sharpness(sigma)
+    return 100.0 * float(np.mean(sigma))
 
 
 def calibration_curve(mu, sigma, y) -> list[tuple[float, float]]:
@@ -146,16 +123,18 @@ def calibration_curve(mu, sigma, y) -> list[tuple[float, float]]:
     probability. The four entries at 0.6..0.9 average to the TCE.
     """
     sigma, mu, y = _validate(sigma, mu, y)
-    return _curve(mu, sigma, y)
+    return [
+        ((100 - 2 * k) / 100.0, _interval_error(mu, sigma, y, k / 100.0))
+        for k in reversed(_CURVE_TAIL_GRID)
+    ]
 
 
 def compute_report(mu, sigma, y) -> MetricsReport:
-    """All four metrics from one validation of the inputs."""
-    sigma, mu, y = _validate(sigma, mu, y)
+    """All four metrics, each from its public function, which validates."""
     return MetricsReport(
-        ece=_ece(mu, sigma, y),
-        tce=_tce(mu, sigma, y),
-        sharpness=_sharpness(sigma),
-        curve=_curve(mu, sigma, y),
-        n_test=int(y.shape[0]),
+        ece=ece(mu, sigma, y),
+        tce=tce(mu, sigma, y),
+        sharpness=sharpness(sigma),
+        curve=calibration_curve(mu, sigma, y),
+        n_test=len(y),
     )

@@ -177,7 +177,7 @@ def read_payload(path) -> dict:
             payload = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"model file {path} is corrupt or truncated: {exc}") from exc
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not hold a model document")

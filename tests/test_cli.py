@@ -15,6 +15,7 @@ from usnrt.cli import (
     _TRAIN_DEFAULTS,
     EXIT_DATA,
     EXIT_OK,
+    EXIT_TRAINING,
     EXIT_USAGE,
     _write_columns,
     main,
@@ -627,6 +628,69 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {key} must not be empty\n"
         assert not (out / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, flags, config",
+        [
+            ("seeds", ["--seed", "0", "--seed", "0", "--model-kind", "hnn"], {}),
+            ("model_kinds", ["--model-kind", "hnn", "--model-kind", "hnn", "--seed", "0"], {}),
+            ("seeds", [], {"seeds": [0, 0], "model_kinds": ["hnn"]}),
+            ("model_kinds", [], {"model_kinds": ["hnn", "hnn"], "seeds": [0]}),
+        ],
+    )
+    def test_repeated_benchmark_entry_exits_1(self, synth_dir, tmp_path, capsys, key, flags, config):
+        """A kind or seed listed twice, by flags or in the config file, is a
+        usage error: no cell is trained or written twice."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**FAST, **config}))
+        out = tmp_path / "out"
+        argv = ["benchmark", "--config", str(cfg), "--out", str(out), *flags]
+        argv += ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {key} must not repeat an entry\n"
+        assert not (out / "benchmark.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["usnrt", "hnn", "ensemble"])
+    def test_too_few_training_rows_exits_3(self, synth_dir, tmp_path, capsys, kind):
+        """Every model kind reports a file too small for a validation split
+        as a training failure."""
+        lines = (synth_dir / "data.csv").read_text().splitlines(keepends=True)
+        data = tmp_path / "six_rows.csv"
+        data.write_text("".join(lines[:7]))
+        out = tmp_path / "out"
+        argv = ["train", "--model-kind", kind, "--out", str(out)]
+        argv += ["--data", str(data), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err.startswith("training error: ")
+        assert err.endswith(": need at least 10 rows for a 20% validation split, got 6\n")
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "kind, key", [("hnn", "hnn_rounds"), ("ensemble", "hnn_rounds"), ("ensemble", "ensemble_members")]
+    )
+    def test_zero_rounds_or_members_exits_1(self, synth_dir, tmp_path, capsys, kind, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_kind": kind, key: 0}))
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        argv += ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_USAGE
+        assert re.fullmatch(r"error: (rounds|n_members) must be at least 1\n", capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flag", ["--data", "--schema", "--config", "--model"])
+    def test_file_that_is_not_utf8_exits_2(self, synth_dir, tmp_path, capsys, flag):
+        """A data, schema, config or model file that is not UTF-8 is a data
+        error naming the file."""
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"x1,x2,y\n\xe9,0.5,1.0\n")
+        paths = {"--data": synth_dir / "data.csv", "--schema": synth_dir / "schema.json", flag: bad}
+        if flag == "--model":
+            argv = ["predict", "--model", str(bad), "--data", str(paths["--data"])]
+        else:
+            argv = ["train", *(arg for key, path in paths.items() for arg in (key, str(path)))]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(bad) in err
 
     @pytest.mark.parametrize(
         "command, flags",

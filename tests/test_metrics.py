@@ -1,6 +1,8 @@
 """Calibration metric tests: closed forms, strictness conventions, a direct
 counting oracle, and invariance properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +159,41 @@ class TestOracle:
         assert sharpness(preds[1]) == pytest.approx(100.0 * sigma.mean(), abs=1e-12)
 
 
+def broadcast_ece(mu, sigma, y):
+    """ECE by one (rows x 99) broadcast over every level at once: the
+    reference that ece, which goes level by level, matches bit for bit."""
+    z = np.vectorize(normal_inverse_cdf, otypes=[float])(QUANTILE_LEVELS)
+    quantiles = mu[:, None] + sigma[:, None] * z
+    observed = (y[:, None] < quantiles).mean(axis=0)
+    return 100.0 * float(np.mean(np.abs(observed - np.array(QUANTILE_LEVELS))))
+
+
+class TestBroadcastReference:
+    @pytest.mark.parametrize("n, seed", [(2, 0), (50, 1), (5_000, 2), (20_000, 3)])
+    def test_random_inputs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        mu = rng.normal(size=n)
+        sigma = rng.uniform(0.05, 4.0, size=n)
+        y = rng.normal(scale=2.0, size=n)
+        assert ece(mu, sigma, y) == broadcast_ece(mu, sigma, y)
+
+    @pytest.mark.parametrize("y", [-3.0, -0.2, 0.0, 0.7, 5.0])
+    def test_one_row(self, y):
+        mu, sigma, y = np.array([0.3]), np.array([1.7]), np.array([y])
+        assert ece(mu, sigma, y) == broadcast_ece(mu, sigma, y)
+
+    @pytest.mark.parametrize("tau", [0.01, 0.37, 0.5, 0.99])
+    def test_label_on_a_level_quantile(self, tau):
+        # Each row's label is its own tau-quantile, computed as ece computes
+        # it, so the strict comparison leaves that level's indicator at 0.
+        rng = np.random.default_rng(4)
+        mu = rng.normal(size=30)
+        sigma = rng.uniform(0.1, 3.0, size=30)
+        y = mu + sigma * normal_inverse_cdf(tau)
+        assert np.all(y == predicted_quantile(mu, sigma, tau))
+        assert ece(mu, sigma, y) == broadcast_ece(mu, sigma, y)
+
+
 class TestInvariance:
     @given(
         scale=st.floats(min_value=1e-2, max_value=1e2),
@@ -218,6 +255,19 @@ class TestConsistency:
         assert 0.0 <= report.ece <= 100.0
         assert 0.0 <= report.tce <= 100.0
         assert report.sharpness >= 0.0
+
+    def test_report_memory_is_linear_in_rows(self):
+        # One level at a time: no (rows x 99) matrix is ever held.
+        n = 100_000
+        rng = np.random.default_rng(5)
+        mu, sigma, y = rng.normal(size=n), rng.uniform(0.5, 1.5, size=n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            compute_report(mu, sigma, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * 8
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
