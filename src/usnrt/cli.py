@@ -187,14 +187,24 @@ def _model_state(model) -> PreprocessState:
     return state
 
 
-def _evaluate(model, dataset: Dataset):
+def _predict(model, X, source, denormalize: bool = True):
+    """model.predict_arrays(X); a prediction that is not finite (features so
+    large that the networks overflow) is a data error naming source."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, sigma = model.predict_arrays(X, denormalize=denormalize)
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
+        raise DataError(f"{source}: a predicted mu or sigma is not finite; are some features too large?")
+    return mu, sigma
+
+
+def _evaluate(model, dataset: Dataset, source="the test split"):
     """Metrics on the normalised label scale, plus the normalised sigmas."""
     state = _model_state(model)
     X = state.transform(dataset)
     if dataset.labels is None:
         raise DataError("evaluation data must include the label column")
     y_norm = state.transform_labels(dataset.labels)
-    mu, sigma = model.predict_arrays(X, denormalize=False)
+    mu, sigma = _predict(model, X, source, denormalize=False)
     return compute_report(mu, sigma, y_norm), sigma
 
 
@@ -263,7 +273,7 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema)
-    report, sigma_norm = _evaluate(model, dataset)
+    report, sigma_norm = _evaluate(model, dataset, args.data)
     payload = report.to_dict()
     del payload["curve"]
     if args.original_units:
@@ -287,7 +297,7 @@ def cmd_predict(args) -> int:
     state = _model_state(model)
     dataset = load_csv(args.data, state.schema, require_label=False)
     X = state.transform(dataset)
-    mu, sigma = model.predict_arrays(X)
+    mu, sigma = _predict(model, X, args.data)
     _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
     _echo_config(out, args, {})
     print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
@@ -364,6 +374,12 @@ def cmd_inspect(args) -> int:
     dataset = load_csv(args.data, state.schema)
     X = state.transform(dataset)
     y_norm = state.transform_labels(dataset.labels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = tree.leaf_report(model, X, dataset.labels)
+    for key, column in report.items():
+        for region, value in zip(report["region_id"], column):
+            if value is not None and not np.isfinite(value):
+                raise DataError(f"{args.data}: leaf region {region}: {key} is not finite; is a label too large?")
 
     scatter = tree.root_split_scatter(model, X, y_norm)
     names = state.encoded_feature_names
@@ -386,7 +402,6 @@ def cmd_inspect(args) -> int:
             f"{scatter.threshold:.6g}"
         )
 
-    report = tree.leaf_report(model, X, dataset.labels)
     _write_columns(out / "leaf_report.csv", report)
     _echo_config(out, args, {})
     print(f"{len(report['region_id'])} leaf regions -> {out / 'leaf_report.csv'}")

@@ -227,8 +227,7 @@ class PreprocessState:
         for col in train.schema.feature_columns:
             values = train.columns[col.name]
             if col.kind == "continuous":
-                mean = float(values.mean())
-                std = float(values.std(ddof=1))
+                mean, std = _mean_std(values)
                 _check_stats(f"continuous column {col.name!r}", mean, std)
                 if std == 0.0:
                     constant.append(col.name)
@@ -239,8 +238,7 @@ class PreprocessState:
                 stats[col.name] = (mean, std)
             else:
                 encoding[col.name] = {cat: i for i, cat in enumerate(sorted(set(values)))}
-        label_mean = float(train.labels.mean())
-        label_std = float(train.labels.std(ddof=1))
+        label_mean, label_std = _mean_std(train.labels)
         _check_stats("label", label_mean, label_std)
         label_constant = label_std == 0.0
         if label_constant:
@@ -340,6 +338,13 @@ class PreprocessState:
         return state
 
 
+def _mean_std(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and std (n-1 convention); where they overflow they come
+    back non-finite, with no warning, for _check_stats to reject."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(values.mean()), float(values.std(ddof=1))
+
+
 def _check_stats(what: str, mean: float, std: float, constant: bool = True) -> None:
     """Reject a mean or std that is not finite, and a std <= 0 unless what is constant."""
     if not (math.isfinite(mean) and math.isfinite(std)):
@@ -350,7 +355,8 @@ def _check_stats(what: str, mean: float, std: float, constant: bool = True) -> N
 
 def _normalised(name: str, values: np.ndarray, mean: float, std: float) -> np.ndarray:
     """(values - mean) / std, naming column name if a result is not finite."""
-    result = (values - mean) / std
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = (values - mean) / std
     if not np.all(np.isfinite(result)):
         raise DataError(f"column {name!r}: a value is not finite once normalised")
     return result

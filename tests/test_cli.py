@@ -5,6 +5,7 @@ import csv
 import json
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestInspect:
             header, *rows = csv.reader(fh)
         assert header == list(report)
         assert [row[:2] for row in rows] == [[str(r), str(c)] for r, c in zip(report["region_id"], report["count"])]
+
+    def test_huge_label_exits_2_naming_the_region(self, trained_dir, synth_dir, tmp_path, capsys):
+        lines = (synth_dir / "data.csv").read_text().splitlines()
+        data = tmp_path / "huge_label.csv"
+        data.write_text("\n".join([*lines[:50], "0.5,0.5,1e308"]) + "\n")
+        out = tmp_path / "inspect"
+        argv = ["inspect", "--model", str(trained_dir / "model.json"), "--data", str(data), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: leaf region ") and "residual_std is not finite" in err
+        assert not (out / "leaf_report.csv").exists()
 
     def test_single_leaf_model_reports_no_splits(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "single.json"
@@ -719,6 +733,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: usnrt") and flags[0] in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["usnrt", "hnn", "ensemble"])
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_non_finite_predictions_exit_2(self, trained_dir, synth_dir, tmp_path, capsys, command, kind):
+        """Finite features so large that the networks overflow are a data
+        error naming the file, with no numpy warning, for every model kind."""
+        payload = json.loads((trained_dir / "model.json").read_text())
+        payload = {"usnrt": lambda p: p, "hnn": _as_hnn, "ensemble": _as_ensemble}[kind](payload)
+        linear = Mlp([2, 1], seed=0)  # x -> 2 * (x1 + x2)
+        linear.weights = [np.full((2, 1), 2.0)]
+        holders = {"usnrt": _leaf_nodes, "hnn": lambda p: [p], "ensemble": lambda p: p["members"]}[kind]
+        for holder in holders(payload):
+            holder["mean_net"] = encode_mlp(linear)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        header = (synth_dir / "data.csv").read_text().splitlines()[0]
+        data = tmp_path / "huge.csv"
+        data.write_text(f"{header}\n0.5,0.5,0.1\n1e308,1e308,0.1\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, "--model", str(model), "--data", str(data), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: a predicted mu or sigma is not finite")
+        assert not out.exists() or not any(out.iterdir())
 
     @pytest.mark.parametrize(
         "command, fault",

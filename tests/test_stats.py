@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from usnrt.stats import (
     DegenerateVarianceError,
+    levene_statistic,
+    levene_statistics_at_cuts,
     levene_test,
     normal_inverse_cdf,
     regularized_incomplete_beta,
@@ -120,6 +122,66 @@ class TestLevene:
         base = levene_test(a, b)
         shifted = levene_test(a + shift, b)
         assert shifted.statistic == pytest.approx(base.statistic, rel=1e-9, abs=1e-12)
+
+
+def exact_abs_statistics(residuals, sizes):
+    """|levene_statistic| of each cut, NaN where it degenerates."""
+    out = []
+    for left_n in sizes:
+        try:
+            out.append(abs(levene_statistic(residuals[:left_n], residuals[left_n:])))
+        except DegenerateVarianceError:
+            out.append(math.nan)
+    return np.array(out)
+
+
+class TestLeveneStatisticsAtCuts:
+    @pytest.mark.parametrize("kind", ["random", "tied", "offset", "two-point"])
+    def test_matches_levene_statistic_cut_by_cut(self, kind):
+        rng = np.random.default_rng(5)
+        n = 700
+        residuals = {
+            "random": rng.standard_normal(n) * np.where(np.arange(n) < 300, 1.0, 2.5),
+            "tied": rng.integers(-3, 4, n).astype(float),
+            "offset": 1e4 + 1e-3 * rng.standard_normal(n),
+            "two-point": np.where(rng.uniform(size=n) < 0.5, -1.0, 1.0) + 1e-4 * rng.standard_normal(n),
+        }[kind]
+        sizes = np.arange(2, n - 1)  # every cut: several dominance tables
+        # T does not depend on a shift. The reference is taken on centred
+        # residuals because on the offset ones levene_statistic's own group
+        # means round, which moves its value by up to about 1e-7.
+        expected = exact_abs_statistics(residuals - residuals.mean(), sizes)
+        screened = levene_statistics_at_cuts(residuals, sizes)
+        np.testing.assert_allclose(screened, expected, rtol=1e-9, atol=0.0)
+        raw = exact_abs_statistics(residuals, sizes)
+        np.testing.assert_allclose(screened, raw, rtol=1e-6, atol=0.0)
+
+    def test_degenerate_cuts_are_nan(self):
+        # Alternating -1, 1: both sides of an even cut have |e - m| = 1 everywhere.
+        residuals = np.tile([-1.0, 1.0], 20)
+        sizes = np.arange(2, 39)
+        screened = levene_statistics_at_cuts(residuals, sizes)
+        expected = exact_abs_statistics(residuals, sizes)
+        assert np.array_equal(np.isnan(screened), sizes % 2 == 0)
+        np.testing.assert_allclose(screened, expected, rtol=1e-9)
+
+    def test_no_cuts(self):
+        assert levene_statistics_at_cuts([1.0, 2.0, 4.0], np.array([], dtype=int)).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "residuals, sizes",
+        [
+            ([1.0, 2.0, 4.0, 8.0, 3.0], [1]),
+            ([1.0, 2.0, 4.0, 8.0, 3.0], [4]),
+            ([1.0, 2.0, 4.0, 8.0, 3.0, 5.0], [3, 2]),
+            ([1.0, 2.0, 4.0, 8.0, 3.0], [2.5]),
+            ([1.0, 2.0, math.inf, 8.0, 3.0], [2]),
+        ],
+        ids=["left-too-small", "right-too-small", "not-ascending", "not-integer", "not-finite"],
+    )
+    def test_rejects_bad_input(self, residuals, sizes):
+        with pytest.raises(ValueError):
+            levene_statistics_at_cuts(residuals, sizes)
 
 
 class TestStudentTCdf:

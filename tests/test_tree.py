@@ -1,6 +1,7 @@
 """Tree construction, split search, routing, reporting, and serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,10 +19,11 @@ from usnrt.nn_core import (
     train_nll_fixed_mean,
     validation_split,
 )
-from usnrt.stats import DegenerateVarianceError, levene_test
+from usnrt.stats import DegenerateVarianceError, levene_statistic, levene_test
 from usnrt.tree import (
     InternalNode,
     LeafNode,
+    SplitCandidate,
     UsnrtConfig,
     UsnrtModel,
     build,
@@ -89,6 +91,31 @@ def brute_force_best(X, residuals, n_min):
                 best_key = key
                 best = (k, float(values[i]), r.p_value)
     return best
+
+
+def loop_best_split(X, residuals, cfg):
+    """find_best_split as a loop that scores one cut at a time with
+    levene_statistic: the reference for the array scan."""
+    n = X.shape[0]
+    n_min = resolve_n_min(cfg, n)
+    stride = cfg.split_stride or max(1, -(-n // 256))
+    best, best_abs_t = None, -1.0
+    for k in range(X.shape[1]):
+        order = np.argsort(X[:, k], kind="stable")
+        values, res = X[order, k], residuals[order]
+        for i in range(0, n, stride):
+            if (i + 1 < n and values[i + 1] == values[i]) or min(i + 1, n - i - 1) < n_min:
+                continue
+            try:
+                abs_t = abs(levene_statistic(res[: i + 1], res[i + 1 :]))
+            except DegenerateVarianceError:
+                continue
+            if abs_t > best_abs_t:
+                best_abs_t, best = abs_t, (k, float(values[i]), res[: i + 1], res[i + 1 :])
+    if best is None:
+        return None
+    k, threshold, left, right = best
+    return SplitCandidate(feature_index=k, threshold=threshold, p_value=levene_test(left, right).p_value)
 
 
 def cut_p_values(X, residuals, n_min):
@@ -186,6 +213,72 @@ class TestFindBestSplit:
         assert cand.feature_index == 0
         assert cand.threshold == 0.0
 
+    @pytest.mark.parametrize("stride", [1, 16])
+    def test_same_split_as_the_loop_reference(self, stride):
+        rng = np.random.default_rng(23)
+        for trial in range(4):
+            n = 1500
+            X = rng.uniform(-1, 1, (n, 3))
+            X[:, 2] = np.round(X[:, 2], 1)  # runs of duplicate values
+            residuals = rng.standard_normal(n) * np.where(X[:, trial % 3] > 0.2, 1.3, 1.0)
+            cfg = UsnrtConfig(n_min=100, split_stride=stride)
+            found = find_best_split(X, residuals, cfg)
+            assert found == loop_best_split(X, residuals, cfg)
+            if stride == 1:
+                assert (found.feature_index, found.threshold, found.p_value) == brute_force_best(X, residuals, 100)
+
+    def test_degenerate_cut_is_never_chosen(self, monkeypatch):
+        # Pairs (-1, 1), then pairs (-2, 2), in x order: the cut between the
+        # halves has |e - m| constant on each side, so its test degenerates,
+        # though its spreads differ most. A screen that ranks it first must
+        # not change the choice either.
+        n = 400
+        X = np.column_stack([np.arange(n, dtype=float), np.random.default_rng(4).uniform(size=n)])
+        residuals = np.tile([-1.0, 1.0], n // 2) * np.where(np.arange(n) < n // 2, 1.0, 2.0)
+        with pytest.raises(DegenerateVarianceError):
+            levene_statistic(residuals[: n // 2], residuals[n // 2 :])
+        cfg = UsnrtConfig(n_min=20, split_stride=1)
+        expected = loop_best_split(X, residuals, cfg)
+        assert expected.threshold != n // 2 - 1
+        assert find_best_split(X, residuals, cfg) == expected
+
+        screen = tree_module.levene_statistics_at_cuts
+
+        def misleading_screen(ordered_residuals, sizes):
+            screened = screen(ordered_residuals, sizes)
+            for c, size in enumerate(sizes):
+                try:
+                    levene_statistic(ordered_residuals[:size], ordered_residuals[size:])
+                except DegenerateVarianceError:
+                    screened[c] = 1e9
+            return screened
+
+        monkeypatch.setattr(tree_module, "levene_statistics_at_cuts", misleading_screen)
+        assert find_best_split(X, residuals, cfg) == expected
+
+    def test_memory_is_linear_in_rows_at_stride_1(self):
+        # About 20,000 cuts of one feature: one (cuts + 1) x cuts table would be
+        # about 3 GB. Blocked tables and the per-row arrays take about
+        # 170 bytes a row.
+        n = 20_000
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-1, 1, (n, 1))
+        residuals = rng.standard_normal(n) * np.where(X[:, 0] > 0.3, 2.0, 1.0)
+        tracemalloc.start()
+        try:
+            found = find_best_split(X, residuals, UsnrtConfig(n_min=10, split_stride=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert found.feature_index == 0 and abs(found.threshold - 0.3) < 0.05
+        assert peak < 400 * n
+
+    def test_non_finite_residuals_rejected_without_cuts(self):
+        X = np.random.default_rng(0).uniform(-1, 1, (30, 2))
+        residuals = np.full(30, np.nan)
+        with pytest.raises(ValueError, match="residuals must be finite"):
+            find_best_split(X, residuals, UsnrtConfig(n_min=20))
+
     def test_n_min_resolution_default_rule(self):
         cfg = UsnrtConfig()
         assert resolve_n_min(cfg, 45_000) == 4_500
@@ -219,6 +312,16 @@ class TestBuild:
         assert isinstance(model.root, InternalNode)
         assert model.root.feature_index == 0
         assert abs(model.root.threshold) < 0.2
+
+    def test_same_model_as_with_the_loop_reference_scan(self, piecewise_sigma_data, monkeypatch):
+        X, y, _ = piecewise_sigma_data
+        cfg = small_cfg(n_min=300, seed=3, split_stride=4)
+        model = build(X, y, cfg)
+        assert model.leaf_count >= 2
+        monkeypatch.setattr(tree_module, "find_best_split", loop_best_split)
+        reference = build(X, y, cfg)
+        assert json.dumps(reference.to_payload()) == json.dumps(model.to_payload())
+        assert reference.train_log == model.train_log
 
     def test_leaf_counts_respect_floor(self, piecewise_sigma_data):
         X, y, _ = piecewise_sigma_data
