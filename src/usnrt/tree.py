@@ -59,8 +59,7 @@ _ROLE_MEAN = 1
 _ROLE_SIGMA = 2
 
 _MAX_CANDIDATES_PER_FEATURE = 256
-# Relative error allowed in a screened |T|; the largest measured is 1.4e-7.
-_SCREEN_RTOL = 1e-6
+_SCREEN_RTOL = 1e-6  # relative error allowed in a screened |T|; the largest measured is 1.4e-7
 
 
 class TreeBuildError(TrainingError):
