@@ -15,6 +15,7 @@ from .nn_core import (
     TrainConfig,
     TrainingError,
     average_nll,
+    check_rows,
     default_hidden,
     derived_seed,
     predict_sigma,
@@ -49,7 +50,7 @@ class HnnModel:
     train_log: dict = field(default_factory=dict, repr=False, compare=False)
 
     def predict_arrays(self, X, denormalize: bool = True):
-        X = model_io.check_features(X, self.mean_net.input_dim)
+        (X,) = check_rows(X, self.mean_net.input_dim)
         mu = self.mean_net.forward(X)[:, 0]
         sigma = predict_sigma(self.sigma_net, X)
         if denormalize and self.preprocess is not None:
@@ -132,8 +133,7 @@ def train_hnn(
     and shuffles. A phase that cannot train raises TrainingError naming the
     round and the phase.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = check_rows(X, y=y)
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
@@ -200,7 +200,7 @@ def train_ensemble(
     members hold no preprocessing state; the ensemble holds it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
-    X = np.asarray(X, dtype=float)
+    X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
     members = [
         train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)

@@ -167,8 +167,11 @@ def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: in
     if kind == "usnrt":
         cfg = _from_settings(tree.UsnrtConfig, settings, train_cfg=train_cfg, seed=seed)
         return tree.build(X, y, cfg, preprocess=state)
+    hidden = coerce_value("hnn_hidden", settings["hnn_hidden"], "Sequence[int] | None")
+    if any(size < 1 for size in hidden or ()):
+        raise _UsageError(f"hnn_hidden sizes must be at least 1, got {hidden}")
     hnn = {
-        "hidden": coerce_value("hnn_hidden", settings["hnn_hidden"], "Sequence[int] | None"),
+        "hidden": hidden,
         "preprocess": state,
         "rounds": coerce_value("hnn_rounds", settings["hnn_rounds"], "int"),
     }

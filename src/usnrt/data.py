@@ -129,7 +129,8 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     absent when require_label is False (prediction-only inputs).
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often write.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc

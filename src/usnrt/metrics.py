@@ -1,7 +1,7 @@
 """Calibration and sharpness metrics for Gaussian mean/std predictions.
 
 Every metric takes the prediction arrays (mu, sigma) and, where it scores
-coverage, the label vector y: one entry per test row, sigma > 0.
+coverage, the label vector y: one finite entry per test row, sigma > 0.
 Quantiles come from the Gaussian assumption: q_tau = mu + sigma * PhiInv(tau).
 All indicator comparisons are strict, so an observation equal to a quantile
 counts as "not below" and one sitting exactly on an interval endpoint counts
@@ -74,8 +74,8 @@ def coverage(mu, sigma, y, tau: float = 0.05) -> float:
 
 
 def _validate(sigma, *vectors):
-    """sigma and the vectors beside it (mu, y) as float arrays of one nonzero
-    length. Every sigma must be > 0, which NaN fails."""
+    """sigma and the vectors beside it (mu, y) as finite float arrays of one
+    nonzero length. Every sigma must be > 0, which NaN fails."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0:
         raise ValueError("prediction set is empty")
@@ -84,6 +84,8 @@ def _validate(sigma, *vectors):
         raise ValueError("mu, sigma and y must be vectors of one length")
     if not np.all(sigma > 0.0):
         raise ValueError("sigma must be positive")
+    if not all(np.all(np.isfinite(v)) for v in (sigma, *vectors)):
+        raise ValueError("mu, sigma and y must be finite")
     return (sigma, *vectors)
 
 

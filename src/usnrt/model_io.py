@@ -29,7 +29,6 @@ __all__ = [
     "FORMAT_VERSION",
     "ModelFormatError",
     "atomic_write",
-    "check_features",
     "check_networks",
     "decode_array",
     "decode_mlp",
@@ -125,19 +124,6 @@ def check_networks(where: str, width: int, *nets: Mlp) -> None:
     for net in nets:
         if net.input_dim != width or net.output_dim != 1:
             raise ModelFormatError(f"{where}: networks must map {width} features to 1 output")
-
-
-def check_features(X, width: int) -> np.ndarray:
-    """X as a float matrix, rejecting one that is not 2-d, not width columns
-    wide or not finite."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d sample matrix")
-    if X.shape[1] != width:
-        raise ValueError(f"X has width {X.shape[1]}, model expects {width}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("features must be finite")
-    return X
 
 
 @contextlib.contextmanager

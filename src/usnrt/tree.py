@@ -23,6 +23,7 @@ from .nn_core import (
     Mlp,
     TrainConfig,
     TrainingError,
+    check_rows,
     coerce_fields,
     default_hidden,
     derived_seed,
@@ -96,6 +97,9 @@ class UsnrtConfig:
             raise ValueError("n_leaves must be at least 1")
         if self.split_stride is not None and self.split_stride < 1:
             raise ValueError("split_stride must be at least 1")
+        for key in ("split_net_hidden", "leaf_net_hidden"):
+            if any(size < 1 for size in getattr(self, key) or ()):
+                raise ValueError(f"{key} sizes must be at least 1, got {getattr(self, key)}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -245,14 +249,7 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     When called standalone (cfg.n_min is None), n_min resolves against the
     rows given here.
     """
-    X = np.asarray(X, dtype=float)
-    residuals = np.asarray(residuals, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be a 2-d sample matrix")
-    if residuals.shape != (X.shape[0],):
-        raise ValueError("residuals must be a vector matching the rows of X")
-    if not np.all(np.isfinite(residuals)):
-        raise ValueError("residuals must be finite")
+    X, residuals = check_rows(X, residuals=residuals)
     n = X.shape[0]
     n_min = resolve_n_min(cfg, n)
     stride = cfg.split_stride or max(1, math.ceil(n / _MAX_CANDIDATES_PER_FEATURE))
@@ -359,16 +356,9 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     The build log lists every node's decision in preorder, then every leaf's
     training in preorder.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or y.ndim != 1 or y.shape[0] != X.shape[0]:
-        raise ValueError("X must be 2-d with a matching label vector")
+    X, y = check_rows(X, None if preprocess is None else preprocess.encoded_width, y=y)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows to build a model")
-    if not np.all(np.isfinite(X)) or not np.all(np.isfinite(y)):
-        raise ValueError("training data must be finite")
-    if preprocess is not None and preprocess.encoded_width != X.shape[1]:
-        raise ValueError("X width does not match the preprocessing state")
 
     n = X.shape[0]
     d_raw = preprocess.d_raw if preprocess is not None else X.shape[1]
@@ -461,7 +451,7 @@ def _route(node: TreeNode, X: np.ndarray, idx: np.ndarray) -> list[tuple[LeafNod
 def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
     """Routed (mu, sigma) arrays; original label units unless denormalize is
     off (then the model's training scale)."""
-    X = model_io.check_features(X, _model_width(model))
+    (X,) = check_rows(X, _model_width(model))
     n = X.shape[0]
     mu = np.empty(n)
     sigma = np.empty(n)
@@ -477,7 +467,7 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
 
 def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
     """Region id of the unique leaf accepting each row."""
-    X = model_io.check_features(X, _model_width(model))
+    (X,) = check_rows(X, _model_width(model))
     regions = np.empty(X.shape[0], dtype=int)
     for leaf, idx in _route(model.root, X, np.arange(X.shape[0])):
         regions[idx] = leaf.region_id
@@ -503,10 +493,7 @@ def leaf_report(model: UsnrtModel, X, y) -> dict[str, list]:
 
     y is in original label units, as are the denormalised mu and sigma.
     """
-    X = model_io.check_features(X, _model_width(model))
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must be a vector matching the rows of X")
+    X, y = check_rows(X, _model_width(model), y=y)
     mu, sigma = predict_arrays(model, X)
     routes = _route(model.root, X, np.arange(X.shape[0]))
     report = {"region_id": [leaf.region_id for leaf, _ in routes], "count": [idx.size for _, idx in routes]}
@@ -526,10 +513,7 @@ def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:
     """
     if isinstance(model.root, LeafNode):
         return None
-    X = model_io.check_features(X, _model_width(model))
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise ValueError("y must be a vector matching the rows of X")
+    X, y = check_rows(X, _model_width(model), y=y)
     d_raw = model.preprocess.d_raw if model.preprocess is not None else X.shape[1]
     hidden = default_hidden(model.config.split_net_hidden, d_raw, 8)
     net, _ = _train_split_net(X, y, model.config, hidden, ())

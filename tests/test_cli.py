@@ -632,6 +632,25 @@ class TestExitCodes:
         assert err.startswith(f"error: {key} must be ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"split_net_hidden": [0]}, "split_net_hidden"),
+            ({"leaf_net_hidden": [4, -1]}, "leaf_net_hidden"),
+            ({"model_kind": "hnn", "hnn_hidden": [0]}, "hnn_hidden"),
+            ({"model_kind": "ensemble", "hnn_hidden": [8, 0]}, "hnn_hidden"),
+        ],
+    )
+    def test_hidden_size_below_1_exits_1(self, synth_dir, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(cfg), "--out", str(out)]
+        argv += ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {key} sizes must be at least 1")
+        assert not (out / "model.json").exists()
+
     @pytest.mark.parametrize("key", ["seeds", "model_kinds"])
     def test_empty_benchmark_list_exits_1(self, synth_dir, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"

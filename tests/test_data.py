@@ -71,6 +71,18 @@ class TestLoadCsv:
         assert np.array_equal(ds.columns["x2"], [2.0, -1.25, 8.0])
         assert np.array_equal(ds.labels, [3.0, 0.5, 9.0])
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Spreadsheet exports often start a UTF-8 file with the mark U+FEFF.
+        text = "x1,x2,y\n1.0,2.0,3.0\n4.5,-1.25,0.5\n"
+        plain = load_csv(write_csv(tmp_path / "plain.csv", text), SCHEMA)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        loaded = load_csv(marked, SCHEMA)
+        assert loaded.schema == plain.schema
+        assert list(loaded.columns) == list(plain.columns) == ["x1", "x2", "y"]
+        for name, values in plain.columns.items():
+            assert np.array_equal(loaded.columns[name], values)
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1.0,2.0,3.0\nabc,1.0,2.0\n")
         with pytest.raises(DataError, match=r"row 2.*'x1'"):

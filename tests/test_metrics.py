@@ -287,7 +287,18 @@ class TestConsistency:
             metric([[0.0]], [[1.0]], [[0.0]])
         with pytest.raises(ValueError, match="empty"):
             metric([], [], [])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                metric([0.0, bad], [1.0, 1.0], [0.0, 0.0])
+            with pytest.raises(ValueError, match="finite"):
+                metric([0.0, 0.0], [1.0, 1.0], [bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            metric([0.0, 0.0], [1.0, np.inf], [0.0, 0.0])
 
     def test_sharpness_rejects_non_positive_sigma(self):
         with pytest.raises(ValueError, match="positive"):
             sharpness([1.0, np.nan])
+
+    def test_sharpness_rejects_infinite_sigma(self):
+        with pytest.raises(ValueError, match="finite"):
+            sharpness([1.0, np.inf])

@@ -13,6 +13,7 @@ from usnrt.nn_core import (
     Mlp,
     TrainConfig,
     average_nll,
+    check_rows,
     nll_loss,
     predict_sigma,
     train_mse,
@@ -33,13 +34,13 @@ def zero_net(layer_sizes, output_activation=Activation.LINEAR):
 class TestForward:
     def test_zero_weights_give_zero_output(self):
         net = zero_net([3, 5, 2])
-        out = net.forward([0.3, -0.7, 2.1])
-        assert np.array_equal(out, np.zeros(2))
+        out = net.forward([[0.3, -0.7, 2.1]])
+        assert np.array_equal(out, np.zeros((1, 2)))
 
     def test_identity_single_layer(self):
         net = zero_net([3, 3])
         net.weights = [np.eye(3)]
-        x = np.array([0.25, -1.5, 7.0])
+        x = np.array([[0.25, -1.5, 7.0]])
         assert np.array_equal(net.forward(x), x)
 
     def test_softplus_neuron(self):
@@ -47,8 +48,8 @@ class TestForward:
         net = Mlp([1, 1], output_activation=Activation.SOFTPLUS, seed=0)
         net.weights = [np.array([[2.0]])]
         net.biases = [np.array([1.0])]
-        out = net.forward([0.0])
-        assert out[0] == pytest.approx(1.3132616875182228, abs=1e-12)
+        out = net.forward([[0.0]])
+        assert out[0, 0] == pytest.approx(1.3132616875182228, abs=1e-12)
 
     def test_batch_matches_per_row(self):
         # BLAS may order the sums differently for matrix and vector products,
@@ -56,7 +57,7 @@ class TestForward:
         net = Mlp([4, 7, 3, 1], seed=9)
         X = np.random.default_rng(2).normal(size=(11, 4))
         batch = net.forward(X)
-        rows = np.array([net.forward(row) for row in X])
+        rows = np.array([net.forward(row[None, :])[0] for row in X])
         np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
 
     def test_repeat_call_bit_identical(self):
@@ -74,6 +75,40 @@ class TestForward:
             Mlp([4])
         with pytest.raises(ValueError):
             Mlp([4, 0, 1])
+
+    def test_single_vector_rejected(self):
+        # One input form: an (n, d) batch, even for one row.
+        net = Mlp([4, 3, 1], seed=0)
+        with pytest.raises(ValueError, match=r"expected an \(n, 4\) batch"):
+            net.forward(np.ones(4))
+
+
+class TestCheckRows:
+    def test_float_arrays_in_keyword_order(self):
+        X, b, a = check_rows([[1, 2], [3, 4]], 2, b=[5, 6], a=(7, 8))
+        assert X.dtype == b.dtype == a.dtype == np.float64
+        assert np.array_equal(X, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(b, [5.0, 6.0]) and np.array_equal(a, [7.0, 8.0])
+        (X_only,) = check_rows(np.zeros((3, 5)))
+        assert X_only.shape == (3, 5)
+
+    @pytest.mark.parametrize(
+        "X, width, vectors, message",
+        [
+            (np.zeros(3), None, {}, "X must be a 2-d sample matrix"),
+            (np.zeros((2, 3)), 2, {}, "X has width 3, model expects 2"),
+            (np.array([[0.0, np.nan]]), None, {}, "features must be finite"),
+            (np.array([[0.0, -np.inf]]), 2, {}, "features must be finite"),
+            (np.zeros((2, 1)), None, {"y": np.zeros(3)}, "y must be a vector matching the rows of X"),
+            (np.zeros((2, 1)), None, {"y": np.zeros((2, 1))}, "y must be a vector matching the rows of X"),
+            (np.zeros((2, 1)), None, {"y": [0.0, np.nan]}, "y must be finite"),
+            (np.zeros((2, 1)), None, {"y": [0.0, 1.0], "residuals": [np.inf, 0.0]}, "residuals must be finite"),
+        ],
+        ids=["1-d", "width", "nan-feature", "inf-feature", "short", "column", "nan-y", "inf-residual"],
+    )
+    def test_error_names_the_argument(self, X, width, vectors, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_rows(X, width, **vectors)
 
 
 class TestTrainMse:
@@ -250,6 +285,13 @@ class TestTrainNllFixedSigma:
         y = np.ones(50)
         with pytest.raises(ValueError):
             train_nll_fixed_sigma(net, np.zeros(50), X, y, TrainConfig())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_sigma(self, bad):
+        sigma = np.ones(50)
+        sigma[7] = bad
+        with pytest.raises(ValueError, match="sigma_values must be finite"):
+            train_nll_fixed_sigma(Mlp([1, 4, 1], seed=0), sigma, np.ones((50, 1)), np.ones(50), TrainConfig())
 
 
 class TestNllLoss:

@@ -67,6 +67,14 @@ def constant_leaf(region_id, width, mean_value, sigma_bias):
     )
 
 
+def two_leaf_model():
+    """A hand-built tree on 2 features that splits x0 at 0 into two constant leaves."""
+    left = constant_leaf(1, 2, mean_value=-1.0, sigma_bias=0.3)
+    right = constant_leaf(2, 2, mean_value=2.0, sigma_bias=1.5)
+    root = InternalNode(feature_index=0, threshold=0.0, p_value=0.001, left=left, right=right)
+    return UsnrtModel(root=root, config=UsnrtConfig(), preprocess=None)
+
+
 def brute_force_best(X, residuals, n_min):
     """Exhaustive stride-1 recomputation with the same ranking rule."""
     n = X.shape[0]
@@ -279,12 +287,32 @@ class TestFindBestSplit:
         with pytest.raises(ValueError, match="residuals must be finite"):
             find_best_split(X, residuals, UsnrtConfig(n_min=20))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        rng = np.random.default_rng(7)
+        X = rng.uniform(-1, 1, (400, 2))
+        residuals = rng.standard_normal(400)
+        X[5, 1] = bad
+        with pytest.raises(ValueError, match="features must be finite"):
+            find_best_split(X, residuals, UsnrtConfig(n_min=50))
+
     def test_n_min_resolution_default_rule(self):
         cfg = UsnrtConfig()
         assert resolve_n_min(cfg, 45_000) == 4_500
         assert resolve_n_min(cfg, 5_000) == 1_000
         assert resolve_n_min(UsnrtConfig(n_leaves=4), 45_000) == 11_250
         assert resolve_n_min(UsnrtConfig(n_min=250), 45_000) == 250
+
+
+class TestConfig:
+    @pytest.mark.parametrize("key", ["split_net_hidden", "leaf_net_hidden"])
+    def test_hidden_size_below_1_names_its_key(self, key):
+        with pytest.raises(ValueError, match=f"^{key} sizes must be at least 1"):
+            UsnrtConfig(**{key: [4, 0]})
+
+    def test_empty_hidden_list_means_no_hidden_layer(self):
+        cfg = UsnrtConfig(split_net_hidden=[], leaf_net_hidden=[])
+        assert cfg.split_net_hidden == [] and cfg.leaf_net_hidden == []
 
 
 class TestBuild:
@@ -548,6 +576,12 @@ class TestLeafReport:
         empty = leaf_report(model, X[on_left], y[on_left])
         assert [column[1] for column in empty.values()] == [2, 0, None, None, None, None, None]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_label_rejected(self, bad):
+        X = np.array([[-0.5, 0.0], [0.5, 0.0], [0.7, 1.0]])
+        with pytest.raises(ValueError, match="y must be finite"):
+            leaf_report(two_leaf_model(), X, np.array([0.0, bad, 1.0]))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path, piecewise_sigma_data):
@@ -604,3 +638,12 @@ class TestRootSplitScatter:
         right = scatter.squared_residuals[scatter.split_values > scatter.threshold]
         ratio = max(left.mean(), right.mean()) / min(left.mean(), right.mean())
         assert ratio > 4.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_label_rejected_before_training(self, bad):
+        rng = np.random.default_rng(23)
+        X = rng.uniform(-1, 1, (200, 2))
+        y = rng.standard_normal(200)
+        y[3] = bad
+        with pytest.raises(ValueError, match="^y must be finite$"):
+            root_split_scatter(two_leaf_model(), X, y)
