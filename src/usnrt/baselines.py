@@ -22,6 +22,7 @@ from .nn_core import (
     train_nll_fixed_mean,
     train_nll_fixed_sigma,
 )
+from .parallel import fork_map
 
 __all__ = [
     "EnsembleModel",
@@ -51,12 +52,16 @@ class HnnModel:
 
     def predict_arrays(self, X, denormalize: bool = True):
         (X,) = check_rows(X, self.mean_net.input_dim)
-        mu = self.mean_net.forward(X)[:, 0]
-        sigma = predict_sigma(self.sigma_net, X)
+        mu, sigma = self._forward(X)
         if denormalize and self.preprocess is not None:
             mu = self.preprocess.denormalize_mean(mu)
             sigma = self.preprocess.denormalize_sigma(sigma)
         return mu, sigma
+
+    def _forward(self, X: np.ndarray):
+        """(mu, sigma) on the training scale for an X already checked."""
+        mu = self.mean_net.forward(X)[:, 0]
+        return mu, predict_sigma(self.sigma_net, X)
 
     def to_payload(self) -> dict:
         return {
@@ -196,15 +201,20 @@ def train_ensemble(
     preprocess: PreprocessState | None = None,
     rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
-    """Train n_members HNNs that differ only in their derived seeds. The
-    members hold no preprocessing state; the ensemble holds it once."""
+    """Train n_members HNNs that differ only in their derived seeds, as
+    independent tasks of fork_map (in worker processes when it runs a pool).
+    The members hold no preprocessing state; the ensemble holds it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
+
+    def member(j: int):
+        model = train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
+        return model.to_payload(), model.train_log
+
     members = [
-        train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
-        for j in range(n_members)
+        replace(HnnModel.from_payload(payload, None), train_log=log) for payload, log in fork_map(member, n_members)
     ]
     return EnsembleModel(members=members, preprocess=preprocess)
 
@@ -215,12 +225,14 @@ def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):
     The aggregated mean is the member average and the aggregated variance is
     the mean member variance plus the dispersion of member means. Both are
     computed anchored at member 0, so an ensemble of identical members
-    reproduces that member's output exactly.
+    reproduces that member's output exactly. X is checked once, against
+    member 0's width, which every member shares.
     """
+    (X,) = check_rows(X, model.members[0].mean_net.input_dim)
     mus = []
     sigmas = []
     for member in model.members:
-        mu, sigma = member.predict_arrays(X, denormalize=False)
+        mu, sigma = member._forward(X)
         mus.append(mu)
         sigmas.append(sigma)
     mu_stack = np.stack(mus)

@@ -92,7 +92,7 @@ def _load_config_file(path) -> dict:
     if not path:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read config file {path}: {exc}") from exc

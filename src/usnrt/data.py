@@ -81,7 +81,7 @@ class Schema:
     @classmethod
     def from_file(cls, path) -> "Schema":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8-sig") as fh:
                 raw = json.load(fh)
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read schema file {path}: {exc}") from exc

@@ -159,7 +159,7 @@ def save_model(model, path) -> None:
 
 def read_payload(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except OSError as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc

@@ -32,6 +32,7 @@ from .nn_core import (
     train_nll_fixed_mean,
     validation_split,
 )
+from .parallel import fork_map
 from .stats import DegenerateVarianceError, levene_statistic, levene_statistics_at_cuts, levene_test
 
 __all__ = [
@@ -350,11 +351,13 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     find_best_split, and the node splits only when the best p-value is at
     most alpha. A node that does not split trains, on its own rows and
     right away, its mean network (MSE) and sigma network (fixed-mean
-    Gaussian NLL; see _train_leaf_nets), and takes the next region id, so
-    region ids number the leaves in preorder. Per-node seeds derive from
-    (cfg.seed, node path), so builds are reproducible and order-independent.
-    The build log lists every node's decision in preorder, then every leaf's
-    training in preorder.
+    Gaussian NLL; see _train_leaf_nets). The two subtrees of a split grow
+    as independent tasks of fork_map, in worker processes when it runs a
+    pool. Per-node seeds derive from (cfg.seed, node path), so builds are
+    reproducible and do not depend on the order or the process nodes are
+    grown in. Region ids number the leaves in preorder once the tree is
+    grown. The build log lists every node's decision in preorder, then
+    every leaf's training in preorder.
     """
     X, y = check_rows(X, None if preprocess is None else preprocess.encoded_width, y=y)
     if X.shape[0] < 2:
@@ -366,33 +369,31 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     split_hidden = default_hidden(cfg.split_net_hidden, d_raw, 8)
     leaf_hidden = default_hidden(cfg.leaf_net_hidden, d_raw, 4)
     search_cfg = replace(cfg, n_min=n_min)
-    decisions: list[dict] = []
-    trainings: list[dict] = []
 
-    def leaf(Xn: np.ndarray, yn: np.ndarray, path: tuple[int, ...], **decision) -> LeafNode:
-        decisions.append({"path": _path_str(path), "kind": "leaf", "n": yn.size, **decision})
+    def leaf(Xn: np.ndarray, yn: np.ndarray, path: tuple[int, ...], **decision):
         mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(Xn, yn, cfg, leaf_hidden, path)
         residual = yn - mean_net.forward(Xn)[:, 0]
-        region_id = len(trainings) + 1
-        trainings.append(
-            {
-                "path": _path_str(path),
-                "kind": "leaf-trained",
-                "region_id": region_id,
-                "n": yn.size,
-                "mean_epochs": len(mean_log.train_losses),
-                "sigma_epochs": len(sigma_log.train_losses),
-            }
-        )
-        return LeafNode(
-            region_id=region_id,
+        node = LeafNode(
+            region_id=0,  # numbered once the whole tree is grown
             mean_net=mean_net,
             sigma_net=sigma_net,
             train_count=yn.size,
             residual_std=float(np.sqrt(np.mean(residual * residual))),
         )
+        training = {
+            "path": _path_str(path),
+            "kind": "leaf-trained",
+            "region_id": 0,
+            "n": yn.size,
+            "mean_epochs": len(mean_log.train_losses),
+            "sigma_epochs": len(sigma_log.train_losses),
+        }
+        decision = {"path": _path_str(path), "kind": "leaf", "n": yn.size, **decision}
+        return [_encode_node(node)], [decision], [training]
 
-    def grow(rows: np.ndarray, path: tuple[int, ...]) -> TreeNode:
+    def grow(rows: np.ndarray, path: tuple[int, ...]):
+        """The subtree at path: its preorder node list in the model file's
+        encoding, its nodes' decisions and its leaves' trainings."""
         Xn, yn = X[rows], y[rows]
         if rows.size < 2 * n_min:
             return leaf(Xn, yn, path, reason="size")
@@ -408,30 +409,34 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
                 p_best=None if candidate is None else candidate.p_value,
                 split_epochs=len(split_log.train_losses),
             )
-        decisions.append(
-            {
-                "path": _path_str(path),
-                "kind": "internal",
-                "n": yn.size,
-                "p_best": candidate.p_value,
-                "feature_index": candidate.feature_index,
-                "threshold": candidate.threshold,
-                "split_epochs": len(split_log.train_losses),
-            }
-        )
+        decision = {
+            "path": _path_str(path),
+            "kind": "internal",
+            "n": yn.size,
+            "p_best": candidate.p_value,
+            "feature_index": candidate.feature_index,
+            "threshold": candidate.threshold,
+            "split_epochs": len(split_log.train_losses),
+        }
+        node = InternalNode(candidate.feature_index, candidate.threshold, candidate.p_value, None, None)
         mask = Xn[:, candidate.feature_index] <= candidate.threshold
+        children = (rows[mask], rows[~mask])
         del Xn, yn  # each child gathers its own rows; do not hold a copy per level
-        return InternalNode(
-            feature_index=candidate.feature_index,
-            threshold=candidate.threshold,
-            p_value=candidate.p_value,
-            left=grow(rows[mask], path + (0,)),
-            right=grow(rows[~mask], path + (1,)),
+        (left, left_decisions, left_trainings), (right, right_decisions, right_trainings) = fork_map(
+            lambda side: grow(children[side], path + (side,)), 2
+        )
+        return (
+            [_encode_node(node), *left, *right],
+            [decision, *left_decisions, *right_decisions],
+            left_trainings + right_trainings,
         )
 
-    root = grow(np.arange(n), ())
+    nodes, decisions, trainings = grow(np.arange(n), ())
+    leaf_entries = [entry for entry in nodes if entry["kind"] == "leaf"]
+    for region_id, (entry, training) in enumerate(zip(leaf_entries, trainings), start=1):
+        entry["region_id"] = training["region_id"] = region_id
     log = {"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": decisions + trainings}
-    return UsnrtModel(root, cfg, preprocess, train_log=log)
+    return UsnrtModel(_decode_nodes(nodes, [0]), cfg, preprocess, train_log=log)
 
 
 def _model_width(model: UsnrtModel) -> int:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from usnrt import baselines
 from usnrt.baselines import (
+    ENSEMBLE_MEMBERS,
     EnsembleModel,
     HnnModel,
     ensemble_predict_arrays,
@@ -11,7 +13,7 @@ from usnrt.baselines import (
     train_hnn,
 )
 from usnrt.model_io import load_model, save_model
-from usnrt.nn_core import Activation, Mlp, TrainConfig
+from usnrt.nn_core import Activation, Mlp, TrainConfig, check_rows
 
 from conftest import fast_train_cfg
 
@@ -128,6 +130,23 @@ class TestEnsembleAggregation:
             ensemble_predict_arrays(ensemble, X)
         with pytest.raises(ValueError, match="finite"):
             ensemble.predict_arrays(X)
+
+    def test_features_checked_once_per_prediction(self, monkeypatch):
+        """The ensemble checks X once and runs every member on the checked
+        array; a member predicting on its own still checks X itself."""
+        calls = []
+
+        def counting_check_rows(*args, **kwargs):
+            calls.append(args[1:])
+            return check_rows(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "check_rows", counting_check_rows)
+        members = [constant_hnn(0.1 * j, 0.2 * j) for j in range(ENSEMBLE_MEMBERS)]
+        X = np.random.default_rng(4).uniform(-1, 1, (20, 2))
+        EnsembleModel(members=members).predict_arrays(X)
+        assert calls == [(2,)]
+        members[0].predict_arrays(X)
+        assert calls == [(2,), (2,)]
 
     def test_training_gives_distinct_members(self):
         rng = np.random.default_rng(8)

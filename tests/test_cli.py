@@ -710,6 +710,29 @@ class TestExitCodes:
         assert main(argv) == EXIT_USAGE
         assert re.fullmatch(r"error: (rounds|n_members) must be at least 1\n", capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag", ["--schema", "--config", "--model"])
+    def test_json_file_with_byte_order_mark_reads_as_without(
+        self, synth_dir, fast_config, trained_dir, tmp_path, flag
+    ):
+        """A schema, config or model file that starts with a UTF-8 byte-order
+        mark gives the same outputs as the file without it."""
+        plain = {"--schema": synth_dir / "schema.json", "--config": fast_config, "--model": trained_dir / "model.json"}
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain[flag].read_bytes())
+        if flag == "--model":
+            outputs = []
+            for model, out in ((plain[flag], tmp_path / "plain"), (marked, tmp_path / "marked")):
+                argv = ["predict", "--model", str(model), "--data", str(synth_dir / "data.csv"), "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                outputs.append((out / "predictions.csv").read_bytes())
+            assert outputs[0] == outputs[1]
+            return
+        files = {"--data": synth_dir / "data.csv", "--schema": synth_dir / "schema.json", "--config": fast_config}
+        files[flag] = marked
+        argv = ["train", *(arg for key, path in files.items() for arg in (key, str(path)))]
+        assert main([*argv, "--seed", "0", "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert (tmp_path / "out" / "model.json").read_bytes() == (trained_dir / "model.json").read_bytes()
+
     @pytest.mark.parametrize("flag", ["--data", "--schema", "--config", "--model"])
     def test_file_that_is_not_utf8_exits_2(self, synth_dir, tmp_path, capsys, flag):
         """A data, schema, config or model file that is not UTF-8 is a data
