@@ -209,14 +209,10 @@ def train_ensemble(
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
 
-    def member(j: int):
-        model = train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
-        return model.to_payload(), model.train_log
+    def member(j: int) -> HnnModel:
+        return train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
 
-    members = [
-        replace(HnnModel.from_payload(payload, None), train_log=log) for payload, log in fork_map(member, n_members)
-    ]
-    return EnsembleModel(members=members, preprocess=preprocess)
+    return EnsembleModel(members=fork_map(member, n_members), preprocess=preprocess)
 
 
 def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):

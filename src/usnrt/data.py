@@ -299,16 +299,12 @@ class PreprocessState:
     @classmethod
     def from_dict(cls, payload: dict) -> "PreprocessState":
         """The state of a to_dict block: the schema as [name, kind] pairs in
-        column order (a name -> kind mapping in model format versions 1 and 2),
-        stats for exactly the continuous features, finite, every std positive
-        but those of the columns listed as constant, which are 0, and an
-        encoding of exactly the categorical features, each numbering its k
-        categories 0..k-1 in order."""
-        pairs = payload["schema"]
-        if isinstance(pairs, dict):
-            pairs = pairs.items()
+        column order, stats for exactly the continuous features, finite, every
+        std positive but those of the columns listed as constant, which are 0,
+        and an encoding of exactly the categorical features, each numbering
+        its k categories 0..k-1 in order."""
         state = cls(
-            schema=Schema(tuple(Column(str(k), str(v)) for k, v in pairs)),
+            schema=Schema(tuple(Column(str(k), str(v)) for k, v in payload["schema"])),
             continuous_stats={
                 k: (float(v[0]), float(v[1]))
                 for k, v in payload["continuous_stats"].items()
@@ -320,7 +316,7 @@ class PreprocessState:
             },
             label_mean=float(payload["label_mean"]),
             label_std=float(payload["label_std"]),
-            label_constant=bool(payload.get("label_constant", False)),
+            label_constant=bool(payload["label_constant"]),
         )
         for key, block, kind in (
             ("continuous_stats", state.continuous_stats, "continuous"),

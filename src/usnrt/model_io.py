@@ -41,10 +41,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 3
-# Versions 1 and 2 wrote the schema as a name -> kind mapping, so in sorted-name
-# order; version 3 writes it as a list in column order. Version 1 also gave each
-# ensemble member a copy of "preprocess", which loading ignores.
-_READABLE_VERSIONS = (1, 2, 3)
 # Model kind -> (module, class). Those modules import this one, so the class
 # is looked up when a file is loaded.
 _MODEL_CLASSES = {
@@ -168,10 +164,10 @@ def read_payload(path) -> dict:
     if not isinstance(payload, dict):
         raise ModelFormatError(f"model file {path} does not hold a model document")
     version = payload.get("format_version")
-    if version not in _READABLE_VERSIONS:
+    if version != FORMAT_VERSION:
         raise ModelFormatError(
             f"model file {path}: format version {version!r} not supported "
-            f"(expected one of {_READABLE_VERSIONS})"
+            f"(expected {FORMAT_VERSION}); retrain the model"
         )
     kind = payload.get("model_kind")
     if kind not in MODEL_KINDS:

@@ -6,6 +6,9 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+
+from .nn_core import TrainingError
 
 __all__ = ["fork_map", "usable_cpus"]
 
@@ -28,8 +31,9 @@ def fork_map(task, n_tasks: int) -> list:
     would leave that lock held in the worker). Otherwise the tasks run here,
     in order. Workers inherit task by the fork, so it may be a closure; only
     indices and results cross between processes, so results must pickle.
-    The first task in index order that raises has its exception raised here,
-    and every worker has exited before fork_map returns or raises.
+    The first task in index order that raises has its exception raised here;
+    a worker that dies without raising (killed by a signal) is a
+    TrainingError. Every worker has exited before fork_map returns or raises.
     """
     workers = min(n_tasks, usable_cpus())
     if (
@@ -40,8 +44,11 @@ def fork_map(task, n_tasks: int) -> list:
     ):
         return [task(i) for i in range(n_tasks)]
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_task, initargs=(task,)) as pool:
-        return list(pool.map(_run_task, range(n_tasks)))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_task, initargs=(task,)) as pool:
+            return list(pool.map(_run_task, range(n_tasks)))
+    except BrokenProcessPool as exc:
+        raise TrainingError("a training worker process ended abruptly, as when killed for lack of memory") from exc
 
 
 def _set_task(task) -> None:

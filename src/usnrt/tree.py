@@ -353,11 +353,11 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     right away, its mean network (MSE) and sigma network (fixed-mean
     Gaussian NLL; see _train_leaf_nets). The two subtrees of a split grow
     as independent tasks of fork_map, in worker processes when it runs a
-    pool. Per-node seeds derive from (cfg.seed, node path), so builds are
-    reproducible and do not depend on the order or the process nodes are
-    grown in. Region ids number the leaves in preorder once the tree is
-    grown. The build log lists every node's decision in preorder, then
-    every leaf's training in preorder.
+    pool, each returning its subtree's nodes. Per-node seeds derive from
+    (cfg.seed, node path), so builds are reproducible and do not depend on
+    the order or the process nodes are grown in. Region ids number the
+    leaves in preorder once the tree is grown. The build log lists every
+    node's decision in preorder, then every leaf's training in preorder.
     """
     X, y = check_rows(X, None if preprocess is None else preprocess.encoded_width, y=y)
     if X.shape[0] < 2:
@@ -389,11 +389,11 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
             "sigma_epochs": len(sigma_log.train_losses),
         }
         decision = {"path": _path_str(path), "kind": "leaf", "n": yn.size, **decision}
-        return [_encode_node(node)], [decision], [training]
+        return node, [decision], [training]
 
     def grow(rows: np.ndarray, path: tuple[int, ...]):
-        """The subtree at path: its preorder node list in the model file's
-        encoding, its nodes' decisions and its leaves' trainings."""
+        """The subtree at path: its root node, its nodes' decisions and its
+        leaves' trainings, both in preorder."""
         Xn, yn = X[rows], y[rows]
         if rows.size < 2 * n_min:
             return leaf(Xn, yn, path, reason="size")
@@ -418,25 +418,21 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
             "threshold": candidate.threshold,
             "split_epochs": len(split_log.train_losses),
         }
-        node = InternalNode(candidate.feature_index, candidate.threshold, candidate.p_value, None, None)
         mask = Xn[:, candidate.feature_index] <= candidate.threshold
         children = (rows[mask], rows[~mask])
         del Xn, yn  # each child gathers its own rows; do not hold a copy per level
         (left, left_decisions, left_trainings), (right, right_decisions, right_trainings) = fork_map(
             lambda side: grow(children[side], path + (side,)), 2
         )
-        return (
-            [_encode_node(node), *left, *right],
-            [decision, *left_decisions, *right_decisions],
-            left_trainings + right_trainings,
-        )
+        node = InternalNode(candidate.feature_index, candidate.threshold, candidate.p_value, left, right)
+        return node, [decision, *left_decisions, *right_decisions], left_trainings + right_trainings
 
-    nodes, decisions, trainings = grow(np.arange(n), ())
-    leaf_entries = [entry for entry in nodes if entry["kind"] == "leaf"]
-    for region_id, (entry, training) in enumerate(zip(leaf_entries, trainings), start=1):
-        entry["region_id"] = training["region_id"] = region_id
+    root, decisions, trainings = grow(np.arange(n), ())
     log = {"n_train": n, "n_min": n_min, "d_raw": d_raw, "nodes": decisions + trainings}
-    return UsnrtModel(_decode_nodes(nodes, [0]), cfg, preprocess, train_log=log)
+    model = UsnrtModel(root, cfg, preprocess, train_log=log)
+    for region_id, (node, training) in enumerate(zip(model.leaves(), trainings), start=1):
+        node.region_id = training["region_id"] = region_id
+    return model
 
 
 def _model_width(model: UsnrtModel) -> int:

@@ -75,8 +75,10 @@ def test_ac01_levene_oracle():
         b = rng.normal(scale=float(rng.uniform(0.2, 5.0)), size=n_r)
 
         # Naive two-pass recomputation in plain Python arithmetic.
-        z_l = [abs(v - sum(a) / n_l) for v in a]
-        z_r = [abs(v - sum(b) / n_r) for v in b]
+        mean_l = sum(a) / n_l
+        mean_r = sum(b) / n_r
+        z_l = [abs(v - mean_l) for v in a]
+        z_r = [abs(v - mean_r) for v in b]
         zbar_l = sum(z_l) / n_l
         zbar_r = sum(z_r) / n_r
         w2_l = sum((z - zbar_l) ** 2 for z in z_l) / (n_l - 1)

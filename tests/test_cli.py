@@ -863,6 +863,8 @@ class TestExitCodes:
             lambda p: with_color(_as_hnn(p), {"a": 0, "b": 1, "c": 7}),
             lambda p: with_color(_as_hnn(p), {"a": 0, "b,c": 0, "d": 2}),
             lambda p: _as_hnn(p)["preprocess"]["constant_columns"].append("x1"),
+            lambda p: p.update(format_version=2) or p["preprocess"].update(schema=dict(p["preprocess"]["schema"])),
+            lambda p: p["preprocess"].pop("label_constant"),
         ],
         ids=[
             "feature-index-too-large",
@@ -879,6 +881,8 @@ class TestExitCodes:
             "hnn-slot-out-of-range",
             "hnn-slot-repeated",
             "hnn-constant-column-with-positive-std",
+            "version-2-schema-mapping",
+            "preprocess-without-label-constant",
         ],
     )
     def test_corrupt_model_predict_exits_2(self, trained_dir, synth_dir, tmp_path, capsys, corrupt):

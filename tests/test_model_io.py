@@ -69,12 +69,16 @@ def X():
 
 
 def test_kind_table_matches_classes(usnrt_model, hnn_model, state, tmp_path):
+    """Every kind is written at the current format version, with the
+    preprocessing state once in the header (never in ensemble members)."""
     ensemble = EnsembleModel(members=[hnn_model], preprocess=state)
     kinds = []
     for model in (usnrt_model, hnn_model, ensemble):
         path = tmp_path / f"{model.model_kind}.json"
         save_model(model, path)
-        assert json.loads(path.read_text())["model_kind"] == model.model_kind
+        payload = json.loads(path.read_text())
+        assert (payload["format_version"], payload["model_kind"]) == (FORMAT_VERSION, model.model_kind)
+        assert all("preprocess" not in member for member in payload.get("members", []))
         assert type(load_model(path)) is type(model)
         kinds.append(model.model_kind)
     assert kinds == list(MODEL_KINDS)
@@ -223,31 +227,6 @@ def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
     assert (clone.depth, clone.leaf_count) == (2, 3)
     for got, want in zip(predict_arrays(clone, X), predict_arrays(usnrt_model, X)):
         assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_version_1_file_loads_the_same(usnrt_model, hnn_model, state, X, tmp_path, kind):
-    """Version-1 and version-2 files (the schema a name -> kind mapping; in
-    version 1 every ensemble member also carrying its own copy of the
-    preprocessing state) load and predict as the current file does."""
-    ensemble = EnsembleModel(members=[hnn_model, HnnModel(*_nets(50))], preprocess=state)
-    model = {"usnrt": usnrt_model, "hnn": hnn_model, "ensemble": ensemble}[kind]
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    current = json.loads(path.read_text())
-    assert current["format_version"] == FORMAT_VERSION
-    assert all("preprocess" not in member for member in current.get("members", []))
-    for version in (1, 2):
-        payload = copy.deepcopy(current)
-        payload["format_version"] = version
-        payload["preprocess"]["schema"] = dict(payload["preprocess"]["schema"])
-        if version == 1:
-            for member in payload.get("members", []):
-                member["preprocess"] = copy.deepcopy(payload["preprocess"])
-        old = tmp_path / f"v{version}.json"
-        old.write_text(json.dumps(payload, sort_keys=True))
-        for got, want in zip(load_model(old).predict_arrays(X), model.predict_arrays(X)):
-            assert np.array_equal(got, want)
 
 
 def test_failed_write_keeps_existing_file(tmp_path):

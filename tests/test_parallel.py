@@ -4,6 +4,7 @@ worker may outlive the call."""
 
 import multiprocessing
 import os
+import signal
 import threading
 
 import numpy as np
@@ -81,6 +82,9 @@ def test_same_model_and_log_for_1_and_2_cpus(monkeypatch, pools, train, pools_at
     serial, pooled = models
     assert serial.to_payload() == pooled.to_payload()
     assert serial.train_log == pooled.train_log
+    X, _ = two_level_data(300)
+    for got, want in zip(pooled.predict_arrays(X), serial.predict_arrays(X)):
+        assert np.array_equal(got, want)
     assert pools == pools_at_2_cpus
 
 
@@ -144,6 +148,22 @@ def test_first_failing_task_in_index_order_raises(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError, match="^task 1$"):
         parallel.fork_map(square_or_raise, 3)
+    assert multiprocessing.active_children() == []
+
+
+def kill_task_1(i):
+    if i == 1 and multiprocessing.parent_process() is not None:  # never the test process itself
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+
+def test_dead_worker_is_a_training_error(monkeypatch, pools):
+    """A worker killed by a signal, as the out-of-memory killer would kill
+    it, is a TrainingError once every worker has exited."""
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(TrainingError, match="worker process ended abruptly"):
+        parallel.fork_map(kill_task_1, 3)
+    assert pools == [2]
     assert multiprocessing.active_children() == []
 
 
