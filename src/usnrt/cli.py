@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from . import baselines, tree
 from .data import (
     DataError,
     Dataset,
-    PreprocessState,
     Schema,
     SynthSpec,
     fit_transform,
@@ -162,32 +161,41 @@ def _train_settings(args, **flags) -> dict:
     return _resolved(defaults, _load_config_file(args.config), {**tree_flags, **flags})
 
 
-def _fit_model(kind: str, X, y, state: PreprocessState, settings: dict, seed: int):
-    train_cfg = _from_settings(TrainConfig, settings, seed=seed)
+def _trainer(kind, settings: dict, seeds):
+    """fit(X, y, state, seed), training a model of kind with one of seeds.
+    Every setting that kind reads, and each seed, is converted and checked
+    here, before any data is read or model trained; the others are ignored."""
+    if kind not in MODEL_KINDS:
+        raise _UsageError(f"unknown model kind {kind!r}")
+    train_cfg = _from_settings(TrainConfig, settings)
+    cfgs = {seed: replace(train_cfg, seed=seed) for seed in seeds}
     if kind == "usnrt":
-        cfg = _from_settings(tree.UsnrtConfig, settings, train_cfg=train_cfg, seed=seed)
-        return tree.build(X, y, cfg, preprocess=state)
+        tree_cfg = _from_settings(tree.UsnrtConfig, settings, train_cfg=train_cfg)
+        cfgs = {seed: replace(tree_cfg, train_cfg=cfg, seed=seed) for seed, cfg in cfgs.items()}
+        return lambda X, y, state, seed: tree.build(X, y, cfgs[seed], preprocess=state)
     hidden = coerce_value("hnn_hidden", settings["hnn_hidden"], "Sequence[int] | None")
     if any(size < 1 for size in hidden or ()):
         raise _UsageError(f"hnn_hidden sizes must be at least 1, got {hidden}")
-    hnn = {
-        "hidden": hidden,
-        "preprocess": state,
-        "rounds": coerce_value("hnn_rounds", settings["hnn_rounds"], "int"),
-    }
-    if kind == "hnn":
-        return baselines.train_hnn(X, y, train_cfg, **hnn)
+    hnn = {"hidden": hidden, "rounds": coerce_value("hnn_rounds", settings["hnn_rounds"], "int")}
     if kind == "ensemble":
-        members = coerce_value("ensemble_members", settings["ensemble_members"], "int")
-        return baselines.train_ensemble(X, y, train_cfg, n_members=members, **hnn)
-    raise _UsageError(f"unknown model kind {kind!r}")
+        hnn["n_members"] = coerce_value("ensemble_members", settings["ensemble_members"], "int")
+    for key in ("n_members", "rounds"):
+        if hnn.get(key, 1) < 1:
+            raise ValueError(f"{key} must be at least 1")
+    if kind == "hnn":
+        return lambda X, y, state, seed: baselines.train_hnn(X, y, cfgs[seed], preprocess=state, **hnn)
+    return lambda X, y, state, seed: baselines.train_ensemble(X, y, cfgs[seed], preprocess=state, **hnn)
 
 
-def _model_state(model) -> PreprocessState:
-    state = model.preprocess
-    if state is None:
+def _model_and_data(args):
+    """The model of --model, then the rows of --data read with its schema:
+    without the label for predict, and for inspect only from a usnrt model."""
+    model = load_model(args.model)
+    if args.command == "inspect" and model.model_kind != "usnrt":
+        raise _UsageError("inspect applies to usnrt models")
+    if model.preprocess is None:
         raise DataError("model file carries no preprocessing state")
-    return state
+    return model, load_csv(args.data, model.preprocess.schema, require_label=args.command != "predict")
 
 
 def _predict(model, X, source, denormalize: bool = True):
@@ -202,10 +210,8 @@ def _predict(model, X, source, denormalize: bool = True):
 
 def _evaluate(model, dataset: Dataset, source="the test split"):
     """Metrics on the normalised label scale, plus the normalised sigmas."""
-    state = _model_state(model)
+    state = model.preprocess
     X = state.transform(dataset)
-    if dataset.labels is None:
-        raise DataError("evaluation data must include the label column")
     y_norm = state.transform_labels(dataset.labels)
     mu, sigma = _predict(model, X, source, denormalize=False)
     return compute_report(mu, sigma, y_norm), sigma
@@ -250,19 +256,15 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     settings = _train_settings(args, seed=args.seed, model_kind=args.model_kind)
-    seed, kind = coerce_value("seed", settings["seed"], "int"), settings["model_kind"]
-    if kind not in MODEL_KINDS:
-        raise _UsageError(f"unknown model kind {kind!r}")
-
-    schema = Schema.from_file(args.schema)
-    dataset = load_csv(args.data, schema)
-    X, y, state = fit_transform(dataset)
-    model = _fit_model(kind, X, y, state, settings, seed)
+    seed = coerce_value("seed", settings["seed"], "int")
+    fit = _trainer(settings["model_kind"], settings, [seed])
+    X, y, state = fit_transform(load_csv(args.data, Schema.from_file(args.schema)))
+    model = fit(X, y, state, seed)
 
     model_path = out / "model.json"
     save_model(model, model_path)
-    message = f"trained {kind} -> {model_path}"
-    if kind == "usnrt":
+    message = f"trained {model.model_kind} -> {model_path}"
+    if model.model_kind == "usnrt":
         _write_json(out / "tree_summary.json", tree.describe(model))
         message = f"trained usnrt: depth {model.depth}, {model.leaf_count} leaves -> {model_path}"
     _write_json(out / "train_log.json", model.train_log)
@@ -273,15 +275,13 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    model = load_model(args.model)
-    state = _model_state(model)
-    dataset = load_csv(args.data, state.schema)
+    model, dataset = _model_and_data(args)
     report, sigma_norm = _evaluate(model, dataset, args.data)
     payload = report.to_dict()
     del payload["curve"]
     if args.original_units:
         payload["sharpness_original_units"] = 100.0 * float(
-            np.mean(state.denormalize_sigma(sigma_norm))
+            np.mean(model.preprocess.denormalize_sigma(sigma_norm))
         )
     _write_json(out / "metrics.json", payload)
     expected, error = zip(*report.curve)
@@ -296,11 +296,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     out = _out_dir(args)
-    model = load_model(args.model)
-    state = _model_state(model)
-    dataset = load_csv(args.data, state.schema, require_label=False)
-    X = state.transform(dataset)
-    mu, sigma = _predict(model, X, args.data)
+    model, dataset = _model_and_data(args)
+    mu, sigma = _predict(model, model.preprocess.transform(dataset), args.data)
     _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
     _echo_config(out, args, {})
     print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
@@ -321,11 +318,12 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
         for column, value in zip(table.values(), row):
             column.append(value)
 
+    fits = {kind: _trainer(kind, settings, seeds) for kind in kinds}
     for seed in seeds:
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
         X, y, state = fit_transform(train)
         for kind in kinds:
-            report, _ = _evaluate(_fit_model(kind, X, y, state, settings, seed), test)
+            report, _ = _evaluate(fits[kind](X, y, state, seed), test)
             add(kind, seed, *(getattr(report, key) for key in scores))
     cells = {key: np.array(table[key]) for key in ("model", *scores)}
     for kind in kinds:
@@ -344,9 +342,6 @@ def cmd_benchmark(args) -> int:
             raise _UsageError(f"{key} must not be empty")
         if len(set(values)) < len(values):
             raise _UsageError(f"{key} must not repeat an entry")
-    for kind in kinds:
-        if kind not in MODEL_KINDS:
-            raise _UsageError(f"unknown model kind {kind!r}")
     test_fraction = coerce_value("test_fraction", settings["test_fraction"], "float")
 
     schema = Schema.from_file(args.schema)
@@ -370,11 +365,8 @@ def cmd_benchmark(args) -> int:
 
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
-    model = load_model(args.model)
-    if model.model_kind != "usnrt":
-        raise _UsageError("inspect applies to usnrt models")
-    state = _model_state(model)
-    dataset = load_csv(args.data, state.schema)
+    model, dataset = _model_and_data(args)
+    state = model.preprocess
     X = state.transform(dataset)
     y_norm = state.transform_labels(dataset.labels)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -522,7 +514,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

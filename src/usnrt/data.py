@@ -125,8 +125,10 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     reported with its 1-based data row and column name: a row whose length
     differs from the header's, then, column by column in schema order, a
     column missing from the header or named in it twice, a missing cell, or
-    the first cell that is not a finite number. The label column may be
-    absent when require_label is False (prediction-only inputs).
+    the first cell that is not a finite number. When require_label is False
+    (prediction-only inputs) the label column is optional: it is read when
+    the header has it and its cells are finite numbers, and is otherwise
+    left out, never a fault.
     """
     try:
         # utf-8-sig drops the byte-order mark that spreadsheet exports often write.
@@ -145,21 +147,28 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
 
     columns: dict[str, np.ndarray] = {}
     for col in schema.columns:
-        if col.name not in header:
-            if col.kind == "label" and not require_label:
-                continue
-            raise DataError(f"{path}: missing column {col.name!r}")
-        if header.count(col.name) > 1:
-            raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
-        position = header.index(col.name)
-        cells = [row[position].strip() for row in data_rows]
-        if "" in cells:
-            raise DataError(f"{path}: row {cells.index('') + 1}, column {col.name!r}: missing value")
-        if col.kind == "categorical":
-            columns[col.name] = np.array(cells, dtype=object)
-        else:
-            columns[col.name] = _number_column(path, col.name, cells)
+        try:
+            columns[col.name] = _column(path, col, header, data_rows)
+        except DataError:
+            if require_label or col.kind != "label":
+                raise
     return Dataset(schema, columns)
+
+
+def _column(path, col: Column, header: list[str], data_rows: list[list[str]]) -> np.ndarray:
+    """Column col of data_rows: its stripped cells for a categorical column,
+    else their numbers. The faults are load_csv's, in its order."""
+    if col.name not in header:
+        raise DataError(f"{path}: missing column {col.name!r}")
+    if header.count(col.name) > 1:
+        raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
+    position = header.index(col.name)
+    cells = [row[position].strip() for row in data_rows]
+    if "" in cells:
+        raise DataError(f"{path}: row {cells.index('') + 1}, column {col.name!r}: missing value")
+    if col.kind == "categorical":
+        return np.array(cells, dtype=object)
+    return _number_column(path, col.name, cells)
 
 
 def _number_column(path, name: str, cells: list[str]) -> np.ndarray:

@@ -92,24 +92,26 @@ def encode_mlp(net: Mlp) -> dict:
 
 
 def decode_mlp(obj: dict) -> Mlp:
-    """The network of an encode_mlp block. A malformed block raises whatever
-    the decoding meets; load_model turns that into ModelFormatError."""
+    """The network of an encode_mlp block. Its stored arrays must have the
+    shapes that its layer sizes imply, checked before the network is built,
+    so a file cannot make it allocate more than the file holds. A malformed
+    block raises whatever the decoding meets; load_model turns that into
+    ModelFormatError."""
+    sizes = [int(s) for s in obj["layer_sizes"]]
+    weights = [decode_array(W) for W in obj["weights"]]
+    biases = [decode_array(b) for b in obj["biases"]]
+    for name, arrays, shapes in (
+        ("weights", weights, list(zip(sizes[:-1], sizes[1:]))),
+        ("biases", biases, [(n,) for n in sizes[1:]]),
+    ):
+        if [a.shape for a in arrays] != shapes:
+            raise ModelFormatError(f"network {name} do not match the declared layer sizes")
     net = Mlp(
-        obj["layer_sizes"],
+        sizes,
         hidden_activation=Activation(obj["hidden_activation"]),
         output_activation=Activation(obj["output_activation"]),
         seed=int(obj["seed"]),
     )
-    weights = [decode_array(W) for W in obj["weights"]]
-    biases = [decode_array(b) for b in obj["biases"]]
-    for name, arrays, expected in (
-        ("weights", weights, net.weights),
-        ("biases", biases, net.biases),
-    ):
-        if len(arrays) != len(expected) or any(
-            got.shape != ref.shape for got, ref in zip(arrays, expected)
-        ):
-            raise ModelFormatError(f"network {name} do not match the declared layer sizes")
     net.weights = weights
     net.biases = biases
     return net

@@ -12,9 +12,9 @@ one flat float64 buffer, layer by layer, W0 (row-major, fan_in x fan_out),
 b0, W1, b1, ..., and `Mlp.weights` / `Mlp.biases` become views of it. The
 gradient and the two Adam moments are flat buffers of the same layout, so
 the backward pass writes each layer's gradient straight into its slot, one
-Adam step is a few whole-buffer operations, and a snapshot is one copy.
-Assigning fresh arrays to `weights` / `biases` stays allowed: the next
-training run packs whatever they hold.
+Adam step is a few whole-buffer operations, and the best weights are one
+copy. Assigning fresh arrays to `weights` / `biases` stays allowed: the
+next training run packs whatever they hold.
 """
 
 from __future__ import annotations
@@ -198,13 +198,6 @@ class Mlp:
         if len(weights) != len(biases) or [np.shape(p) for p in params] != shapes:
             raise ValueError("network parameters do not match the layer sizes")
         return np.concatenate([np.ravel(p) for p in params], dtype=float)
-
-    def snapshot(self):
-        """Copy of the parameters as (weights, biases), views of one buffer."""
-        return self._views(self._flatten(self.weights, self.biases))
-
-    def restore(self, snapshot) -> None:
-        self.weights, self.biases = self._views(self._flatten(*snapshot))
 
 
 def _integer(value) -> int:

@@ -22,7 +22,7 @@ from usnrt.cli import (
     main,
     run_benchmark,
 )
-from usnrt import cli, tree
+from usnrt import baselines, cli, tree
 from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
@@ -220,6 +220,24 @@ class TestPredict:
         sigma = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(sigma > 0)
 
+    @pytest.mark.parametrize("label", ["", "NA"])
+    def test_label_column_is_not_read(self, trained_dir, synth_dir, tmp_path, label):
+        """Label cells that are blank or not a number change nothing: the
+        predictions are those of the same rows without the label column."""
+        rows = list(csv.reader((synth_dir / "data.csv").read_text().splitlines()))
+        files = {
+            "unlabelled": [row[:-1] for row in rows],
+            "odd_label": [rows[0], *([*row[:-1], label] for row in rows[1:])],
+        }
+        outputs = []
+        for name, table in files.items():
+            data = tmp_path / f"{name}.csv"
+            data.write_text("".join(",".join(row) + "\n" for row in table))
+            argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", str(data)]
+            assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
+            outputs.append((tmp_path / name / "predictions.csv").read_bytes())
+        assert rows[0][-1] == "y" and outputs[0] == outputs[1]
+
     def test_failed_write_keeps_existing_predictions(self, tmp_path):
         path = tmp_path / "predictions.csv"
         _write_columns(path, {"mu": [0.0], "sigma": [1.0]})
@@ -400,7 +418,7 @@ class TestBenchmark:
             ("usnrt", 5): (2.5, 3.0, 12.0),
             ("hnn", 5): (1.0, 0.5, 22.5),
         }
-        monkeypatch.setattr(cli, "_fit_model", lambda kind, X, y, state, settings, seed: (kind, seed))
+        monkeypatch.setattr(cli, "_trainer", lambda kind, settings, seeds: lambda X, y, state, seed: (kind, seed))
         monkeypatch.setattr(
             cli, "_evaluate", lambda cell, test: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
         )
@@ -526,6 +544,62 @@ class TestExitCodes:
             )
             == EXIT_DATA
         )
+
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [([], {"alpha": 2}, "alpha must lie strictly in (0, 1)"), (["--seed", "-1"], {}, "seed must be non-negative")],
+    )
+    def test_bad_setting_is_reported_before_the_files_are_read(self, tmp_path, capsys, flags, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["train", "--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "missing.json")]
+        assert main([*argv, *flags, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, config, message",
+        [
+            ("hnn", {"hnn_hidden": [0]}, "hnn_hidden sizes must be at least 1, got [0]"),
+            ("hnn", {"hnn_rounds": 0}, "rounds must be at least 1"),
+            ("ensemble", {"ensemble_members": 0}, "n_members must be at least 1"),
+            ("hnn", {"seeds": [0, -1]}, "seed must be non-negative"),
+        ],
+    )
+    def test_benchmark_checks_every_kind_before_any_model_trains(
+        self, synth_dir, tmp_path, capsys, monkeypatch, kind, config, message
+    ):
+        def trains(*args, **kwargs):
+            pytest.fail("a model trained before the settings were checked")
+
+        for module, name in ((tree, "build"), (baselines, "train_hnn"), (baselines, "train_ensemble")):
+            monkeypatch.setattr(module, name, trains)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seeds": [0], **config, "model_kinds": ["usnrt", kind]}))
+        argv = ["benchmark", "--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_inspect_refuses_a_baseline_before_reading_data(self, trained_dir, tmp_path, capsys):
+        hnn = tmp_path / "hnn.json"
+        hnn.write_text(json.dumps(_as_hnn(json.loads((trained_dir / "model.json").read_text()))))
+        argv = ["inspect", "--model", str(hnn), "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: inspect applies to usnrt models\n"
+
+    @pytest.mark.parametrize("command", ["synth", "train", "predict"])
+    def test_out_naming_a_file_exits_1(self, trained_dir, synth_dir, tmp_path, capsys, command):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        inputs = {
+            "synth": ["--n", "20"],
+            "train": ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")],
+            "predict": ["--model", str(trained_dir / "model.json"), "--data", str(synth_dir / "data.csv")],
+        }
+        assert main([command, *inputs[command], "--out", str(afile)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(afile) in err
+        assert "Traceback" not in err
+        assert afile.read_text() == "keep\n"
 
     def test_corrupt_model_file(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.json"

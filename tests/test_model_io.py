@@ -6,6 +6,7 @@ import copy
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,24 @@ def test_tree_deeper_than_recursion_limit_rejected(usnrt_model, tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ModelFormatError, match="RecursionError"):
         load_model(path)
+
+
+def test_inflated_layer_sizes_rejected_before_allocating(hnn_model, tmp_path):
+    """Layer sizes edited far above the stored arrays' shapes fail before a
+    network of the declared size (288 MB of weights) is built."""
+    path = tmp_path / "model.json"
+    save_model(hnn_model, path)
+    payload = json.loads(path.read_text())
+    payload["mean_net"]["layer_sizes"] = [WIDTH, 6000, 6000, 1]
+    path.write_text(json.dumps(payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError, match="network weights do not match the declared layer sizes"):
+            load_model(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):

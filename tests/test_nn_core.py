@@ -187,11 +187,10 @@ class TestTrainNllFixedMean:
         X = rng.uniform(-1, 1, (150, 2))
         y = rng.standard_normal(150)
         mean_net = Mlp([2, 5, 1], seed=6)
-        before = mean_net.snapshot()
+        before = [p.copy() for p in mean_net.weights + mean_net.biases]
         sigma_net = Mlp([2, 5, 1], output_activation=Activation.SOFTPLUS, seed=7)
         train_nll_fixed_mean(sigma_net, mean_net, X, y, TrainConfig(max_epochs=15, seed=8))
-        after_w, after_b = mean_net.snapshot()
-        for a, b in zip(before[0] + before[1], after_w + after_b):
+        for a, b in zip(before, mean_net.weights + mean_net.biases):
             assert np.array_equal(a, b)
 
     def test_requires_softplus_output(self):
@@ -504,33 +503,15 @@ class TestParameterBuffers:
         for a, b in zip(retrained.weights + retrained.biases, fresh.weights + fresh.biases):
             assert np.array_equal(a, b)
 
-    def test_snapshot_not_mutated_by_training(self):
-        X, y = self.data()
-        net = Mlp([2, 6, 1], seed=53)
-        snap_w, snap_b = net.snapshot()
-        kept = [p.copy() for p in snap_w + snap_b]
-        train_mse(net, X, y, self.cfg)
-        assert not np.array_equal(net.weights[0], kept[0])
-        for p, k in zip(snap_w + snap_b, kept):
-            assert np.array_equal(p, k)
-        net.restore((snap_w, snap_b))
-        for p, k in zip(net.weights + net.biases, kept):
-            assert np.array_equal(p, k)
-            assert not any(np.shares_memory(p, q) for q in snap_w + snap_b)
-        # A snapshot is a copy: in-place edits of the live parameters miss it.
-        _, live_b = net.snapshot()
-        net.biases[0][:] = 7.0
-        assert np.array_equal(live_b[0], kept[len(snap_w)])
-
     def test_alternately_trained_nets_share_no_buffer(self):
         X, y = self.data()
         mean_net = Mlp([2, 6, 1], hidden_activation=Activation.RELU, seed=54)
         sigma_net = Mlp([2, 6, 1], output_activation=Activation.SOFTPLUS, seed=55)
         for _ in range(2):
             train_nll_fixed_sigma(mean_net, predict_sigma(sigma_net, X), X, y, self.cfg)
-            mean_before = mean_net.snapshot()
+            mean_before = [p.copy() for p in mean_net.weights + mean_net.biases]
             train_nll_fixed_mean(sigma_net, mean_net, X, y, self.cfg)
-            for a, b in zip(mean_net.weights + mean_net.biases, mean_before[0] + mean_before[1]):
+            for a, b in zip(mean_net.weights + mean_net.biases, mean_before):
                 assert np.array_equal(a, b)
         for p in mean_net.weights + mean_net.biases:
             for q in sigma_net.weights + sigma_net.biases:
