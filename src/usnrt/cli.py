@@ -304,9 +304,11 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction: float) -> dict[str, list]:
+def run_benchmark(dataset: Dataset, fits: dict, seeds, test_fraction: float) -> dict[str, list]:
     """The comparison table as {header: column}: one row per (seed, model
     kind), seed-major, then a mean row per kind over that kind's rows.
+    fits maps each model kind, in table order, to its fit(X, y, state, seed)
+    (as _trainer gives it).
 
     Each seed redraws the 80/20 split; every kind trains on identical
     preprocessed data within a seed, so the comparison is apples to apples.
@@ -318,15 +320,14 @@ def run_benchmark(dataset: Dataset, kinds, seeds, settings: dict, test_fraction:
         for column, value in zip(table.values(), row):
             column.append(value)
 
-    fits = {kind: _trainer(kind, settings, seeds) for kind in kinds}
     for seed in seeds:
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
         X, y, state = fit_transform(train)
-        for kind in kinds:
-            report, _ = _evaluate(fits[kind](X, y, state, seed), test)
+        for kind, fit in fits.items():
+            report, _ = _evaluate(fit(X, y, state, seed), test)
             add(kind, seed, *(getattr(report, key) for key in scores))
     cells = {key: np.array(table[key]) for key in ("model", *scores)}
-    for kind in kinds:
+    for kind in fits:
         rows = cells["model"] == kind
         add(kind, "mean", *(float(np.mean(cells[key][rows])) for key in scores))
     return table
@@ -343,10 +344,10 @@ def cmd_benchmark(args) -> int:
         if len(set(values)) < len(values):
             raise _UsageError(f"{key} must not repeat an entry")
     test_fraction = coerce_value("test_fraction", settings["test_fraction"], "float")
+    fits = {kind: _trainer(kind, settings, seeds) for kind in kinds}
 
-    schema = Schema.from_file(args.schema)
-    dataset = load_csv(args.data, schema)
-    table = run_benchmark(dataset, kinds, seeds, settings, test_fraction)
+    dataset = load_csv(args.data, Schema.from_file(args.schema))
+    table = run_benchmark(dataset, fits, seeds, test_fraction)
 
     _write_columns(out / "benchmark.csv", table)
     lines = [f"{'model':<10} {'seed':>6} {'ece':>10} {'tce':>10} {'sharpness':>10}"]

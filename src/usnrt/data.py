@@ -9,7 +9,8 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -118,74 +119,159 @@ class Dataset:
         return Dataset(self.schema, {name: values[idx] for name, values in self.columns.items()})
 
 
+# Data rows that load_csv parses at a time. Memory while reading is this many
+# rows of cells plus the parsed columns, whatever the file's length.
+_BLOCK_ROWS = 4096
+
+
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     """Parse a headered CSV against the schema.
 
-    Continuous and label cells must be finite numbers. The first fault is
-    reported with its 1-based data row and column name: a row whose length
-    differs from the header's, then, column by column in schema order, a
-    column missing from the header or named in it twice, a missing cell, or
-    the first cell that is not a finite number. When require_label is False
-    (prediction-only inputs) the label column is optional: it is read when
-    the header has it and its cells are finite numbers, and is otherwise
-    left out, never a fault.
+    Continuous and label cells must be finite numbers. The file is read in
+    blocks of _BLOCK_ROWS rows, never held whole; faults are recorded as they
+    are met and the first in this order is raised after the last row, with
+    its 1-based data row and column name: a file that cannot be read, an
+    empty file or one with no data rows, a row whose length differs from the
+    header's, then, column by column in schema order, a column missing from
+    the header or named in it twice, a missing cell, or the first cell that
+    is not a finite number. When require_label is False (prediction-only
+    inputs) the label column is optional: it is read when the header has it
+    and its cells are finite numbers, and is otherwise left out, never a
+    fault.
     """
-    try:
-        # utf-8-sig drops the byte-order mark that spreadsheet exports often write.
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
+    blocks = _blocks(path)
+    header = next(blocks)
+    if header is None:
         raise DataError(f"{path}: file is empty")
-    header, data_rows = rows[0], rows[1:]
-    if not data_rows:
+    readers = [_ColumnReader(path, col, header) for col in schema.columns]
+    length_fault = None
+    n_rows = 0
+    for block in blocks:
+        if length_fault is None:
+            length_fault = _length_fault(path, block, len(header), n_rows)
+            if length_fault is None:
+                for reader in readers:
+                    reader.add(block, n_rows + 1)
+        n_rows += len(block)
+    if not n_rows:
         raise DataError(f"{path}: no data rows")
-    for i, row in enumerate(data_rows, start=1):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
+    if length_fault is not None:
+        raise DataError(length_fault)
 
     columns: dict[str, np.ndarray] = {}
-    for col in schema.columns:
-        try:
-            columns[col.name] = _column(path, col, header, data_rows)
-        except DataError:
-            if require_label or col.kind != "label":
-                raise
+    for reader in readers:
+        if reader.fault is None:
+            columns[reader.col.name] = reader.values()
+        elif require_label or reader.col.kind != "label":
+            raise DataError(reader.fault)
     return Dataset(schema, columns)
 
 
-def _column(path, col: Column, header: list[str], data_rows: list[list[str]]) -> np.ndarray:
-    """Column col of data_rows: its stripped cells for a categorical column,
-    else their numbers. The faults are load_csv's, in its order."""
-    if col.name not in header:
-        raise DataError(f"{path}: missing column {col.name!r}")
-    if header.count(col.name) > 1:
-        raise DataError(f"{path}: column {col.name!r} appears more than once in the header")
-    position = header.index(col.name)
-    cells = [row[position].strip() for row in data_rows]
-    if "" in cells:
-        raise DataError(f"{path}: row {cells.index('') + 1}, column {col.name!r}: missing value")
-    if col.kind == "categorical":
-        return np.array(cells, dtype=object)
-    return _number_column(path, col.name, cells)
+def _blocks(path):
+    """Yield the header row of the CSV at path (None for an empty file), then
+    its data rows in lists of _BLOCK_ROWS, the last one shorter. Each block
+    is emptied when the next is asked for, so one block at a time is held. A
+    file that cannot be opened, decoded or parsed as CSV is a DataError."""
+    try:
+        # utf-8-sig drops the byte-order mark that spreadsheet exports often write.
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            rows = csv.reader(fh)
+            yield next(rows, None)
+            while block := list(islice(rows, _BLOCK_ROWS)):
+                yield block
+                block.clear()
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
 
 
-def _number_column(path, name: str, cells: list[str]) -> np.ndarray:
-    """The cells of column name as floats, naming the 1-based row of the
-    first one that is not a finite number."""
-    values = []
-    for i, cell in enumerate(cells, start=1):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}: row {i}, column {name!r}: cannot parse {cell!r} as a number"
-            ) from None
-        if not math.isfinite(value):
-            raise DataError(f"{path}: row {i}, column {name!r}: non-finite value {cell!r}")
-        values.append(value)
-    return np.asarray(values, dtype=float)
+def _length_fault(path, block: list[list[str]], width: int, offset: int) -> str | None:
+    """The fault of the first row of block whose length is not width; the
+    block's first row is data row offset + 1."""
+    lengths = list(map(len, block))
+    if lengths.count(width) == len(lengths):
+        return None
+    i, n = next((i, n) for i, n in enumerate(lengths, start=offset + 1) if n != width)
+    return f"{path}: row {i} has {n} cells, header has {width}"
+
+
+class _ColumnReader:
+    """One schema column of load_csv, fed block by block: its parsed blocks
+    and the faults met so far. settled is a fault that no later row can
+    come before (a header fault or the first missing cell), bad the first
+    cell that is not a finite number, which a missing cell in any later row
+    still beats."""
+
+    def __init__(self, path, col: Column, header: list[str]):
+        self.path = path
+        self.col = col
+        self.blocks: list[np.ndarray] = []
+        self.settled: str | None = None
+        self.bad: str | None = None
+        if col.name not in header:
+            self.settled = f"{path}: missing column {col.name!r}"
+        elif header.count(col.name) > 1:
+            self.settled = f"{path}: column {col.name!r} appears more than once in the header"
+        else:
+            self.cell = itemgetter(header.index(col.name))
+
+    @property
+    def fault(self) -> str | None:
+        return self.settled or self.bad
+
+    def add(self, block: list[list[str]], first_row: int) -> None:
+        """Parse this column's cells of block, whose first row is data row first_row."""
+        if self.settled is not None:
+            return
+        if self.col.kind == "categorical":
+            cells = [cell.strip() for cell in map(self.cell, block)]
+            if "" in cells:
+                self._missing(first_row + cells.index(""))
+            else:
+                self.blocks.append(np.array(cells, dtype=object))
+            return
+        if self.bad is None:
+            try:
+                values = np.fromiter(map(float, map(self.cell, block)), float, len(block))
+            except ValueError:
+                values = None
+            if values is not None and np.isfinite(values).all():
+                self.blocks.append(values)
+                return
+        self._parse_cells(block, first_row)
+
+    def _parse_cells(self, block: list[list[str]], first_row: int) -> None:
+        """Strip and float() each cell in turn, recording the faults; the
+        block's values are kept while the column has none. Only this loop
+        names a fault, so the numbers accepted are float()'s of the stripped
+        cell (str.strip also drops U+001C..U+001F, which float() does not)."""
+        values = []
+        for i, cell in enumerate(map(self.cell, block), start=first_row):
+            cell = cell.strip()
+            if not cell:
+                self._missing(i)
+                return
+            if self.bad is not None:
+                continue
+            try:
+                value = float(cell)
+            except ValueError:
+                self.bad = f"{self.path}: row {i}, column {self.col.name!r}: cannot parse {cell!r} as a number"
+                continue
+            if not math.isfinite(value):
+                self.bad = f"{self.path}: row {i}, column {self.col.name!r}: non-finite value {cell!r}"
+            values.append(value)
+        if self.bad is None:
+            self.blocks.append(np.asarray(values, dtype=float))
+        else:
+            self.blocks = []
+
+    def _missing(self, row: int) -> None:
+        self.settled = f"{self.path}: row {row}, column {self.col.name!r}: missing value"
+        self.blocks = []
+
+    def values(self) -> np.ndarray:
+        """The column: its one block as it is, or the blocks joined."""
+        return self.blocks[0] if len(self.blocks) == 1 else np.concatenate(self.blocks)
 
 
 @dataclass

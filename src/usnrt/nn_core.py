@@ -63,21 +63,18 @@ class Activation(Enum):
     SOFTPLUS = "softplus"
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so exp never overflows.
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
+# act(z, out): the activation of z, written to out when out is given.
 _APPLY = {
     Activation.TANH: np.tanh,
-    Activation.RELU: lambda z: np.maximum(z, 0.0),
-    Activation.LINEAR: lambda z: z,
-    Activation.SOFTPLUS: _softplus,
+    Activation.RELU: lambda z, out=None: np.maximum(z, 0.0, out=out),
+    Activation.LINEAR: lambda z, out=None: z,
+    Activation.SOFTPLUS: lambda z, out=None: np.logaddexp(0.0, z, out=out),
 }
 
 
@@ -137,22 +134,31 @@ class Mlp:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected an (n, {self.input_dim}) batch, got shape {X.shape}")
-        return self._forward_cached(X)[1][-1]
+        # Only the live layer is held: each activation overwrites its pre-activation.
+        for _, a in self._layers(X, in_place=True):
+            pass
+        return a
 
     def _forward_cached(self, X: np.ndarray):
         """Forward pass keeping pre-activations and activations per layer."""
         pre: list[np.ndarray] = []
         post: list[np.ndarray] = [X]
+        for z, a in self._layers(X, in_place=False):
+            pre.append(z)
+            post.append(a)
+        return pre, post
+
+    def _layers(self, X: np.ndarray, in_place: bool):
+        """Yield each layer's (pre-activation, activation) in turn; with
+        in_place the activation is written over the pre-activation."""
         a = X
         last = len(self.weights) - 1
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ W
             z += b
             act = self.output_activation if i == last else self.hidden_activation
-            a = _APPLY[act](z)
-            pre.append(z)
-            post.append(a)
-        return pre, post
+            a = _APPLY[act](z, z if in_place else None)
+            yield z, a
 
     def _backward(self, pre, post, grad_output, out=None):
         """Parameter gradients of a scalar loss given d(loss)/d(outputs).

@@ -458,8 +458,9 @@ def predict_arrays(model: UsnrtModel, X, denormalize: bool = True):
     sigma = np.empty(n)
     for leaf, idx in _route(model.root, X, np.arange(n)):
         if idx.size:
-            mu[idx] = leaf.mean_net.forward(X[idx])[:, 0]
-            sigma[idx] = predict_sigma(leaf.sigma_net, X[idx])
+            rows = X[idx]
+            mu[idx] = leaf.mean_net.forward(rows)[:, 0]
+            sigma[idx] = predict_sigma(leaf.sigma_net, rows)
     if denormalize and model.preprocess is not None:
         mu = model.preprocess.denormalize_mean(mu)
         sigma = model.preprocess.denormalize_sigma(sigma)

@@ -401,7 +401,7 @@ class TestBenchmark:
             "validation_fraction": 0.2, "patience": 5,
             "hnn_hidden": [8], "hnn_rounds": 1, "ensemble_members": 2,
         }
-        table = run_benchmark(dataset, ["usnrt"], [0, 1, 2], settings, 0.2)
+        table = run_benchmark(dataset, {"usnrt": cli._trainer("usnrt", settings, [0, 1, 2])}, [0, 1, 2], 0.2)
         assert table["seed"] == [0, 1, 2, "mean"]
         for key in ("ece", "tce", "sharpness"):
             expected = float(np.mean(table[key][:3]))
@@ -423,7 +423,8 @@ class TestBenchmark:
             cli, "_evaluate", lambda cell, test: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
         )
         dataset = load_csv(synth_dir / "data.csv", Schema.from_file(synth_dir / "schema.json"))
-        assert run_benchmark(dataset, ["usnrt", "hnn"], [3, 5], {}, 0.2) == {
+        fits = {kind: cli._trainer(kind, {}, [3, 5]) for kind in ("usnrt", "hnn")}
+        assert run_benchmark(dataset, fits, [3, 5], 0.2) == {
             "model": ["usnrt", "hnn", "usnrt", "hnn", "usnrt", "hnn"],
             "seed": [3, 3, 5, 5, "mean", "mean"],
             "ece": [1.5, 0.5, 2.5, 1.0, 2.0, 0.75],
@@ -554,6 +555,22 @@ class TestExitCodes:
         cfg.write_text(json.dumps(config))
         argv = ["train", "--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "missing.json")]
         assert main([*argv, *flags, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"alpha": 2}, "alpha must lie strictly in (0, 1)"),
+            ({"hnn_hidden": [0]}, "hnn_hidden sizes must be at least 1, got [0]"),
+            ({"seeds": [0, -1]}, "seed must be non-negative"),
+        ],
+        ids=["alpha", "hnn-hidden", "seed"],
+    )
+    def test_benchmark_reports_a_bad_setting_before_the_files_are_read(self, tmp_path, capsys, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model_kinds": ["usnrt", "hnn"], **config}))
+        argv = ["benchmark", "--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "missing.json")]
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
@@ -821,6 +838,20 @@ class TestExitCodes:
         assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_cell_over_the_csv_field_limit_exits_2(self, synth_dir, trained_dir, tmp_path, capsys, command):
+        """A cell longer than the csv module's field limit (131,072
+        characters) is a data error naming the file, not a traceback."""
+        header = (synth_dir / "data.csv").read_text().splitlines()[0]
+        long = tmp_path / "long.csv"
+        long.write_text(f"{header}\n" + ",".join(["1" * 200_000] + ["0.5"] * header.count(",")) + "\n")
+        if command == "train":
+            argv = ["train", "--data", str(long), "--schema", str(synth_dir / "schema.json")]
+        else:
+            argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", str(long)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {long}: field larger than field limit")
 
     @pytest.mark.parametrize(
         "command, flags",

@@ -3,6 +3,7 @@ correctness against central finite differences, determinism, and bit
 identity with a textbook reference trainer."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ class TestForward:
         net = Mlp([4, 7, 3, 1], seed=9)
         X = np.random.default_rng(2).normal(size=(11, 4))
         assert np.array_equal(net.forward(X), net.forward(X))
+
+    @pytest.mark.parametrize("hidden", list(Activation), ids=lambda act: act.value)
+    @pytest.mark.parametrize("output", list(Activation), ids=lambda act: act.value)
+    def test_forward_equals_the_training_pass_bit_for_bit(self, hidden, output):
+        net = Mlp([3, 7, 5, 2], hidden, output, seed=4)
+        X = 3.0 * np.random.default_rng(5).normal(size=(64, 3))
+        before = X.copy()
+        assert net.forward(X).tobytes() == net._forward_cached(X)[1][-1].tobytes()
+        assert np.array_equal(X, before)
+
+    def test_forward_holds_only_the_live_layer(self):
+        """50,000 rows through [8, 64, 32, 1]: the traced peak stays below
+        twice the 64-wide layer's output (it is the 64- and 32-wide outputs,
+        1.5 times; keeping every layer's pre-activation and activation takes
+        about 3 times)."""
+        net = Mlp([8, 64, 32, 1], seed=1)
+        X = np.random.default_rng(6).normal(size=(50_000, 8))
+        tracemalloc.start()
+        try:
+            net.forward(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * X.shape[0] * 64 * X.itemsize
 
     def test_dimension_mismatch(self):
         net = Mlp([4, 3, 1], seed=0)
