@@ -344,6 +344,8 @@ def cmd_benchmark(args) -> int:
         if len(set(values)) < len(values):
             raise _UsageError(f"{key} must not repeat an entry")
     test_fraction = coerce_value("test_fraction", settings["test_fraction"], "float")
+    if not 0.0 < test_fraction < 1.0:
+        raise _UsageError("test_fraction must lie strictly in (0, 1)")
     fits = {kind: _trainer(kind, settings, seeds) for kind in kinds}
 
     dataset = load_csv(args.data, Schema.from_file(args.schema))

@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -119,30 +120,37 @@ class Dataset:
         return Dataset(self.schema, {name: values[idx] for name, values in self.columns.items()})
 
 
-# Data rows that load_csv parses at a time. Memory while reading is this many
-# rows of cells plus the parsed columns, whatever the file's length.
+# Data rows that load_csv's block path parses at a time. Memory while it reads
+# is this many rows of cells plus the parsed columns, whatever the file's length.
 _BLOCK_ROWS = 4096
+# Bytes that _plain_rows reads at a time.
+_SCAN_BYTES = 1 << 20
 
 
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     """Parse a headered CSV against the schema.
 
-    Continuous and label cells must be finite numbers. The file is read in
-    blocks of _BLOCK_ROWS rows, never held whole; faults are recorded as they
-    are met and the first in this order is raised after the last row, with
-    its 1-based data row and column name: a file that cannot be read, an
-    empty file or one with no data rows, a row whose length differs from the
-    header's, then, column by column in schema order, a column missing from
-    the header or named in it twice, a missing cell, or the first cell that
-    is not a finite number. When require_label is False (prediction-only
-    inputs) the label column is optional: it is read when the header has it
-    and its cells are finite numbers, and is otherwise left out, never a
-    fault.
+    Continuous and label cells must be finite numbers. A file that
+    _numeric_table takes is parsed in one np.loadtxt call. Any other file is
+    read in blocks of _BLOCK_ROWS rows, never held whole; faults are
+    recorded as they are met and the first in this order is raised after
+    the last row, with its 1-based data row and column name: a file that
+    cannot be read, an empty file or one with no data rows, a row whose
+    length differs from the header's, then, column by column in schema
+    order, a column missing from the header or named in it twice, a missing
+    cell, or the first cell that is not a finite number. When require_label
+    is False (prediction-only inputs) the label column is optional: it is
+    read when the header has it and its cells are finite numbers, and is
+    otherwise left out, never a fault.
     """
     blocks = _blocks(path)
     header = next(blocks)
     if header is None:
         raise DataError(f"{path}: file is empty")
+    table = _numeric_table(path, schema, header, require_label)
+    if table is not None:
+        blocks.close()
+        return Dataset(schema, {c.name: table[c.name] for c in schema.columns if c.name in table})
     readers = [_ColumnReader(path, col, header) for col in schema.columns]
     length_fault = None
     n_rows = 0
@@ -165,6 +173,96 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
         elif require_label or reader.col.kind != "label":
             raise DataError(reader.fault)
     return Dataset(schema, columns)
+
+
+def _numeric_table(path, schema: Schema, header: list[str], require_label: bool) -> dict[str, np.ndarray] | None:
+    """The columns of the CSV at path, parsed in one np.loadtxt call, when
+    that reads the file as the block path would; otherwise None, and the
+    block path reads it and names any fault.
+
+    The file qualifies when it is a regular file (a pipe cannot be read
+    twice), the schema has no categorical column, the header names each of
+    its columns once and only schema columns, every schema column but an
+    optional label is in it, _plain_rows counts its data rows, and loadtxt
+    parses exactly that many rows, with no error or warning, and every
+    column but an optional label is finite. Both paths strip the str.isspace
+    characters of a cell and parse the rest with CPython's own
+    string-to-double conversion, so the numbers are bit-identical; a
+    spelling that loadtxt does not take (1_0, non-ASCII digits) sends the
+    file to the block path. An optional label is parsed by _optional_cell,
+    as the block path parses it, and left out unless every cell is finite,
+    so a blank or NA label never sends the file to the block path.
+    """
+    names = {c.name for c in schema.columns}
+    optional = set() if require_label else {schema.label_name}
+    if (
+        not os.path.isfile(path)
+        or any(c.kind == "categorical" for c in schema.columns)
+        or len(set(header)) < len(header)
+        or not names - optional <= set(header) <= names
+    ):
+        return None
+    n_rows = _plain_rows(path)
+    if not n_rows:
+        return None
+    converters = {header.index(name): _optional_cell for name in optional & set(header)}
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # max_rows sizes the array once; one row more shows a row the count missed.
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, quotechar=None,
+                ndmin=2, encoding="utf-8-sig", max_rows=n_rows + 1, converters=converters,
+            )
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    if caught or table.shape != (n_rows, len(header)):
+        return None
+    finite = np.isfinite(table).all(axis=0)
+    if not all(ok or name in optional for name, ok in zip(header, finite)):
+        return None
+    return {name: table[:, i] for i, (name, ok) in enumerate(zip(header, finite)) if ok}
+
+
+def _optional_cell(cell: str) -> float:
+    """An optional label cell as _ColumnReader parses it: float() of the
+    stripped cell, NaN when that fails, so that the label is left out."""
+    try:
+        return float(cell.strip())
+    except ValueError:
+        return math.nan
+
+
+def _plain_rows(path) -> int | None:
+    """The number of lines after the first in the file at path, read
+    _SCAN_BYTES at a time, or None when csv and np.loadtxt could split it
+    differently: it holds a quote, or a carriage return that is not followed
+    by a line feed (csv ends a row there and loadtxt may skip the blank line
+    that follows), or a line longer than csv's field limit, which csv
+    rejects as a cell. A line is counted in bytes, at least its length in
+    characters."""
+    limit = csv.field_size_limit()
+    lines = size = 0
+    last_end = -1  # file offset of the last line feed seen
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(_SCAN_BYTES):
+                if chunk.endswith(b"\r"):
+                    chunk += fh.read(1)  # a CRLF stays in one chunk
+                if b'"' in chunk or chunk.count(b"\r") != chunk.count(b"\r\n"):
+                    return None
+                ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + size
+                if len(ends):
+                    if (np.diff(ends, prepend=last_end) > limit + 1).any():
+                        return None
+                    last_end = int(ends[-1])
+                lines += len(ends)
+                size += len(chunk)
+    except OSError:
+        return None
+    if size - last_end - 1 > limit:
+        return None
+    return lines - (size == last_end + 1)
 
 
 def _blocks(path):

@@ -563,8 +563,9 @@ class TestExitCodes:
             ({"alpha": 2}, "alpha must lie strictly in (0, 1)"),
             ({"hnn_hidden": [0]}, "hnn_hidden sizes must be at least 1, got [0]"),
             ({"seeds": [0, -1]}, "seed must be non-negative"),
+            ({"test_fraction": 2}, "test_fraction must lie strictly in (0, 1)"),
         ],
-        ids=["alpha", "hnn-hidden", "seed"],
+        ids=["alpha", "hnn-hidden", "seed", "test-fraction"],
     )
     def test_benchmark_reports_a_bad_setting_before_the_files_are_read(self, tmp_path, capsys, config, message):
         cfg = tmp_path / "cfg.json"

@@ -5,14 +5,16 @@ import io
 import math
 import os
 import re
+import threading
 import tracemalloc
+import warnings
 from dataclasses import fields
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from usnrt import data
@@ -159,23 +161,26 @@ class TestLoadCsv:
 
     def test_peak_memory_is_a_block_not_the_file(self, tmp_path):
         """20,000 x 9 rows: the traced peak stays under 5 times the size of
-        the loaded columns (read a block of rows at a time it is about 3
-        times; the file held whole as a list of rows took about 13)."""
+        the loaded columns, for the plain file that the one-pass parse reads
+        (about 1.6 times) and for a quoted copy that the block path reads a
+        block of rows at a time (about 3 times; the file held whole as a
+        list of rows took about 13)."""
         synth = generate_synthetic(SynthSpec(n=20_000, d=8, seed=3))
-        path = tmp_path / "d.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(synth.dataset.columns)
-            writer.writerows(zip(*(values.tolist() for values in synth.dataset.columns.values())))
-        tracemalloc.start()
-        try:
-            loaded = load_csv(path, synth.dataset.schema)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        for name, values in synth.dataset.columns.items():
-            assert np.array_equal(loaded.columns[name], values)
-        assert peak < 5 * sum(values.nbytes for values in loaded.columns.values())
+        for quoting in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL):
+            path = tmp_path / f"d{quoting}.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh, quoting=quoting)
+                writer.writerow(synth.dataset.columns)
+                writer.writerows(zip(*(values.tolist() for values in synth.dataset.columns.values())))
+            tracemalloc.start()
+            try:
+                loaded = load_csv(path, synth.dataset.schema)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            for name, values in synth.dataset.columns.items():
+                assert np.array_equal(loaded.columns[name], values)
+            assert peak < 5 * sum(values.nbytes for values in loaded.columns.values())
 
 
 def _reference_load(path, schema, require_label=True):
@@ -237,7 +242,8 @@ def _streamed_load(path, schema, require_label=True):
 
 # Cells of a number column: numbers as written by repr, padded with whitespace
 # that float() strips, or only str.strip does (U+001C..U+001F), and faults.
-_PADDING = st.sampled_from(["", " ", "\t", "\n", "\x1c", "\x1f", "\xa0", "\u2003"])
+_PADDING_CHARS = ["", " ", "\t", "\n", "\x1c", "\x1f", "\xa0", "\u2003"]
+_PADDING = st.sampled_from(_PADDING_CHARS)
 _NUMBER_CELL = st.one_of(
     st.builds(
         lambda left, x, right: left + repr(x) + right,
@@ -319,6 +325,188 @@ class TestLoadCsvBlocks:
         with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
             streamed = _streamed_load(path, CAT_SCHEMA, require_label)
         assert streamed == _reference_load(path, CAT_SCHEMA, require_label)
+
+
+# Raw text for the one-pass parse: padding that keeps a row whole (more of
+# str.isspace than _PADDING, less its line feed), spellings that float() and
+# np.loadtxt read alike or not, and cells and lines that only csv reads.
+_ROW_PADDING = st.sampled_from([c for c in _PADDING_CHARS if c != "\n"] + ["\x0b", "\x0c", "\x85"])
+_PLAIN_CELL = st.builds(
+    lambda left, x, right: left + repr(x) + right,
+    _ROW_PADDING,
+    st.floats(allow_nan=False, allow_infinity=False),
+    _ROW_PADDING,
+)
+_ODD_CELL = st.sampled_from(
+    ["1_0", "+.5", "5.", "inf", "nan", "1e999", "0x1", "\u0661", '"1.5"', '" 2 "', "", " ", "#1", "1\n2"]
+)
+_ODD_LINE = st.sampled_from(["", "  ", "\t", "#1,2,3"])
+
+
+@st.composite
+def _raw_csv(draw):
+    """(text, header) of a CSV for SCHEMA, mostly plain rows of numbers; one
+    example in three also has odd cells, lines and line ends."""
+    header = draw(st.permutations(["x1", "x2", "y"]))
+    change = draw(st.sampled_from(["", "", "", "", "drop-label", "extra", "repeat"]))
+    if change == "drop-label":
+        header.remove("y")
+    elif change == "extra":
+        header.insert(draw(st.integers(0, len(header))), "extra")
+    elif change == "repeat":
+        header.append(draw(st.sampled_from(header)))
+    odd = draw(st.integers(0, 2)) == 0
+    cell = st.one_of(_PLAIN_CELL, _PLAIN_CELL, _PLAIN_CELL, _ODD_CELL) if odd else _PLAIN_CELL
+    line_end = draw(st.sampled_from(["\n", "\r\n"] + ["\r"] * odd))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(min_value=1 - odd, max_value=6))):
+        if odd and draw(st.integers(0, 5)) == 0:
+            lines.append(draw(_ODD_LINE))
+        else:
+            lines.append(",".join(draw(cell) for _ in header))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) if odd and draw(st.booleans()) else line_end for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""  # no final line end
+    return "".join(line + end for line, end in zip(lines, ends)), header
+
+
+class TestLoadCsvOnePass:
+    """A numeric, unquoted file is parsed in one np.loadtxt call; any other
+    file goes to the block path, which alone names faults."""
+
+    def test_plain_numeric_file_skips_the_block_path(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "d.csv", "y,x2,x1\r\n3, 2.5 ,1\r\n-0.5,1e-3,\x1f+.5\r\n6,5.,4")
+        monkeypatch.setattr(data._ColumnReader, "add", mock.Mock(side_effect=AssertionError("block path")))
+        ds = load_csv(path, SCHEMA)
+        assert list(ds.columns) == ["x1", "x2", "y"]
+        assert ds.columns["x1"].tolist() == [1.0, 0.5, 4.0]
+        assert ds.columns["x2"].tolist() == [2.5, 0.001, 5.0]
+        assert ds.labels.tolist() == [3.0, -0.5, 6.0]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'x1,x2,y\n1,"2",3\n',
+            "x1,x2,y\n1,2,3\r\r",
+            "x1,x2,y\r\n1,2,3\r",
+            "x1,x2,y\n1,2,3\r\n" + "4" * 131_073 + "\n",
+            "x1,x2,y\n" + "4" * 131_073,
+        ],
+        ids=["quote", "lone-return", "last-return", "long-line", "long-last-line"],
+    )
+    def test_row_count_declines_what_csv_may_split_otherwise(self, tmp_path, text):
+        assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
+
+    def test_row_count_spans_chunks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_SCAN_BYTES", 3)
+        for text, rows in [
+            ("x1,x2,y\r\n1,2,3\r\n4,5,6", 2),
+            ("x1,x2,y\n1,2,3\n", 1),
+            ("x1,x2,y\n", 0),
+            ("x1,x2,y\n" + "4" * 131_072 + "\n", 1),  # as long as a csv cell may be
+            ("x1,x2,y\n" + "4" * 131_072, 1),
+        ]:
+            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == rows
+        assert data._plain_rows(write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,\r\r\n")) is None
+
+    def test_numeric_cells_of_a_categorical_column_stay_str(self, tmp_path):
+        ds = load_csv(write_csv(tmp_path / "d.csv", "x1,color,y\n1,2,3\n4,5,6\n"), CAT_SCHEMA)
+        assert ds.columns["color"].dtype == object
+        assert ds.columns["color"].tolist() == ["2", "5"]
+
+    def test_row_count_that_misses_a_row_takes_the_block_path(self, tmp_path, monkeypatch):
+        path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n4,5,6\n")
+        monkeypatch.setattr(data, "_plain_rows", lambda path: 1)
+        assert data._numeric_table(path, SCHEMA, ["x1", "x2", "y"], True) is None
+        assert load_csv(path, SCHEMA).labels.tolist() == [3.0, 6.0]
+
+    def test_loadtxt_warning_takes_the_block_path_and_is_not_shown(self, tmp_path, monkeypatch):
+        real_loadtxt = np.loadtxt
+
+        def loadtxt(*args, **kwargs):
+            warnings.warn("odd input")
+            return real_loadtxt(*args, **kwargs)
+
+        path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n")
+        monkeypatch.setattr(np, "loadtxt", loadtxt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert data._numeric_table(path, SCHEMA, ["x1", "x2", "y"], True) is None
+            assert load_csv(path, SCHEMA).labels.tolist() == [3.0]
+
+    @pytest.mark.parametrize(
+        "cell, labels",
+        [("NA", None), ("", None), (" inf ", None), ("\x1c1_0", [3.0, 6.0, 10.0])],
+        ids=["na", "blank", "inf", "float-only-spelling"],
+    )
+    def test_optional_label_never_sends_the_file_to_the_block_path(self, tmp_path, monkeypatch, cell, labels):
+        path = write_csv(tmp_path / "d.csv", f"x1,x2,y\n1,2,3\n4,5,6\n7,8,{cell}\n")
+        expected = _reference_load(path, SCHEMA, require_label=False)
+        monkeypatch.setattr(data._ColumnReader, "add", mock.Mock(side_effect=AssertionError("block path")))
+        ds = load_csv(path, SCHEMA, require_label=False)
+        assert (None if ds.labels is None else ds.labels.tolist()) == labels
+        assert {name: values.tolist() for name, values in ds.columns.items()} == expected
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_piped_input_is_read_once(self, tmp_path):
+        # Far more than one read buffer: a second open of the pipe would find
+        # only what the first left unread.
+        text = "x1,x2,y\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(3000))
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(text.encode())
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            loaded = _streamed_load(f"/dev/fd/{read_fd}", SCHEMA)
+        finally:
+            os.close(read_fd)
+            writer.join()
+        assert loaded == _reference_load(write_csv(tmp_path / "d.csv", text), SCHEMA)
+
+    def test_cell_longer_than_the_csv_field_limit_is_still_unreadable(self, tmp_path):
+        # A finite number, but csv rejects a cell this long.
+        path = write_csv(tmp_path / "d.csv", "x1,x2,y\n0." + "0" * 200_000 + "1,2,3\n")
+        with pytest.raises(DataError, match="cannot read .*field larger than field limit"):
+            load_csv(path, SCHEMA)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2,y\n1,2,3\r\r", "row 2 has 0 cells, header has 3"),
+            ("x1,x2,y\n1,2,3\n\n4,5,6\n", "row 2 has 0 cells, header has 3"),
+            ("x1,x2,y\r1,2,3\n4,5,6\n", None),
+            ('x1,x2,y\n1,"2",3\n', None),
+        ],
+        ids=["lone-return-then-blank", "blank-line", "lone-return-header", "quoted-cell"],
+    )
+    def test_files_that_loadtxt_splits_otherwise_take_the_block_path(self, tmp_path, text, message):
+        path = write_csv(tmp_path / "d.csv", text)
+        assert _streamed_load(path, SCHEMA) == _reference_load(path, SCHEMA)
+        if message is not None:
+            with pytest.raises(DataError, match=message):
+                load_csv(path, SCHEMA)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_raw_csv(), byte_order_mark=st.booleans(), require_label=st.booleans())
+    def test_load_matches_per_cell_reference_on_raw_text(self, tmp_path_factory, raw, byte_order_mark, require_label):
+        text, header = raw
+        path = tmp_path_factory.mktemp("raw") / "d.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
+        taken = []
+
+        def numeric_table(*args):
+            taken.append(real_numeric_table(*args))
+            return taken[-1]
+
+        real_numeric_table = data._numeric_table
+        with mock.patch.object(data, "_numeric_table", numeric_table):
+            loaded = _streamed_load(path, SCHEMA, require_label)
+        event("one-pass parse" if taken and taken[0] is not None else "block path")
+        assert loaded == _reference_load(path, SCHEMA, require_label)
 
 
 class TestPreprocess:
