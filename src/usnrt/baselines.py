@@ -19,10 +19,12 @@ from .nn_core import (
     default_hidden,
     derived_seed,
     predict_sigma,
-    train_nll_fixed_mean,
+    train_nll_fixed_mean,  # unused here, but perfbench/tracing.py wraps this name and the next in this module
+    train_nll_fixed_mean_lockstep,
     train_nll_fixed_sigma,
+    train_nll_fixed_sigma_lockstep,
 )
-from .parallel import fork_map
+from .parallel import fork_map, pool_size
 
 __all__ = [
     "EnsembleModel",
@@ -139,57 +141,72 @@ def train_hnn(
     round and the phase.
     """
     X, y = check_rows(X, y=y)
+    hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
+    (model,) = _train_hnns(X, y, [cfg], hidden, rounds)
+    model.preprocess = preprocess
+    return model
+
+
+def _train_hnns(X: np.ndarray, y: np.ndarray, cfgs: list[TrainConfig], hidden: list[int], rounds: int) -> list:
+    """One HNN per config, as train_hnn trains it, on checked X and y; the
+    configs differ only in the seed. Every phase trains the members' networks
+    in lockstep. A member whose phase fails drops out and the others go on;
+    then the TrainingError of the lowest-index failed member is raised, the
+    error a member-by-member loop would raise."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
-    hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
-    base = cfg.seed
-    mean_net = Mlp(
-        [X.shape[1], *hidden, 1],
-        hidden_activation=Activation.RELU,
-        output_activation=Activation.LINEAR,
-        seed=derived_seed(base, 0),
-    )
-    sigma_net = Mlp(
-        [X.shape[1], *hidden, 1],
-        hidden_activation=Activation.TANH,
-        output_activation=Activation.SOFTPLUS,
-        seed=derived_seed(base, 1),
-    )
+    sizes = [X.shape[1], *hidden, 1]
+    mean_nets = [
+        Mlp(sizes, Activation.RELU, Activation.LINEAR, seed=derived_seed(cfg.seed, 0)) for cfg in cfgs
+    ]
+    sigma_nets = [
+        Mlp(sizes, Activation.TANH, Activation.SOFTPLUS, seed=derived_seed(cfg.seed, 1)) for cfg in cfgs
+    ]
     # Fixed monitoring subset for the round-boundary NLL trajectory. Phases
     # still train on all rows (each holds out its own validation split).
-    monitor = np.random.default_rng(derived_seed(base, 2)).permutation(X.shape[0])
-    monitor = monitor[: max(1, X.shape[0] // 5)]
-
-    sigma_values = np.ones(X.shape[0])
-    round_val_nll: list[float] = []
-    phase_epochs: list[dict] = []
+    monitors = [
+        np.random.default_rng(derived_seed(cfg.seed, 2)).permutation(X.shape[0])[: max(1, X.shape[0] // 5)]
+        for cfg in cfgs
+    ]
+    sigma_values = [np.ones(X.shape[0])] * len(cfgs)
+    logs = [{"round_val_nll": [], "phases": []} for _ in cfgs]
+    failures: dict[int, tuple[str, Exception]] = {}
+    active = list(range(len(cfgs)))
     for rnd in range(rounds):
         # One derived seed per round: the sigma phase then validates on the
         # rows held out of the mean phase, keeping its early stopping honest.
-        phase_cfg = replace(cfg, seed=derived_seed(base, 3, rnd))
-        try:
-            phase = "mean"
-            _, mean_log = train_nll_fixed_sigma(mean_net, sigma_values, X, y, phase_cfg)
-            phase = "sigma"
-            _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, y, phase_cfg)
-        except (TrainingError, ValueError) as exc:
-            raise TrainingError(f"hnn round {rnd}, {phase} phase: {exc}") from exc
-        sigma_values = predict_sigma(sigma_net, X)
-        mu_monitor = mean_net.forward(X[monitor])[:, 0]
-        round_val_nll.append(average_nll(y[monitor], mu_monitor, sigma_values[monitor]))
-        phase_epochs.append(
-            {
-                "round": rnd,
-                "mean_epochs": len(mean_log.train_losses),
-                "sigma_epochs": len(sigma_log.train_losses),
-            }
-        )
-    return HnnModel(
-        mean_net=mean_net,
-        sigma_net=sigma_net,
-        preprocess=preprocess,
-        train_log={"round_val_nll": round_val_nll, "phases": phase_epochs},
-    )
+        phase_cfgs = {j: replace(cfgs[j], seed=derived_seed(cfgs[j].seed, 3, rnd)) for j in active}
+        epochs = {j: {"round": rnd} for j in active}
+        for phase in ("mean", "sigma"):
+            if not active:
+                break
+            train_cfgs = [phase_cfgs[j] for j in active]
+            try:
+                if phase == "mean":
+                    outcomes = train_nll_fixed_sigma_lockstep(
+                        [mean_nets[j] for j in active], [sigma_values[j] for j in active], X, y, train_cfgs
+                    )
+                else:
+                    outcomes = train_nll_fixed_mean_lockstep(
+                        [sigma_nets[j] for j in active], [mean_nets[j] for j in active], X, y, train_cfgs
+                    )
+            except (TrainingError, ValueError) as exc:  # a fault of the inputs every member shares
+                outcomes = [exc] * len(active)
+            for j, outcome in zip(active, outcomes):
+                if isinstance(outcome, Exception):
+                    failures[j] = (f"hnn round {rnd}, {phase} phase: {outcome}", outcome)
+                else:
+                    epochs[j][f"{phase}_epochs"] = len(outcome.train_losses)
+            active = [j for j in active if j not in failures]
+        for j in active:
+            sigma_values[j] = predict_sigma(sigma_nets[j], X)
+            mu_monitor = mean_nets[j].forward(X[monitors[j]])[:, 0]
+            logs[j]["round_val_nll"].append(average_nll(y[monitors[j]], mu_monitor, sigma_values[j][monitors[j]]))
+            logs[j]["phases"].append(epochs[j])
+    if failures:
+        message, cause = failures[min(failures)]
+        raise TrainingError(message) from cause
+    return [HnnModel(mean_net=m, sigma_net=s, train_log=log) for m, s, log in zip(mean_nets, sigma_nets, logs)]
 
 
 def train_ensemble(
@@ -201,18 +218,22 @@ def train_ensemble(
     preprocess: PreprocessState | None = None,
     rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
-    """Train n_members HNNs that differ only in their derived seeds, as
-    independent tasks of fork_map (in worker processes when it runs a pool).
-    The members hold no preprocessing state; the ensemble holds it once."""
+    """Train n_members HNNs that differ only in their derived seeds. The
+    members are split into contiguous chunks, one per worker process that
+    fork_map starts (one chunk when it runs serially), and each chunk trains
+    in lockstep. The members hold no preprocessing state; the ensemble holds
+    it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
+    cfgs = [replace(cfg, seed=derived_seed(cfg.seed, 100 + j)) for j in range(n_members)]
+    chunks = np.array_split(np.arange(n_members), pool_size(n_members))
 
-    def member(j: int) -> HnnModel:
-        return train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden, rounds=rounds)
+    def chunk(i: int) -> list[HnnModel]:
+        return _train_hnns(X, y, [cfgs[j] for j in chunks[i]], hidden, rounds)
 
-    return EnsembleModel(members=fork_map(member, n_members), preprocess=preprocess)
+    return EnsembleModel(members=[m for models in fork_map(chunk, len(chunks)) for m in models], preprocess=preprocess)
 
 
 def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):

@@ -7,20 +7,27 @@ the validation split and the per-epoch batch shuffles are all derived from
 the training seed, so identical (data, config, seed) reproduce identical
 weights bit for bit.
 
-Parameter layout: a training run first packs the network's parameters into
-one flat float64 buffer, layer by layer, W0 (row-major, fan_in x fan_out),
-b0, W1, b1, ..., and `Mlp.weights` / `Mlp.biases` become views of it. The
-gradient and the two Adam moments are flat buffers of the same layout, so
-the backward pass writes each layer's gradient straight into its slot, one
-Adam step is a few whole-buffer operations, and the best weights are one
-copy. Assigning fresh arrays to `weights` / `biases` stays allowed: the
-next training run packs whatever they hold.
+Parameter layout: a training run trains a stack of K networks of one shape
+and one pair of activations in lockstep (K = 1 for a single network). It
+packs their parameters into one (K, P) float64 buffer, one row per network
+and each row layer by layer: W0 (row-major, fan_in x fan_out), b0, W1, b1,
+.... The passes use (K, fan_in, fan_out) weight views of it and batched
+matmul, so every numpy call serves all K networks; per-slice 3-d matmul and
+reductions over the batch axis give the same bits as the 2-d calls, so a
+network trained in a stack ends with exactly the weights it gets alone. The
+gradient, the two Adam moments and the best weights are (K, P) buffers of
+the same layout: the backward pass writes each layer's gradient straight
+into its slot, and one Adam step is a few whole-buffer operations with one
+shared step count. A network that stops leaves the stack (its rows of every
+buffer are dropped), and its `Mlp.weights` / `Mlp.biases` become views of
+its own copy of its best row. Assigning fresh arrays to `weights` /
+`biases` stays allowed: the next training run packs whatever they hold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -43,7 +50,9 @@ __all__ = [
     "predict_sigma",
     "train_mse",
     "train_nll_fixed_mean",
+    "train_nll_fixed_mean_lockstep",
     "train_nll_fixed_sigma",
+    "train_nll_fixed_sigma_lockstep",
     "validation_split",
 ]
 
@@ -69,25 +78,71 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-# act(z, out): the activation of z, written to out when out is given.
-_APPLY = {
-    Activation.TANH: np.tanh,
-    Activation.RELU: lambda z, out=None: np.maximum(z, 0.0, out=out),
-    Activation.LINEAR: lambda z, out=None: z,
-    Activation.SOFTPLUS: lambda z, out=None: np.logaddexp(0.0, z, out=out),
+# Per activation: act(z, out), the activation of z written to out when out is
+# given, and times_derivative(delta, z, a), delta * act'(z) taken from the
+# activation a = act(z) where it can: tanh' = 1 - a^2, relu' = [a > 0].
+_ACTIVATIONS = {
+    Activation.TANH: (np.tanh, lambda delta, z, a: delta * (1.0 - a * a)),
+    Activation.RELU: (
+        lambda z, out=None: np.maximum(z, 0.0, out=out),
+        lambda delta, z, a: delta * (a > 0.0),
+    ),
+    Activation.LINEAR: (lambda z, out=None: z, lambda delta, z, a: delta),
+    Activation.SOFTPLUS: (
+        lambda z, out=None: np.logaddexp(0.0, z, out=out),
+        lambda delta, z, a: delta * _sigmoid(z),
+    ),
 }
 
 
-def _times_derivative(act: Activation, delta: np.ndarray, z: np.ndarray, a: np.ndarray):
-    """delta * act'(z), taking the derivative from the activation a = act(z)
-    where it can: tanh' = 1 - a^2, relu' = [a > 0], linear' = 1."""
-    if act is Activation.TANH:
-        return delta * (1.0 - a * a)
-    if act is Activation.RELU:
-        return delta * (a > 0.0)
-    if act is Activation.SOFTPLUS:
-        return delta * _sigmoid(z)
-    return delta
+def _forward(weights, biases, activations, X: np.ndarray) -> np.ndarray:
+    """The network's output on X, holding only the live layer: each
+    activation overwrites its pre-activation. The arrays may carry a leading
+    stack axis (see the module docstring)."""
+    a = X
+    for W, b, (act, _) in zip(weights, biases, activations):
+        a = np.matmul(a, W)
+        a += b
+        a = act(a, a)
+    return a
+
+
+def _forward_cached(weights, biases, activations, X: np.ndarray):
+    """_forward keeping pre-activations and activations per layer."""
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [X]
+    for W, b, (act, _) in zip(weights, biases, activations):
+        z = np.matmul(post[-1], W)
+        z += b
+        pre.append(z)
+        post.append(act(z))
+    return pre, post
+
+
+def _backward(weights_t, activations, pre, post, delta, grads_w, grads_b) -> None:
+    """Write the parameter gradients of a loss into grads_w and grads_b, given
+    delta = d(loss)/d(outputs); weights_t holds each weight matrix transposed."""
+    for i in range(len(weights_t) - 1, -1, -1):
+        delta = activations[i][1](delta, pre[i], post[i + 1])
+        np.matmul(post[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        np.add.reduce(delta, axis=-2, out=grads_b[i])
+        if i:
+            delta = np.matmul(delta, weights_t[i])
+
+
+def _unpack(layer_sizes, flat: np.ndarray):
+    """(weights, biases) lists viewing flat, (..., P), in the packed layout:
+    weights (..., fan_in, fan_out) and biases (..., fan_out)."""
+    lead = flat.shape[:-1]
+    weights: list[np.ndarray] = []
+    biases: list[np.ndarray] = []
+    offset = 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        end = offset + n_in * n_out
+        weights.append(flat[..., offset:end].reshape(*lead, n_in, n_out))
+        biases.append(flat[..., end : end + n_out])
+        offset = end + n_out
+    return weights, biases
 
 
 class Mlp:
@@ -134,74 +189,32 @@ class Mlp:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected an (n, {self.input_dim}) batch, got shape {X.shape}")
-        # Only the live layer is held: each activation overwrites its pre-activation.
-        for _, a in self._layers(X, in_place=True):
-            pass
-        return a
+        return _forward(self.weights, self.biases, self._activations(), X)
+
+    def _activations(self) -> list[tuple]:
+        """The (act, times_derivative) pair of each layer, looked up once."""
+        hidden = _ACTIVATIONS[self.hidden_activation]
+        return [hidden] * (len(self.layer_sizes) - 2) + [_ACTIVATIONS[self.output_activation]]
 
     def _forward_cached(self, X: np.ndarray):
-        """Forward pass keeping pre-activations and activations per layer."""
-        pre: list[np.ndarray] = []
-        post: list[np.ndarray] = [X]
-        for z, a in self._layers(X, in_place=False):
-            pre.append(z)
-            post.append(a)
-        return pre, post
+        return _forward_cached(self.weights, self.biases, self._activations(), X)
 
-    def _layers(self, X: np.ndarray, in_place: bool):
-        """Yield each layer's (pre-activation, activation) in turn; with
-        in_place the activation is written over the pre-activation."""
-        a = X
-        last = len(self.weights) - 1
-        for i, (W, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ W
-            z += b
-            act = self.output_activation if i == last else self.hidden_activation
-            a = _APPLY[act](z, z if in_place else None)
-            yield z, a
+    def _backward(self, pre, post, grad_output):
+        """Parameter gradients (weights, biases) of a scalar loss given
+        d(loss)/d(outputs)."""
+        grads = [np.empty_like(W) for W in self.weights], [np.empty_like(b) for b in self.biases]
+        _backward([W.T for W in self.weights], self._activations(), pre, post, grad_output, *grads)
+        return grads
 
-    def _backward(self, pre, post, grad_output, out=None):
-        """Parameter gradients of a scalar loss given d(loss)/d(outputs).
-
-        out, a (weights, biases) pair of arrays shaped like the parameters,
-        receives the gradients when given (a training run passes views of
-        its flat gradient buffer); otherwise new arrays are returned.
-        """
-        if out is None:
-            out = [np.empty_like(W) for W in self.weights], [np.empty_like(b) for b in self.biases]
-        grads_w, grads_b = out
-        last = len(self.weights) - 1
-        delta = grad_output
-        for i in range(last, -1, -1):
-            act = self.output_activation if i == last else self.hidden_activation
-            delta = _times_derivative(act, delta, pre[i], post[i + 1])
-            np.matmul(post[i].T, delta, out=grads_w[i])
-            np.add.reduce(delta, axis=0, out=grads_b[i])
-            if i:
-                delta = delta @ self.weights[i].T
-        return grads_w, grads_b
-
-    def _views(self, flat: np.ndarray):
-        """(weights, biases) lists viewing a flat buffer in the packed layout."""
-        weights: list[np.ndarray] = []
-        biases: list[np.ndarray] = []
-        offset = 0
-        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            end = offset + n_in * n_out
-            weights.append(flat[offset:end].reshape(n_in, n_out))
-            biases.append(flat[end : end + n_out])
-            offset = end + n_out
-        return weights, biases
-
-    def _flatten(self, weights, biases) -> np.ndarray:
-        """A new flat buffer holding the given parameters in the packed layout."""
-        params = [p for pair in zip(weights, biases) for p in pair]
+    def _flatten(self) -> np.ndarray:
+        """A new flat buffer holding the parameters in the packed layout."""
+        params = [p for pair in zip(self.weights, self.biases) for p in pair]
         shapes = [
             shape
             for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:])
             for shape in ((n_in, n_out), (n_out,))
         ]
-        if len(weights) != len(biases) or [np.shape(p) for p in params] != shapes:
+        if len(self.weights) != len(self.biases) or [np.shape(p) for p in params] != shapes:
             raise ValueError("network parameters do not match the layer sizes")
         return np.concatenate([np.ravel(p) for p in params], dtype=float)
 
@@ -317,61 +330,71 @@ class TrainLog:
     n_val: int
 
 
-def _mean(x: np.ndarray) -> float:
-    """float(np.mean(x)) for a 1-d array, without np.mean's call overhead."""
-    return float(np.add.reduce(x)) / x.size
-
-
 class _Objective:
-    """A batch loss: value_and_grad(outputs, idx) gives the mean loss over
-    the rows idx and its gradient in the outputs, from one residual."""
+    """A batch loss over per-row columns: arrays whose rows are the data rows,
+    after a leading stack axis when networks train in a stack. A subclass's
+    sums_and_grad(outputs, *batch_columns) gives each network's loss summed
+    over the batch rows and the gradient of its mean loss in the outputs,
+    from one residual."""
+
+    columns: tuple
 
     def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
-        return self.value_and_grad(outputs, idx)[0]
+        """One network's mean loss over the rows idx of unstacked columns."""
+        return float(self.sums_and_grad(outputs, *(c[idx] for c in self.columns))[0]) / idx.size
 
     def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.value_and_grad(outputs, idx)[1]
+        return self.sums_and_grad(outputs, *(c[idx] for c in self.columns))[1]
 
 
 class _MseObjective(_Objective):
     def __init__(self, y: np.ndarray):
-        self.y = y  # (n, out_dim)
+        self.columns = (y,)  # (..., n, out_dim)
 
-    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
-        diff = outputs - self.y[idx]
-        loss = _mean(np.add.reduce(diff * diff, axis=1))
-        return loss, 2.0 * diff / outputs.shape[0]
+    @staticmethod
+    def sums_and_grad(outputs: np.ndarray, y: np.ndarray):
+        diff = outputs - y
+        return np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1), 2.0 * diff / outputs.shape[-2]
 
 
 class _NllSigmaObjective(_Objective):
     """Gaussian NLL in the sigma network, residuals fixed."""
 
     def __init__(self, residuals: np.ndarray):
-        self.squared = residuals * residuals  # (n,)
+        self.columns = (residuals * residuals,)  # (..., n)
 
-    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
-        sigma = outputs[:, 0] + SIGMA_FLOOR
-        rr = self.squared[idx]
-        loss = _mean(np.log(sigma * sigma) / 2.0 + rr / (2.0 * sigma * sigma))
-        g = (1.0 / sigma - rr / sigma**3) / outputs.shape[0]
-        return loss, g[:, None]
+    @staticmethod
+    def sums_and_grad(outputs: np.ndarray, squared: np.ndarray):
+        sigma = outputs[..., 0] + SIGMA_FLOOR
+        terms = np.log(sigma * sigma) / 2.0 + squared / (2.0 * sigma * sigma)
+        g = (1.0 / sigma - squared / sigma**3) / outputs.shape[-2]
+        return np.add.reduce(terms, axis=-1), g[..., None]
 
 
 class _NllMeanObjective(_Objective):
     """Gaussian NLL in the mean network, per-sample sigmas fixed."""
 
     def __init__(self, y: np.ndarray, sigma: np.ndarray):
-        self.y = y  # (n,)
-        # Per-row terms that depend only on the fixed sigmas.
-        self.variance = sigma * sigma
-        self.half_log_variance = np.log(self.variance) / 2.0
-        self.twice_variance = 2.0 * sigma * sigma
+        # y (..., n), then per-row terms that depend only on the fixed sigmas.
+        variance = sigma * sigma
+        self.columns = (y, variance, np.log(variance) / 2.0, 2.0 * sigma * sigma)
 
-    def value_and_grad(self, outputs: np.ndarray, idx: np.ndarray):
-        diff = outputs[:, 0] - self.y[idx]
-        loss = _mean(self.half_log_variance[idx] + diff * diff / self.twice_variance[idx])
-        g = (diff / self.variance[idx]) / outputs.shape[0]
-        return loss, g[:, None]
+    @staticmethod
+    def sums_and_grad(outputs, y, variance, half_log_variance, twice_variance):
+        diff = outputs[..., 0] - y
+        terms = half_log_variance + diff * diff / twice_variance
+        g = (diff / variance) / outputs.shape[-2]
+        return np.add.reduce(terms, axis=-1), g[..., None]
+
+
+def _vector(name: str, vector, n: int) -> np.ndarray:
+    """vector as a finite float vector of length n; the ValueError names name."""
+    vector = np.asarray(vector, dtype=float)
+    if vector.shape != (n,):
+        raise ValueError(f"{name} must be a vector matching the rows of X")
+    if not np.all(np.isfinite(vector)):
+        raise ValueError(f"{name} must be finite")
+    return vector
 
 
 def check_rows(X, width: int | None = None, **vectors) -> tuple:
@@ -386,15 +409,7 @@ def check_rows(X, width: int | None = None, **vectors) -> tuple:
         raise ValueError(f"X has width {X.shape[1]}, model expects {width}")
     if not np.all(np.isfinite(X)):
         raise ValueError("features must be finite")
-    arrays = [X]
-    for name, vector in vectors.items():
-        vector = np.asarray(vector, dtype=float)
-        if vector.shape != (X.shape[0],):
-            raise ValueError(f"{name} must be a vector matching the rows of X")
-        if not np.all(np.isfinite(vector)):
-            raise ValueError(f"{name} must be finite")
-        arrays.append(vector)
-    return tuple(arrays)
+    return (X, *(_vector(name, vector, X.shape[0]) for name, vector in vectors.items()))
 
 
 def derived_seed(*parts: int) -> int:
@@ -419,65 +434,157 @@ def validation_split(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return order[:n_val], order[n_val:]
 
 
-def _run_training(net: Mlp, X: np.ndarray, objective, cfg: TrainConfig) -> TrainLog:
-    val_idx, train_idx = validation_split(X.shape[0], cfg)
-    X_val = X[val_idx]
+class _Stack:
+    """The parameters of K same-shaped networks as the rows of one (K, P)
+    buffer, their gradient, Adam moments and best weights in buffers of the
+    same layout, and the per-layer views the passes use."""
 
-    params = net._flatten(net.weights, net.biases)
-    net.weights, net.biases = net._views(params)
-    grad = np.empty_like(params)
-    grad_views = net._views(grad)
-    m = np.zeros_like(params)
-    v = np.zeros_like(params)
-    scratch = np.empty((2, params.size))
+    def __init__(self, layer_sizes, params: np.ndarray):
+        self.layer_sizes = layer_sizes
+        self._hold(params, np.zeros_like(params), np.zeros_like(params), params.copy())
+
+    def keep(self, rows: list[int]) -> None:
+        """Keep only the given rows of every buffer."""
+        self._hold(self.params[rows], self.m[rows], self.v[rows], self.best[rows])
+
+    def _hold(self, params, m, v, best) -> None:
+        self.params, self.m, self.v, self.best = params, m, v, best
+        self.grad = np.empty_like(params)
+        self.scratch = np.empty((2, *params.shape))
+        self.weights, biases = _unpack(self.layer_sizes, params)
+        self.biases = [b[:, None] for b in biases]  # (K, 1, fan_out), added to each batch row
+        self.weights_t = [W.swapaxes(-1, -2) for W in self.weights]
+        self.grads = _unpack(self.layer_sizes, self.grad)
+
+
+def _gather(columns, members: list[int], idx: np.ndarray) -> list[np.ndarray]:
+    """Each (K, n, ...) column's rows idx[i] of network members[i], as
+    (len(members), idx.shape[1], ...) arrays."""
+    nets = np.array(members)[:, None]
+    return [c[nets, idx] for c in columns]
+
+
+def _run_training(nets: list[Mlp], X: np.ndarray, objective: _Objective, cfgs: list[TrainConfig]) -> list:
+    """Train K networks of one shape and activations in lockstep on the rows
+    of X: network k under cfgs[k] and on row k of each of the objective's (K,
+    n, ...) columns. Each network keeps its own validation split, shuffles,
+    losses and early stopping, and ends with the weights and log it gets when
+    trained alone, bit for bit; one that stops leaves the stack. Returns per
+    network its TrainLog, or the TrainingError of a non-finite loss, which
+    stops that network only."""
+    cfg = cfgs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
+        raise ValueError("networks trained in lockstep need configs that differ only in the seed")
+    shape = [(net.layer_sizes, net.hidden_activation, net.output_activation) for net in nets]
+    if shape.count(shape[0]) != len(shape):
+        raise ValueError("networks trained in lockstep need one shape and one pair of activations")
+    activations = nets[0]._activations()
+    splits = [validation_split(X.shape[0], c) for c in cfgs]
+    val_idx = np.stack([val for val, _ in splits])
+    train_idx = np.stack([train for _, train in splits])
+    n_val, n_train = val_idx.shape[1], train_idx.shape[1]
+    outcomes: list = [TrainLog([], [], -1, n_train, n_val) for _ in nets]
+
+    # One entry per stack row: the network's index, its best validation loss
+    # and the epochs since then; batch_sums holds such a list of loss sums
+    # for each batch of this epoch.
+    members = list(range(len(nets)))
+    best_val = [math.inf] * len(nets)
+    stale = [0] * len(nets)
+    batch_sums: list[list[float]] = []
+    stack = _Stack(nets[0].layer_sizes, np.stack([net._flatten() for net in nets]))
+    val_data = [X[val_idx], *_gather(objective.columns, members, val_idx)]
+    data: list[np.ndarray] = []
     step = 0
-    best_val = math.inf
-    best_params = params.copy()
-    best_epoch = -1
-    epochs_since_best = 0
-    train_losses: list[float] = []
-    val_losses: list[float] = []
 
+    def keep(rows: list[int]) -> None:
+        """Drop every network whose stack row is not in rows."""
+        stack.keep(rows)
+        for values in (members, best_val, stale):
+            values[:] = [values[row] for row in rows]
+        batch_sums[:] = [[sums[row] for row in rows] for sums in batch_sums]
+        for arrays in (val_data, data):
+            arrays[:] = [a[rows] for a in arrays]
+
+    def finish(row: int) -> None:
+        net = nets[members[row]]
+        net.weights, net.biases = _unpack(net.layer_sizes, stack.best[row].copy())
+
+    batch_sizes = [min(cfg.batch_size, n_train - start) for start in range(0, n_train, cfg.batch_size)]
     for epoch in range(cfg.max_epochs):
-        perm = _derived_rng(cfg.seed, 1, epoch).permutation(train_idx.size)
-        shuffled = train_idx[perm]
-        X_shuffled = X[shuffled]
-        epoch_loss = 0.0
-        for start in range(0, shuffled.size, cfg.batch_size):
-            batch = shuffled[start : start + cfg.batch_size]
-            pre, post = net._forward_cached(X_shuffled[start : start + cfg.batch_size])
-            loss, grad_output = objective.value_and_grad(post[-1], batch)
-            if not math.isfinite(loss):
-                raise TrainingError(f"non-finite loss {loss} at epoch {epoch}")
-            net._backward(pre, post, grad_output, out=grad_views)
+        shuffled = np.stack(
+            [train_idx[k][_derived_rng(cfgs[k].seed, 1, epoch).permutation(n_train)] for k in members]
+        )
+        data[:] = [X[shuffled], *_gather(objective.columns, members, shuffled)]
+        batch_sums.clear()
+        for start in range(0, n_train, cfg.batch_size):
+            X_batch, *columns = [a[:, start : start + cfg.batch_size] for a in data]
+            pre, post = _forward_cached(stack.weights, stack.biases, activations, X_batch)
+            loss_sums, grad_output = objective.sums_and_grad(post[-1], *columns)
+            sums = loss_sums.tolist()
+            if not all(map(math.isfinite, sums)):
+                rows = []
+                for row, total in enumerate(sums):
+                    if math.isfinite(total):
+                        rows.append(row)
+                    else:
+                        loss = total / X_batch.shape[1]
+                        outcomes[members[row]] = TrainingError(f"non-finite loss {loss} at epoch {epoch}")
+                keep(rows)
+                if not members:
+                    return outcomes
+                sums = [sums[row] for row in rows]
+                pre, post = [a[rows] for a in pre], [a[rows] for a in post]
+                grad_output = grad_output[rows]
+            _backward(stack.weights_t, activations, pre, post, grad_output, *stack.grads)
             step += 1
-            _adam_step(params, grad, m, v, step, cfg.learning_rate, scratch)
-            epoch_loss += loss * batch.size
-        train_losses.append(epoch_loss / shuffled.size)
+            _adam_step(stack.params, stack.grad, stack.m, stack.v, step, cfg.learning_rate, stack.scratch)
+            batch_sums.append(sums)
+        data.clear()  # the epoch's batches are done
 
-        val_loss = objective.value(net.forward(X_val), val_idx)
-        if not math.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        val_losses.append(val_loss)
+        X_val, *val_columns = val_data
+        outputs = _forward(stack.weights, stack.biases, activations, X_val)
+        rows = []
+        for row, total in enumerate(objective.sums_and_grad(outputs, *val_columns)[0].tolist()):
+            log = outcomes[members[row]]
+            # The epoch's loss adds each batch's mean loss times its size in
+            # batch order, as plain floats, so a stack sums as one network.
+            epoch_loss = 0.0
+            for sums, size in zip(batch_sums, batch_sizes):
+                epoch_loss += sums[row] / size * size
+            log.train_losses.append(epoch_loss / n_train)
+            value = total / n_val
+            if not math.isfinite(value):
+                outcomes[members[row]] = TrainingError(f"non-finite validation loss at epoch {epoch}")
+                continue
+            log.val_losses.append(value)
+            if value < best_val[row]:
+                best_val[row] = value
+                stack.best[row] = stack.params[row]
+                log.best_epoch = epoch
+                stale[row] = 0
+            else:
+                stale[row] += 1
+                if stale[row] >= cfg.patience:
+                    finish(row)
+                    continue
+            rows.append(row)
+        if len(rows) < len(members):
+            keep(rows)
+            if not members:
+                return outcomes
 
-        if val_loss < best_val:
-            best_val = val_loss
-            best_params = params.copy()
-            best_epoch = epoch
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
-                break
+    for row in range(len(members)):
+        finish(row)
+    return outcomes
 
-    net.weights, net.biases = net._views(best_params)
-    return TrainLog(
-        train_losses=train_losses,
-        val_losses=val_losses,
-        best_epoch=best_epoch,
-        n_train=int(train_idx.size),
-        n_val=int(val_idx.size),
-    )
+
+def _only(outcomes: list) -> TrainLog:
+    """The TrainLog of a one-network run; its TrainingError is raised."""
+    (outcome,) = outcomes
+    if isinstance(outcome, TrainingError):
+        raise outcome
+    return outcome
 
 
 def train_mse(net: Mlp, X, y, cfg: TrainConfig):
@@ -489,8 +596,7 @@ def train_mse(net: Mlp, X, y, cfg: TrainConfig):
     returned, together with the loss log.
     """
     X, y = check_rows(X, net.input_dim, y=y)
-    log = _run_training(net, X, _MseObjective(y[:, None]), cfg)
-    return net, log
+    return net, _only(_run_training([net], X, _MseObjective(y[None, :, None]), [cfg]))
 
 
 def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig):
@@ -500,14 +606,21 @@ def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig):
     sigma = softplus output + SIGMA_FLOOR. The mean network is only read,
     never written.
     """
-    if sigma_net.output_activation is not Activation.SOFTPLUS:
+    return sigma_net, _only(train_nll_fixed_mean_lockstep([sigma_net], [mean_net], X, y, [cfg]))
+
+
+def train_nll_fixed_mean_lockstep(sigma_nets: list[Mlp], mean_nets: list[Mlp], X, y, cfgs: list[TrainConfig]) -> list:
+    """train_nll_fixed_mean for same-shaped sigma networks, each with its own
+    frozen mean network and config (the configs differ only in the seed),
+    trained in lockstep. Returns per network its TrainLog, or the
+    TrainingError that stopped it while the others trained on."""
+    if sigma_nets[0].output_activation is not Activation.SOFTPLUS:
         raise ValueError("sigma network must have a Softplus output activation")
-    if sigma_net.output_dim != 1:
+    if sigma_nets[0].output_dim != 1:
         raise ValueError("sigma network must have a single output")
-    X, y = check_rows(X, sigma_net.input_dim, y=y)
-    residuals = y - mean_net.forward(X)[:, 0]
-    log = _run_training(sigma_net, X, _NllSigmaObjective(residuals), cfg)
-    return sigma_net, log
+    X, y = check_rows(X, sigma_nets[0].input_dim, y=y)
+    residuals = np.stack([y - mean_net.forward(X)[:, 0] for mean_net in mean_nets])
+    return _run_training(sigma_nets, X, _NllSigmaObjective(residuals), cfgs)
 
 
 def train_nll_fixed_sigma(mean_net: Mlp, sigma_values, X, y, cfg: TrainConfig):
@@ -516,13 +629,21 @@ def train_nll_fixed_sigma(mean_net: Mlp, sigma_values, X, y, cfg: TrainConfig):
     Equivalent to inverse-variance-weighted MSE up to a constant; used by the
     alternating heteroscedastic-network trainer.
     """
-    if mean_net.output_dim != 1:
+    return mean_net, _only(train_nll_fixed_sigma_lockstep([mean_net], [sigma_values], X, y, [cfg]))
+
+
+def train_nll_fixed_sigma_lockstep(mean_nets: list[Mlp], sigma_values: list, X, y, cfgs: list[TrainConfig]) -> list:
+    """train_nll_fixed_sigma for same-shaped mean networks, each with its own
+    sigma_values and config (the configs differ only in the seed), trained in
+    lockstep. Returns per network its TrainLog, or the TrainingError that
+    stopped it while the others trained on."""
+    if mean_nets[0].output_dim != 1:
         raise ValueError("mean network must have a single output")
-    X, y, sigma = check_rows(X, mean_net.input_dim, y=y, sigma_values=sigma_values)
+    X, y = check_rows(X, mean_nets[0].input_dim, y=y)
+    sigma = np.stack([_vector("sigma_values", values, X.shape[0]) for values in sigma_values])
     if np.any(sigma <= 0.0):
         raise ValueError("sigma_values must be positive")
-    log = _run_training(mean_net, X, _NllMeanObjective(y, sigma), cfg)
-    return mean_net, log
+    return _run_training(mean_nets, X, _NllMeanObjective(np.broadcast_to(y, sigma.shape), sigma), cfgs)
 
 
 def default_hidden(hidden: Sequence[int] | None, d_raw: int, factor: int) -> list[int]:

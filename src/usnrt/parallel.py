@@ -10,7 +10,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .nn_core import TrainingError
 
-__all__ = ["fork_map", "usable_cpus"]
+__all__ = ["fork_map", "pool_size", "usable_cpus"]
 
 # The task of a worker process; set only in workers, by _set_task.
 _task = None
@@ -21,20 +21,14 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def fork_map(task, n_tasks: int) -> list:
-    """[task(i) for i in range(n_tasks)], with the tasks spread over
-    min(n_tasks, usable_cpus()) forked worker processes.
+def pool_size(n_tasks: int) -> int:
+    """Worker processes fork_map starts for n_tasks tasks: min(n_tasks,
+    usable_cpus()), or 1 when it runs the tasks here instead.
 
     The pool runs only when the fork start method exists, there are at least
     2 CPUs and 2 tasks, this process is not itself a pool worker (pools never
     nest), and it runs no other Python thread (one holding a lock at the fork
-    would leave that lock held in the worker). Otherwise the tasks run here,
-    in order. Workers inherit task by the fork, so it may be a closure; only
-    indices and results cross between processes, so results must pickle.
-    The first task in index order that raises has its exception raised here;
-    a worker that dies without raising (killed by a signal) is a
-    TrainingError. Every worker has exited before fork_map returns or raises.
-    """
+    would leave that lock held in the worker)."""
     workers = min(n_tasks, usable_cpus())
     if (
         workers < 2
@@ -42,6 +36,23 @@ def fork_map(task, n_tasks: int) -> list:
         or multiprocessing.parent_process() is not None
         or threading.active_count() != 1
     ):
+        return 1
+    return workers
+
+
+def fork_map(task, n_tasks: int) -> list:
+    """[task(i) for i in range(n_tasks)], with the tasks spread over
+    pool_size(n_tasks) forked worker processes, or run here, in order, when
+    that is 1.
+
+    Workers inherit task by the fork, so it may be a closure; only indices
+    and results cross between processes, so results must pickle. The first
+    task in index order that raises has its exception raised here; a worker
+    that dies without raising (killed by a signal) is a TrainingError. Every
+    worker has exited before fork_map returns or raises.
+    """
+    workers = pool_size(n_tasks)
+    if workers < 2:
         return [task(i) for i in range(n_tasks)]
     fork = multiprocessing.get_context("fork")
     try:

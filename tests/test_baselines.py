@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from usnrt import baselines
+from usnrt import baselines, parallel
 from usnrt.baselines import (
     ENSEMBLE_MEMBERS,
     EnsembleModel,
@@ -147,6 +147,20 @@ class TestEnsembleAggregation:
         assert calls == [(2,)]
         members[0].predict_arrays(X)
         assert calls == [(2,), (2,)]
+
+    def test_features_checked_once_per_training(self, monkeypatch):
+        """train_ensemble checks X and y once for all its members."""
+        calls = []
+
+        def counting_check_rows(*args, **kwargs):
+            calls.append(args[0].shape)
+            return check_rows(*args, **kwargs)
+
+        monkeypatch.setattr(baselines, "check_rows", counting_check_rows)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # a pool worker's calls would not be seen
+        X = np.random.default_rng(5).uniform(-1, 1, (100, 2))
+        train_ensemble(X, X[:, 0], fast_train_cfg(seed=6, max_epochs=2, patience=2), hidden=[4])
+        assert calls == [(100, 2)]
 
     def test_training_gives_distinct_members(self):
         rng = np.random.default_rng(8)

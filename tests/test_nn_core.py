@@ -4,6 +4,7 @@ identity with a textbook reference trainer."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,16 +14,19 @@ from usnrt.nn_core import (
     Activation,
     Mlp,
     TrainConfig,
+    TrainingError,
     average_nll,
     check_rows,
     nll_loss,
     predict_sigma,
     train_mse,
     train_nll_fixed_mean,
+    train_nll_fixed_mean_lockstep,
     train_nll_fixed_sigma,
+    train_nll_fixed_sigma_lockstep,
     validation_split,
 )
-from usnrt.nn_core import _MseObjective, _NllMeanObjective, _NllSigmaObjective
+from usnrt.nn_core import _MseObjective, _NllMeanObjective, _NllSigmaObjective, _run_training
 
 
 def zero_net(layer_sizes, output_activation=Activation.LINEAR):
@@ -502,6 +506,124 @@ class TestReferenceBitIdentity:
         expected = reference_fit(net, X, loss, grad, self.cfg)
         net, log = train_nll_fixed_sigma(net, sigma, X, y, self.cfg)
         self.assert_identical(net, log, expected)
+
+
+class TestLockstep:
+    """A stack of networks trained in lockstep ends, member by member, with
+    the weights and log each network gets when trained alone, bit for bit:
+    163 training rows in batches of 16 leave a ragged last batch, and at
+    these seeds a member stops by patience while another trains on."""
+
+    cfg = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=14, patience=3)
+    seeds = (4, 7, 12)
+
+    @staticmethod
+    def data():
+        return TestReferenceBitIdentity.data()
+
+    def cfgs(self):
+        return [replace(self.cfg, seed=seed) for seed in self.seeds]
+
+    @staticmethod
+    def nets(sizes, seed, **activations):
+        return [Mlp(sizes, seed=seed + k, **activations) for k in range(3)]
+
+    def assert_matches_alone(self, stacked, outcomes, alone):
+        """alone(k) trains a fresh copy of network k by itself."""
+        epochs = []
+        for k, (net, log) in enumerate(zip(stacked, outcomes)):
+            solo_net, solo_log = alone(k)
+            for got, want in zip(net.weights + net.biases, solo_net.weights + solo_net.biases):
+                assert np.array_equal(got, want)
+            assert vars(log) == vars(solo_log)
+            epochs.append(len(log.train_losses))
+        assert outcomes[0].n_train % self.cfg.batch_size != 0
+        assert min(epochs) < max(epochs), epochs  # one left the stack, another trained on
+
+    def test_mse(self):
+        X, y = self.data()
+        nets = self.nets([3, 12, 6, 1], 60)
+        outcomes = _run_training(nets, X, _MseObjective(np.stack([y, -y, 2.0 * y])[:, :, None]), self.cfgs())
+        targets = (y, -y, 2.0 * y)
+        self.assert_matches_alone(
+            nets, outcomes, lambda k: train_mse(self.nets([3, 12, 6, 1], 60)[k], X, targets[k], self.cfgs()[k])
+        )
+
+    def test_nll_sigma(self):
+        X, y = self.data()
+        means = [Mlp([3, 5, 1], seed=70 + k) for k in range(3)]
+        nets = self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)
+        outcomes = train_nll_fixed_mean_lockstep(nets, means, X, y, self.cfgs())
+        self.assert_matches_alone(
+            nets,
+            outcomes,
+            lambda k: train_nll_fixed_mean(
+                self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)[k], means[k], X, y, self.cfgs()[k]
+            ),
+        )
+
+    def test_nll_mean(self):
+        X, y = self.data()
+        sigmas = [np.random.default_rng(90 + k).uniform(0.2, 1.5, size=203) for k in range(3)]
+        nets = self.nets([3, 12, 6, 1], 100, hidden_activation=Activation.RELU)
+        outcomes = train_nll_fixed_sigma_lockstep(nets, sigmas, X, y, self.cfgs())
+        self.assert_matches_alone(
+            nets,
+            outcomes,
+            lambda k: train_nll_fixed_sigma(
+                self.nets([3, 12, 6, 1], 100, hidden_activation=Activation.RELU)[k], sigmas[k], X, y, self.cfgs()[k]
+            ),
+        )
+
+    def test_a_non_finite_loss_stops_only_its_network(self):
+        """Member 1's target is NaN in a row of its third batch of epoch 0:
+        it leaves the stack there, and the members before and after it
+        train on as they do alone."""
+        X, y = self.data()
+        cfgs = self.cfgs()
+        _, train_idx = validation_split(X.shape[0], cfgs[1])
+        order = np.random.default_rng(np.random.SeedSequence([cfgs[1].seed, 1, 0])).permutation(train_idx.size)
+        broken = y.copy()
+        broken[train_idx[order[2 * self.cfg.batch_size]]] = np.nan
+        targets = (y, broken, y)
+        nets = self.nets([3, 12, 6, 1], 60)
+        outcomes = _run_training(nets, X, _MseObjective(np.stack(targets)[:, :, None]), cfgs)
+        assert isinstance(outcomes[1], TrainingError)
+        assert str(outcomes[1]) == "non-finite loss nan at epoch 0"
+        for k in (0, 2):
+            solo_net, solo_log = train_mse(self.nets([3, 12, 6, 1], 60)[k], X, y, cfgs[k])
+            assert vars(outcomes[k]) == vars(solo_log)
+            for got, want in zip(nets[k].weights + nets[k].biases, solo_net.weights + solo_net.biases):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "nets, cfgs, message",
+        [
+            ([Mlp([3, 4, 1]), Mlp([3, 5, 1])], None, "one shape"),
+            ([Mlp([3, 4, 1]), Mlp([3, 4, 1], Activation.RELU)], None, "one shape"),
+            ([Mlp([3, 4, 1]), Mlp([3, 4, 1])], [TrainConfig(), TrainConfig(batch_size=32)], "only in the seed"),
+        ],
+        ids=["sizes", "activations", "batch-size"],
+    )
+    def test_a_stack_needs_one_shape_and_one_config(self, nets, cfgs, message):
+        X, y = self.data()
+        with pytest.raises(ValueError, match=message):
+            _run_training(nets, X, _MseObjective(np.stack([y, y])[:, :, None]), cfgs or [TrainConfig(), TrainConfig(seed=1)])
+
+
+def test_activations_are_looked_up_once_per_run(monkeypatch):
+    """Enum hashing is Python code, so a run resolves each layer's activation
+    once, not per step: a 1-epoch and a 6-epoch run hash as often."""
+    calls = []
+    original = Activation.__hash__
+    monkeypatch.setattr(Activation, "__hash__", lambda act: calls.append(act) or original(act))
+    X, y = TestReferenceBitIdentity.data()
+    counts = []
+    for epochs in (1, 6):
+        calls.clear()
+        train_mse(Mlp([3, 6, 4, 1], seed=1), X, y, TrainConfig(batch_size=16, max_epochs=epochs, patience=epochs))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 4
 
 
 class TestParameterBuffers:

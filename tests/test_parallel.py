@@ -6,12 +6,13 @@ import multiprocessing
 import os
 import signal
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from usnrt import baselines, parallel, tree
-from usnrt.nn_core import TrainConfig, TrainingError
+from usnrt.nn_core import TrainConfig, TrainingError, derived_seed
 
 from conftest import fast_train_cfg
 
@@ -86,6 +87,66 @@ def test_same_model_and_log_for_1_and_2_cpus(monkeypatch, pools, train, pools_at
     for got, want in zip(pooled.predict_arrays(X), serial.predict_arrays(X)):
         assert np.array_equal(got, want)
     assert pools == pools_at_2_cpus
+
+
+def member_by_member(X, y, cfg, hidden, n_members=baselines.ENSEMBLE_MEMBERS):
+    """The ensemble's members, each trained alone by train_hnn."""
+    return [
+        baselines.train_hnn(X, y, replace(cfg, seed=derived_seed(cfg.seed, 100 + j)), hidden=hidden)
+        for j in range(n_members)
+    ]
+
+
+def test_lockstep_chunks_match_member_by_member_training(monkeypatch, pools):
+    """Members train in contiguous lockstep stacks, one per worker: 1, 2, 3
+    or 5 stacks give the same members as training each alone, and at these
+    settings members stop by patience at different epochs."""
+    X, y = two_level_data(600)
+    cfg = fast_train_cfg(seed=4, max_epochs=40, patience=3)
+    reference = baselines.EnsembleModel(members=member_by_member(X, y, cfg, [6]))
+    epochs = {phase["mean_epochs"] for log in reference.train_log["members"] for phase in log["phases"]}
+    assert len(epochs) > 1
+    for cpus in (1, 2, 3, 5):
+        set_cpus(monkeypatch, cpus)
+        model = baselines.train_ensemble(X, y, cfg, hidden=[6])
+        assert model.to_payload() == reference.to_payload()
+        assert model.train_log == reference.train_log
+        assert multiprocessing.active_children() == []
+    assert pools == [2, 3, 5]
+
+
+def fail_members(monkeypatch, cfg, failing):
+    """Make member j's mean phase fail in round failing[j]."""
+    seeds = {
+        derived_seed(derived_seed(cfg.seed, 100 + j), 3, rnd): j for j, rnd in failing.items()
+    }
+    original = baselines.train_nll_fixed_sigma_lockstep
+
+    def train(mean_nets, sigma_values, X, y, cfgs):
+        outcomes = original(mean_nets, sigma_values, X, y, cfgs)
+        return [
+            TrainingError(f"injected into member {seeds[c.seed]}") if c.seed in seeds else outcome
+            for c, outcome in zip(cfgs, outcomes)
+        ]
+
+    monkeypatch.setattr(baselines, "train_nll_fixed_sigma_lockstep", train)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_lowest_failing_member_is_reported_for_any_chunking(monkeypatch, pools, cpus):
+    """Member 3 fails in round 0 and member 1 in round 1. A member-by-member
+    loop reaches member 1 first, so its error is the one raised, whichever
+    stack each member trains in."""
+    X, y = two_level_data(300)
+    cfg = fast_train_cfg(seed=2, max_epochs=4, patience=4)
+    fail_members(monkeypatch, cfg, {3: 0, 1: 1})
+    set_cpus(monkeypatch, cpus)
+    with pytest.raises(TrainingError, match=r"^hnn round 1, mean phase: injected into member 1$"):
+        baselines.train_ensemble(X, y, cfg, hidden=[4])
+    with pytest.raises(TrainingError, match=r"^hnn round 1, mean phase: injected into member 1$"):
+        member_by_member(X, y, cfg, [4])
+    assert multiprocessing.active_children() == []
+    assert pools == ([] if cpus == 1 else [cpus])
 
 
 def fail_right_subtree(monkeypatch):
