@@ -3,7 +3,7 @@ heteroscedastic networks (HNN) and their moment-matched deep ensembles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -142,53 +142,51 @@ def train_hnn(
     """
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
-    (model,) = _train_hnns(X, y, [cfg], hidden, rounds)
+    (model,) = _train_hnns(X, y, cfg, [cfg.seed], hidden, rounds)
     model.preprocess = preprocess
     return model
 
 
-def _train_hnns(X: np.ndarray, y: np.ndarray, cfgs: list[TrainConfig], hidden: list[int], rounds: int) -> list:
-    """One HNN per config, as train_hnn trains it, on checked X and y; the
-    configs differ only in the seed. Every phase trains the members' networks
-    in lockstep. A member whose phase fails drops out and the others go on;
-    then the TrainingError of the lowest-index failed member is raised, the
-    error a member-by-member loop would raise."""
+def _train_hnns(
+    X: np.ndarray, y: np.ndarray, cfg: TrainConfig, seeds: list[int], hidden: list[int], rounds: int
+) -> list:
+    """One HNN per seed, as train_hnn trains it under cfg with that seed, on
+    checked X and y. Every phase trains the members' networks in lockstep.
+    A member whose phase fails drops out and the others go on; then the
+    TrainingError of the lowest-index failed member is raised, the error a
+    member-by-member loop would raise."""
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     sizes = [X.shape[1], *hidden, 1]
-    mean_nets = [
-        Mlp(sizes, Activation.RELU, Activation.LINEAR, seed=derived_seed(cfg.seed, 0)) for cfg in cfgs
-    ]
-    sigma_nets = [
-        Mlp(sizes, Activation.TANH, Activation.SOFTPLUS, seed=derived_seed(cfg.seed, 1)) for cfg in cfgs
-    ]
+    mean_nets = [Mlp(sizes, Activation.RELU, Activation.LINEAR, seed=derived_seed(seed, 0)) for seed in seeds]
+    sigma_nets = [Mlp(sizes, Activation.TANH, Activation.SOFTPLUS, seed=derived_seed(seed, 1)) for seed in seeds]
     # Fixed monitoring subset for the round-boundary NLL trajectory. Phases
     # still train on all rows (each holds out its own validation split).
     monitors = [
-        np.random.default_rng(derived_seed(cfg.seed, 2)).permutation(X.shape[0])[: max(1, X.shape[0] // 5)]
-        for cfg in cfgs
+        np.random.default_rng(derived_seed(seed, 2)).permutation(X.shape[0])[: max(1, X.shape[0] // 5)]
+        for seed in seeds
     ]
-    sigma_values = [np.ones(X.shape[0])] * len(cfgs)
-    logs = [{"round_val_nll": [], "phases": []} for _ in cfgs]
+    sigma_values = [np.ones(X.shape[0])] * len(seeds)
+    logs = [{"round_val_nll": [], "phases": []} for _ in seeds]
     failures: dict[int, tuple[str, Exception]] = {}
-    active = list(range(len(cfgs)))
+    active = list(range(len(seeds)))
     for rnd in range(rounds):
-        # One derived seed per round: the sigma phase then validates on the
-        # rows held out of the mean phase, keeping its early stopping honest.
-        phase_cfgs = {j: replace(cfgs[j], seed=derived_seed(cfgs[j].seed, 3, rnd)) for j in active}
         epochs = {j: {"round": rnd} for j in active}
         for phase in ("mean", "sigma"):
             if not active:
                 break
-            train_cfgs = [phase_cfgs[j] for j in active]
+            # Both phases of a round share one derived seed: the sigma phase then
+            # validates on the rows held out of the mean phase, keeping its
+            # early stopping honest.
+            phase_seeds = [derived_seed(seeds[j], 3, rnd) for j in active]
             try:
                 if phase == "mean":
                     outcomes = train_nll_fixed_sigma_lockstep(
-                        [mean_nets[j] for j in active], [sigma_values[j] for j in active], X, y, train_cfgs
+                        [mean_nets[j] for j in active], [sigma_values[j] for j in active], X, y, cfg, phase_seeds
                     )
                 else:
                     outcomes = train_nll_fixed_mean_lockstep(
-                        [sigma_nets[j] for j in active], [mean_nets[j] for j in active], X, y, train_cfgs
+                        [sigma_nets[j] for j in active], [mean_nets[j] for j in active], X, y, cfg, phase_seeds
                     )
             except (TrainingError, ValueError) as exc:  # a fault of the inputs every member shares
                 outcomes = [exc] * len(active)
@@ -227,11 +225,11 @@ def train_ensemble(
         raise ValueError("n_members must be at least 1")
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
-    cfgs = [replace(cfg, seed=derived_seed(cfg.seed, 100 + j)) for j in range(n_members)]
+    seeds = [derived_seed(cfg.seed, 100 + j) for j in range(n_members)]
     chunks = np.array_split(np.arange(n_members), pool_size(n_members))
 
     def chunk(i: int) -> list[HnnModel]:
-        return _train_hnns(X, y, [cfgs[j] for j in chunks[i]], hidden, rounds)
+        return _train_hnns(X, y, cfg, [seeds[j] for j in chunks[i]], hidden, rounds)
 
     return EnsembleModel(members=[m for models in fork_map(chunk, len(chunks)) for m in models], preprocess=preprocess)
 

@@ -591,8 +591,8 @@ class SynthSpec:
     noise scale.
 
     Noise scales are either constants or (intercept, slope) pairs read as
-    affine functions of the boundary coordinate; both must stay positive
-    over [-1, 1].
+    affine functions of the boundary coordinate; both must be finite and
+    stay positive over [-1, 1].
     """
 
     n: int
@@ -614,6 +614,8 @@ class SynthSpec:
             if name not in MEAN_FUNCTIONS:
                 raise ValueError(f"unknown mean function {name!r}")
         for sigma in (self.sigma_low, self.sigma_high):
+            if not np.all(np.isfinite(sigma)):
+                raise ValueError("sigma must be finite")
             if isinstance(sigma, tuple):
                 intercept, slope = sigma
                 if intercept - abs(slope) <= 0.0:

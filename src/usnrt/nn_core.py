@@ -8,20 +8,23 @@ the training seed, so identical (data, config, seed) reproduce identical
 weights bit for bit.
 
 Parameter layout: a training run trains a stack of K networks of one shape
-and one pair of activations in lockstep (K = 1 for a single network). It
-packs their parameters into one (K, P) float64 buffer, one row per network
-and each row layer by layer: W0 (row-major, fan_in x fan_out), b0, W1, b1,
-.... The passes use (K, fan_in, fan_out) weight views of it and batched
-matmul, so every numpy call serves all K networks; per-slice 3-d matmul and
-reductions over the batch axis give the same bits as the 2-d calls, so a
-network trained in a stack ends with exactly the weights it gets alone. The
-gradient, the two Adam moments and the best weights are (K, P) buffers of
-the same layout: the backward pass writes each layer's gradient straight
-into its slot, and one Adam step is a few whole-buffer operations with one
-shared step count. A network that stops leaves the stack (its rows of every
-buffer are dropped), and its `Mlp.weights` / `Mlp.biases` become views of
-its own copy of its best row. Assigning fresh arrays to `weights` /
-`biases` stays allowed: the next training run packs whatever they hold.
+and one pair of activations in lockstep (K = 1 for a single network), under
+one config and one seed per network. It packs their parameters into one
+(K, P) float64 buffer, one row per network and each row layer by layer: W0
+(row-major, fan_in x fan_out), b0, W1, b1, .... The training passes use
+(K, fan_in, fan_out) weight views of it and batched matmul, so every numpy
+call serves all K networks; per-slice 3-d matmul and reductions over the
+batch axis give the same bits as the 2-d calls, so a network trained in a
+stack ends with exactly the weights it gets alone. The gradient, the two
+Adam moments and the best weights are (K, P) buffers of the same layout:
+the backward pass writes each layer's gradient straight into its slot, and
+one Adam step is a few whole-buffer operations with one shared step count.
+Validation runs each network on its own rows with a 2-d forward, so a stack
+holds one network's validation activations at a time. A network leaves the
+stack only at the end of an epoch (its rows of every buffer are dropped),
+and its `Mlp.weights` / `Mlp.biases` become views of its own copy of its
+best row. Assigning fresh arrays to `weights` / `biases` stays allowed: the
+next training run packs whatever they hold.
 """
 
 from __future__ import annotations
@@ -196,16 +199,6 @@ class Mlp:
         hidden = _ACTIVATIONS[self.hidden_activation]
         return [hidden] * (len(self.layer_sizes) - 2) + [_ACTIVATIONS[self.output_activation]]
 
-    def _forward_cached(self, X: np.ndarray):
-        return _forward_cached(self.weights, self.biases, self._activations(), X)
-
-    def _backward(self, pre, post, grad_output):
-        """Parameter gradients (weights, biases) of a scalar loss given
-        d(loss)/d(outputs)."""
-        grads = [np.empty_like(W) for W in self.weights], [np.empty_like(b) for b in self.biases]
-        _backward([W.T for W in self.weights], self._activations(), pre, post, grad_output, *grads)
-        return grads
-
     def _flatten(self) -> np.ndarray:
         """A new flat buffer holding the parameters in the packed layout."""
         params = [p for pair in zip(self.weights, self.biases) for p in pair]
@@ -276,8 +269,8 @@ class TrainConfig:
         coerce_fields(self)
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be at least 1")
         if not 0.0 < self.validation_fraction < 1.0:
@@ -330,24 +323,14 @@ class TrainLog:
     n_val: int
 
 
-class _Objective:
-    """A batch loss over per-row columns: arrays whose rows are the data rows,
-    after a leading stack axis when networks train in a stack. A subclass's
-    sums_and_grad(outputs, *batch_columns) gives each network's loss summed
-    over the batch rows and the gradient of its mean loss in the outputs,
-    from one residual."""
-
-    columns: tuple
-
-    def value(self, outputs: np.ndarray, idx: np.ndarray) -> float:
-        """One network's mean loss over the rows idx of unstacked columns."""
-        return float(self.sums_and_grad(outputs, *(c[idx] for c in self.columns))[0]) / idx.size
-
-    def grad(self, outputs: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return self.sums_and_grad(outputs, *(c[idx] for c in self.columns))[1]
+# An objective holds per-row columns: (K, n, ...) arrays whose row k of axis
+# 0 belongs to network k of a stack. Its sums_and_grad(outputs, *columns),
+# given the outputs on some rows and the columns at those rows, with or
+# without the stack axis, returns each network's loss summed over the rows
+# and the gradient of its mean loss in the outputs, from one residual.
 
 
-class _MseObjective(_Objective):
+class _MseObjective:
     def __init__(self, y: np.ndarray):
         self.columns = (y,)  # (..., n, out_dim)
 
@@ -357,7 +340,7 @@ class _MseObjective(_Objective):
         return np.add.reduce(np.add.reduce(diff * diff, axis=-1), axis=-1), 2.0 * diff / outputs.shape[-2]
 
 
-class _NllSigmaObjective(_Objective):
+class _NllSigmaObjective:
     """Gaussian NLL in the sigma network, residuals fixed."""
 
     def __init__(self, residuals: np.ndarray):
@@ -371,7 +354,7 @@ class _NllSigmaObjective(_Objective):
         return np.add.reduce(terms, axis=-1), g[..., None]
 
 
-class _NllMeanObjective(_Objective):
+class _NllMeanObjective:
     """Gaussian NLL in the mean network, per-sample sigmas fixed."""
 
     def __init__(self, y: np.ndarray, sigma: np.ndarray):
@@ -457,54 +440,34 @@ class _Stack:
         self.grads = _unpack(self.layer_sizes, self.grad)
 
 
-def _gather(columns, members: list[int], idx: np.ndarray) -> list[np.ndarray]:
-    """Each (K, n, ...) column's rows idx[i] of network members[i], as
-    (len(members), idx.shape[1], ...) arrays."""
-    nets = np.array(members)[:, None]
-    return [c[nets, idx] for c in columns]
-
-
-def _run_training(nets: list[Mlp], X: np.ndarray, objective: _Objective, cfgs: list[TrainConfig]) -> list:
+def _run_training(nets: list[Mlp], X: np.ndarray, objective, cfg: TrainConfig, seeds: Sequence[int]) -> list:
     """Train K networks of one shape and activations in lockstep on the rows
-    of X: network k under cfgs[k] and on row k of each of the objective's (K,
-    n, ...) columns. Each network keeps its own validation split, shuffles,
-    losses and early stopping, and ends with the weights and log it gets when
-    trained alone, bit for bit; one that stops leaves the stack. Returns per
-    network its TrainLog, or the TrainingError of a non-finite loss, which
-    stops that network only."""
-    cfg = cfgs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in cfgs):
-        raise ValueError("networks trained in lockstep need configs that differ only in the seed")
+    of X under cfg: network k with seed seeds[k] in place of cfg.seed, and on
+    row k of each of the objective's (K, n, ...) columns. Each network keeps
+    its own validation split, shuffles, losses and early stopping, and ends
+    with the weights and log it gets when trained alone, bit for bit.
+
+    Networks leave the stack only at the end of an epoch: by patience, by a
+    non-finite validation loss, or by a non-finite batch loss earlier in the
+    epoch, whose batch then updates that network with a zero output gradient
+    (its weights are discarded). Returns per network its TrainLog, or the
+    TrainingError that stopped it while the others trained on."""
     shape = [(net.layer_sizes, net.hidden_activation, net.output_activation) for net in nets]
     if shape.count(shape[0]) != len(shape):
         raise ValueError("networks trained in lockstep need one shape and one pair of activations")
     activations = nets[0]._activations()
-    splits = [validation_split(X.shape[0], c) for c in cfgs]
-    val_idx = np.stack([val for val, _ in splits])
-    train_idx = np.stack([train for _, train in splits])
-    n_val, n_train = val_idx.shape[1], train_idx.shape[1]
+    splits = [validation_split(X.shape[0], replace(cfg, seed=seed)) for _, seed in zip(nets, seeds, strict=True)]
+    n_val, n_train = splits[0][0].size, splits[0][1].size
+    # Per network: its validation rows of X and of its columns, its log (or
+    # error), its best validation loss and the epochs since then.
+    val_data = [[X[val], *(c[k, val] for c in objective.columns)] for k, (val, _) in enumerate(splits)]
     outcomes: list = [TrainLog([], [], -1, n_train, n_val) for _ in nets]
-
-    # One entry per stack row: the network's index, its best validation loss
-    # and the epochs since then; batch_sums holds such a list of loss sums
-    # for each batch of this epoch.
-    members = list(range(len(nets)))
     best_val = [math.inf] * len(nets)
     stale = [0] * len(nets)
-    batch_sums: list[list[float]] = []
-    stack = _Stack(nets[0].layer_sizes, np.stack([net._flatten() for net in nets]))
-    val_data = [X[val_idx], *_gather(objective.columns, members, val_idx)]
-    data: list[np.ndarray] = []
-    step = 0
 
-    def keep(rows: list[int]) -> None:
-        """Drop every network whose stack row is not in rows."""
-        stack.keep(rows)
-        for values in (members, best_val, stale):
-            values[:] = [values[row] for row in rows]
-        batch_sums[:] = [[sums[row] for row in rows] for sums in batch_sums]
-        for arrays in (val_data, data):
-            arrays[:] = [a[rows] for a in arrays]
+    members = list(range(len(nets)))  # the network of each stack row
+    stack = _Stack(nets[0].layer_sizes, np.stack([net._flatten() for net in nets]))
+    step = 0
 
     def finish(row: int) -> None:
         net = nets[members[row]]
@@ -512,67 +475,64 @@ def _run_training(nets: list[Mlp], X: np.ndarray, objective: _Objective, cfgs: l
 
     batch_sizes = [min(cfg.batch_size, n_train - start) for start in range(0, n_train, cfg.batch_size)]
     for epoch in range(cfg.max_epochs):
-        shuffled = np.stack(
-            [train_idx[k][_derived_rng(cfgs[k].seed, 1, epoch).permutation(n_train)] for k in members]
-        )
-        data[:] = [X[shuffled], *_gather(objective.columns, members, shuffled)]
-        batch_sums.clear()
+        shuffled = np.stack([splits[k][1][_derived_rng(seeds[k], 1, epoch).permutation(n_train)] for k in members])
+        stacked = np.array(members)[:, None]
+        data = [X[shuffled], *(c[stacked, shuffled] for c in objective.columns)]
+        batch_sums: list[list[float]] = []  # per batch, each stack row's loss sum
         for start in range(0, n_train, cfg.batch_size):
             X_batch, *columns = [a[:, start : start + cfg.batch_size] for a in data]
             pre, post = _forward_cached(stack.weights, stack.biases, activations, X_batch)
             loss_sums, grad_output = objective.sums_and_grad(post[-1], *columns)
             sums = loss_sums.tolist()
             if not all(map(math.isfinite, sums)):
-                rows = []
                 for row, total in enumerate(sums):
-                    if math.isfinite(total):
-                        rows.append(row)
-                    else:
-                        loss = total / X_batch.shape[1]
-                        outcomes[members[row]] = TrainingError(f"non-finite loss {loss} at epoch {epoch}")
-                keep(rows)
-                if not members:
-                    return outcomes
-                sums = [sums[row] for row in rows]
-                pre, post = [a[rows] for a in pre], [a[rows] for a in post]
-                grad_output = grad_output[rows]
+                    if not math.isfinite(total):
+                        grad_output[row] = 0.0
+                        if isinstance(outcomes[members[row]], TrainLog):
+                            loss = total / X_batch.shape[1]
+                            outcomes[members[row]] = TrainingError(f"non-finite loss {loss} at epoch {epoch}")
             _backward(stack.weights_t, activations, pre, post, grad_output, *stack.grads)
             step += 1
             _adam_step(stack.params, stack.grad, stack.m, stack.v, step, cfg.learning_rate, stack.scratch)
             batch_sums.append(sums)
-        data.clear()  # the epoch's batches are done
+        # The last batch's views hold the epoch's gather: drop it before the
+        # validation pass and the next epoch's gather.
+        del data, X_batch, columns, pre, post
 
-        X_val, *val_columns = val_data
-        outputs = _forward(stack.weights, stack.biases, activations, X_val)
-        rows = []
-        for row, total in enumerate(objective.sums_and_grad(outputs, *val_columns)[0].tolist()):
-            log = outcomes[members[row]]
+        kept = []
+        for row, k in enumerate(members):
+            log = outcomes[k]
+            if not isinstance(log, TrainLog):
+                continue
             # The epoch's loss adds each batch's mean loss times its size in
             # batch order, as plain floats, so a stack sums as one network.
             epoch_loss = 0.0
             for sums, size in zip(batch_sums, batch_sizes):
                 epoch_loss += sums[row] / size * size
             log.train_losses.append(epoch_loss / n_train)
-            value = total / n_val
+            X_val, *val_columns = val_data[k]
+            outputs = _forward([W[row] for W in stack.weights], [b[row] for b in stack.biases], activations, X_val)
+            value = float(objective.sums_and_grad(outputs, *val_columns)[0]) / n_val
             if not math.isfinite(value):
-                outcomes[members[row]] = TrainingError(f"non-finite validation loss at epoch {epoch}")
+                outcomes[k] = TrainingError(f"non-finite validation loss at epoch {epoch}")
                 continue
             log.val_losses.append(value)
-            if value < best_val[row]:
-                best_val[row] = value
+            if value < best_val[k]:
+                best_val[k] = value
                 stack.best[row] = stack.params[row]
                 log.best_epoch = epoch
-                stale[row] = 0
+                stale[k] = 0
             else:
-                stale[row] += 1
-                if stale[row] >= cfg.patience:
+                stale[k] += 1
+                if stale[k] >= cfg.patience:
                     finish(row)
                     continue
-            rows.append(row)
-        if len(rows) < len(members):
-            keep(rows)
-            if not members:
+            kept.append(row)
+        if len(kept) < len(members):
+            if not kept:
                 return outcomes
+            members = [members[row] for row in kept]
+            stack.keep(kept)
 
     for row in range(len(members)):
         finish(row)
@@ -596,7 +556,7 @@ def train_mse(net: Mlp, X, y, cfg: TrainConfig):
     returned, together with the loss log.
     """
     X, y = check_rows(X, net.input_dim, y=y)
-    return net, _only(_run_training([net], X, _MseObjective(y[None, :, None]), [cfg]))
+    return net, _only(_run_training([net], X, _MseObjective(y[None, :, None]), cfg, [cfg.seed]))
 
 
 def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig):
@@ -606,21 +566,23 @@ def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig):
     sigma = softplus output + SIGMA_FLOOR. The mean network is only read,
     never written.
     """
-    return sigma_net, _only(train_nll_fixed_mean_lockstep([sigma_net], [mean_net], X, y, [cfg]))
+    return sigma_net, _only(train_nll_fixed_mean_lockstep([sigma_net], [mean_net], X, y, cfg, [cfg.seed]))
 
 
-def train_nll_fixed_mean_lockstep(sigma_nets: list[Mlp], mean_nets: list[Mlp], X, y, cfgs: list[TrainConfig]) -> list:
+def train_nll_fixed_mean_lockstep(
+    sigma_nets: list[Mlp], mean_nets: list[Mlp], X, y, cfg: TrainConfig, seeds: Sequence[int]
+) -> list:
     """train_nll_fixed_mean for same-shaped sigma networks, each with its own
-    frozen mean network and config (the configs differ only in the seed),
-    trained in lockstep. Returns per network its TrainLog, or the
-    TrainingError that stopped it while the others trained on."""
+    frozen mean network and seed (read in place of cfg.seed), trained in
+    lockstep. Returns per network its TrainLog, or the TrainingError that
+    stopped it while the others trained on."""
     if sigma_nets[0].output_activation is not Activation.SOFTPLUS:
         raise ValueError("sigma network must have a Softplus output activation")
     if sigma_nets[0].output_dim != 1:
         raise ValueError("sigma network must have a single output")
     X, y = check_rows(X, sigma_nets[0].input_dim, y=y)
     residuals = np.stack([y - mean_net.forward(X)[:, 0] for mean_net in mean_nets])
-    return _run_training(sigma_nets, X, _NllSigmaObjective(residuals), cfgs)
+    return _run_training(sigma_nets, X, _NllSigmaObjective(residuals), cfg, seeds)
 
 
 def train_nll_fixed_sigma(mean_net: Mlp, sigma_values, X, y, cfg: TrainConfig):
@@ -629,21 +591,23 @@ def train_nll_fixed_sigma(mean_net: Mlp, sigma_values, X, y, cfg: TrainConfig):
     Equivalent to inverse-variance-weighted MSE up to a constant; used by the
     alternating heteroscedastic-network trainer.
     """
-    return mean_net, _only(train_nll_fixed_sigma_lockstep([mean_net], [sigma_values], X, y, [cfg]))
+    return mean_net, _only(train_nll_fixed_sigma_lockstep([mean_net], [sigma_values], X, y, cfg, [cfg.seed]))
 
 
-def train_nll_fixed_sigma_lockstep(mean_nets: list[Mlp], sigma_values: list, X, y, cfgs: list[TrainConfig]) -> list:
+def train_nll_fixed_sigma_lockstep(
+    mean_nets: list[Mlp], sigma_values: list, X, y, cfg: TrainConfig, seeds: Sequence[int]
+) -> list:
     """train_nll_fixed_sigma for same-shaped mean networks, each with its own
-    sigma_values and config (the configs differ only in the seed), trained in
-    lockstep. Returns per network its TrainLog, or the TrainingError that
-    stopped it while the others trained on."""
+    sigma_values and seed (read in place of cfg.seed), trained in lockstep.
+    Returns per network its TrainLog, or the TrainingError that stopped it
+    while the others trained on."""
     if mean_nets[0].output_dim != 1:
         raise ValueError("mean network must have a single output")
     X, y = check_rows(X, mean_nets[0].input_dim, y=y)
     sigma = np.stack([_vector("sigma_values", values, X.shape[0]) for values in sigma_values])
     if np.any(sigma <= 0.0):
         raise ValueError("sigma_values must be positive")
-    return _run_training(mean_nets, X, _NllMeanObjective(np.broadcast_to(y, sigma.shape), sigma), cfgs)
+    return _run_training(mean_nets, X, _NllMeanObjective(np.broadcast_to(y, sigma.shape), sigma), cfg, seeds)
 
 
 def default_hidden(hidden: Sequence[int] | None, d_raw: int, factor: int) -> list[int]:

@@ -305,7 +305,8 @@ def _train_split_net(
 
 
 def _sigma_targets(mean_net: Mlp, X: np.ndarray, y: np.ndarray, train_cfg: TrainConfig):
-    """Labels whose residuals against mean_net are the sigma network's targets.
+    """(targets, residuals): labels whose residuals against mean_net are the
+    sigma network's targets, and the plain residuals y - mu.
 
     Rows that train_cfg's validation split holds out keep their labels; on
     the other rows the residual is scaled by sqrt(held-out MSE / in-sample
@@ -316,7 +317,7 @@ def _sigma_targets(mean_net: Mlp, X: np.ndarray, y: np.ndarray, train_cfg: Train
     scale = np.sqrt(np.mean(residual[val_idx] ** 2) / np.mean(residual[train_idx] ** 2))
     targets = y.copy()
     targets[train_idx] = mu[train_idx] + scale * residual[train_idx]
-    return targets
+    return targets, residual
 
 
 def _train_leaf_nets(
@@ -336,11 +337,11 @@ def _train_leaf_nets(
     train_cfg = replace(cfg.train_cfg, seed=_node_seed(cfg.seed, _ROLE_MEAN, path, 1))
     try:
         _, mean_log = train_mse(mean_net, X, y, train_cfg)
-        sigma_y = _sigma_targets(mean_net, X, y, train_cfg)
+        sigma_y, residual = _sigma_targets(mean_net, X, y, train_cfg)
         _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, sigma_y, train_cfg)
     except (TrainingError, ValueError) as exc:
         raise TreeBuildError(f"leaf networks at {_path_str(path)}: {exc}") from exc
-    return mean_net, sigma_net, mean_log, sigma_log
+    return mean_net, sigma_net, mean_log, sigma_log, residual
 
 
 def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> UsnrtModel:
@@ -371,8 +372,7 @@ def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> 
     search_cfg = replace(cfg, n_min=n_min)
 
     def leaf(Xn: np.ndarray, yn: np.ndarray, path: tuple[int, ...], **decision):
-        mean_net, sigma_net, mean_log, sigma_log = _train_leaf_nets(Xn, yn, cfg, leaf_hidden, path)
-        residual = yn - mean_net.forward(Xn)[:, 0]
+        mean_net, sigma_net, mean_log, sigma_log, residual = _train_leaf_nets(Xn, yn, cfg, leaf_hidden, path)
         node = LeafNode(
             region_id=0,  # numbered once the whole tree is grown
             mean_net=mean_net,

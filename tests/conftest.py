@@ -3,7 +3,7 @@ import pytest
 
 from usnrt.data import SynthSpec, generate_synthetic
 from usnrt.model_io import encode_mlp
-from usnrt.nn_core import Activation, Mlp, TrainConfig
+from usnrt.nn_core import Activation, Mlp, TrainConfig, _backward, _forward_cached, _Stack
 
 
 def feature_matrix(dataset):
@@ -15,6 +15,34 @@ def feature_matrix(dataset):
 def fast_train_cfg(seed=0, max_epochs=80, patience=10):
     """Training config scaled down for unit-test speed."""
     return TrainConfig(max_epochs=max_epochs, patience=patience, seed=seed)
+
+
+def finite_difference_worst(net, X, objective, h=1e-5):
+    """Worst relative error of the training pass's gradient of the mean loss
+    on X against central differences. net trains as a K = 1 stack, so the
+    objective's columns carry a stack axis of length 1."""
+    stack = _Stack(net.layer_sizes, net._flatten()[None])
+    activations = net._activations()
+
+    def mean_loss():
+        pre, post = _forward_cached(stack.weights, stack.biases, activations, X[None])
+        sums, grad_output = objective.sums_and_grad(post[-1], *objective.columns)
+        return float(sums[0]) / X.shape[0], pre, post, grad_output
+
+    _, *passes = mean_loss()
+    _backward(stack.weights_t, activations, *passes, *stack.grads)
+    params, grad = stack.params[0], stack.grad[0].copy()
+    worst = 0.0
+    for i, analytic in enumerate(grad):
+        original = params[i]
+        params[i] = original + h
+        up = mean_loss()[0]
+        params[i] = original - h
+        down = mean_loss()[0]
+        params[i] = original
+        numeric = (up - down) / (2.0 * h)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-5))
+    return worst
 
 
 def width3_member(member):

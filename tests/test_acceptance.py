@@ -48,6 +48,8 @@ from usnrt.tree import (
     _train_split_net,
 )
 
+from conftest import finite_difference_worst
+
 
 def report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -141,34 +143,6 @@ def test_ac02_special_functions():
     assert t_monotone and q_monotone
 
 
-def _finite_difference_worst(net, X, objective, h=1e-5):
-    idx = np.arange(X.shape[0])
-    pre, post = net._forward_cached(X)
-    grads_w, grads_b = net._backward(pre, post, objective.grad(post[-1], idx))
-
-    def loss():
-        _, cached = net._forward_cached(X)
-        return objective.value(cached[-1], idx)
-
-    worst = 0.0
-    for params, grads in ((net.weights, grads_w), (net.biases, grads_b)):
-        for P, G in zip(params, grads):
-            it = np.nditer(P, flags=["multi_index"])
-            for _ in it:
-                i = it.multi_index
-                original = P[i]
-                P[i] = original + h
-                up = loss()
-                P[i] = original - h
-                down = loss()
-                P[i] = original
-                numeric = (up - down) / (2.0 * h)
-                worst = max(
-                    worst, abs(G[i] - numeric) / max(abs(G[i]), abs(numeric), 1e-5)
-                )
-    return worst
-
-
 def test_ac03_gradient_checks():
     rng = np.random.default_rng(303)
     start = time.perf_counter()
@@ -180,11 +154,11 @@ def test_ac03_gradient_checks():
         X = rng.uniform(-1.5, 1.5, (int(rng.integers(3, 9)), input_dim))
         if trial % 2 == 0:
             net = Mlp(sizes, seed=trial)
-            objective = _MseObjective(rng.normal(size=(X.shape[0], 1)))
+            objective = _MseObjective(rng.normal(size=(1, X.shape[0], 1)))
         else:
             net = Mlp(sizes, output_activation=Activation.SOFTPLUS, seed=trial)
-            objective = _NllSigmaObjective(rng.normal(size=X.shape[0]))
-        worst = max(worst, _finite_difference_worst(net, X, objective))
+            objective = _NllSigmaObjective(rng.normal(size=(1, X.shape[0])))
+        worst = max(worst, finite_difference_worst(net, X, objective))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 30.0
     report("AC-3 gradient checks", ok, f"worst rel err {worst:.2e}, {elapsed:.1f}s")

@@ -548,7 +548,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags, config, message",
-        [([], {"alpha": 2}, "alpha must lie strictly in (0, 1)"), (["--seed", "-1"], {}, "seed must be non-negative")],
+        [
+            ([], {"alpha": 2}, "alpha must lie strictly in (0, 1)"),
+            (["--seed", "-1"], {}, "seed must be non-negative"),
+            ([], {"learning_rate": float("nan")}, "learning_rate must be positive and finite"),
+            ([], {"learning_rate": float("inf")}, "learning_rate must be positive and finite"),
+        ],
     )
     def test_bad_setting_is_reported_before_the_files_are_read(self, tmp_path, capsys, flags, config, message):
         cfg = tmp_path / "cfg.json"

@@ -666,8 +666,11 @@ class TestGenerator:
         assert scipy.stats.kstest(z, "norm").pvalue > 0.01
 
     def test_affine_sigma_must_stay_positive(self):
-        with pytest.raises(ValueError):
-            SynthSpec(n=10, d=1, sigma_low=(0.5, 0.6))
+        for sigma in [(0.5, 0.6), (np.nan, 0.0), (1.0, np.nan), (np.inf, 1.0), np.nan, np.inf]:
+            with pytest.raises(ValueError):
+                SynthSpec(n=10, d=1, sigma_low=sigma)
+            with pytest.raises(ValueError):
+                SynthSpec(n=10, d=1, sigma_high=sigma)
 
     def test_ground_truth_matches_regions(self):
         spec = SynthSpec(

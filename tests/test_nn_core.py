@@ -4,6 +4,7 @@ identity with a textbook reference trainer."""
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,9 @@ from usnrt.nn_core import (
     train_nll_fixed_sigma_lockstep,
     validation_split,
 )
-from usnrt.nn_core import _MseObjective, _NllMeanObjective, _NllSigmaObjective, _run_training
+from usnrt.nn_core import _forward_cached, _MseObjective, _NllMeanObjective, _NllSigmaObjective, _run_training, _Stack
+
+from conftest import finite_difference_worst
 
 
 def zero_net(layer_sizes, output_activation=Activation.LINEAR):
@@ -76,7 +79,9 @@ class TestForward:
         net = Mlp([3, 7, 5, 2], hidden, output, seed=4)
         X = 3.0 * np.random.default_rng(5).normal(size=(64, 3))
         before = X.copy()
-        assert net.forward(X).tobytes() == net._forward_cached(X)[1][-1].tobytes()
+        stack = _Stack(net.layer_sizes, net._flatten()[None])
+        _, post = _forward_cached(stack.weights, stack.biases, net._activations(), X[None])
+        assert net.forward(X).tobytes() == post[-1][0].tobytes()
         assert np.array_equal(X, before)
 
     def test_forward_holds_only_the_live_layer(self):
@@ -240,30 +245,8 @@ class TestTrainNllFixedMean:
 
 class TestGradients:
     @staticmethod
-    def finite_difference_check(net, X, objective, h=1e-5, tol=1e-4):
-        idx = np.arange(X.shape[0])
-        pre, post = net._forward_cached(X)
-        grads_w, grads_b = net._backward(pre, post, objective.grad(post[-1], idx))
-
-        def loss():
-            p, q = net._forward_cached(X)
-            return objective.value(q[-1], idx)
-
-        worst = 0.0
-        for params, grads in ((net.weights, grads_w), (net.biases, grads_b)):
-            for P, G in zip(params, grads):
-                it = np.nditer(P, flags=["multi_index"])
-                for _ in it:
-                    i = it.multi_index
-                    original = P[i]
-                    P[i] = original + h
-                    up = loss()
-                    P[i] = original - h
-                    down = loss()
-                    P[i] = original
-                    numeric = (up - down) / (2.0 * h)
-                    rel = abs(G[i] - numeric) / max(abs(G[i]), abs(numeric), 1e-5)
-                    worst = max(worst, rel)
+    def finite_difference_check(net, X, objective, tol=1e-4):
+        worst = finite_difference_worst(net, X, objective)
         assert worst < tol, f"worst relative gradient error {worst}"
 
     def test_mse_gradients_random_nets(self):
@@ -276,7 +259,7 @@ class TestGradients:
             net = Mlp(sizes, seed=trial)
             X = rng.uniform(-1, 1, (5, sizes[0]))
             y = rng.normal(size=(5, 1))
-            self.finite_difference_check(net, X, _MseObjective(y))
+            self.finite_difference_check(net, X, _MseObjective(y[None]))
 
     def test_nll_sigma_gradients_random_nets(self):
         rng = np.random.default_rng(22)
@@ -285,7 +268,7 @@ class TestGradients:
             net = Mlp(sizes, output_activation=Activation.SOFTPLUS, seed=trial)
             X = rng.uniform(-1, 1, (5, sizes[0]))
             residuals = rng.normal(size=5)
-            self.finite_difference_check(net, X, _NllSigmaObjective(residuals))
+            self.finite_difference_check(net, X, _NllSigmaObjective(residuals[None]))
 
     def test_nll_mean_gradients(self):
         rng = np.random.default_rng(23)
@@ -293,7 +276,7 @@ class TestGradients:
         X = rng.uniform(-1, 1, (6, 3))
         y = rng.normal(size=6)
         sigma = rng.uniform(0.3, 2.0, size=6)
-        self.finite_difference_check(net, X, _NllMeanObjective(y, sigma))
+        self.finite_difference_check(net, X, _NllMeanObjective(y[None], sigma[None]))
 
 
 class TestTrainNllFixedSigma:
@@ -521,8 +504,8 @@ class TestLockstep:
     def data():
         return TestReferenceBitIdentity.data()
 
-    def cfgs(self):
-        return [replace(self.cfg, seed=seed) for seed in self.seeds]
+    def solo_cfg(self, k):
+        return replace(self.cfg, seed=self.seeds[k])
 
     @staticmethod
     def nets(sizes, seed, **activations):
@@ -543,22 +526,22 @@ class TestLockstep:
     def test_mse(self):
         X, y = self.data()
         nets = self.nets([3, 12, 6, 1], 60)
-        outcomes = _run_training(nets, X, _MseObjective(np.stack([y, -y, 2.0 * y])[:, :, None]), self.cfgs())
+        outcomes = _run_training(nets, X, _MseObjective(np.stack([y, -y, 2.0 * y])[:, :, None]), self.cfg, self.seeds)
         targets = (y, -y, 2.0 * y)
         self.assert_matches_alone(
-            nets, outcomes, lambda k: train_mse(self.nets([3, 12, 6, 1], 60)[k], X, targets[k], self.cfgs()[k])
+            nets, outcomes, lambda k: train_mse(self.nets([3, 12, 6, 1], 60)[k], X, targets[k], self.solo_cfg(k))
         )
 
     def test_nll_sigma(self):
         X, y = self.data()
         means = [Mlp([3, 5, 1], seed=70 + k) for k in range(3)]
         nets = self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)
-        outcomes = train_nll_fixed_mean_lockstep(nets, means, X, y, self.cfgs())
+        outcomes = train_nll_fixed_mean_lockstep(nets, means, X, y, self.cfg, self.seeds)
         self.assert_matches_alone(
             nets,
             outcomes,
             lambda k: train_nll_fixed_mean(
-                self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)[k], means[k], X, y, self.cfgs()[k]
+                self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)[k], means[k], X, y, self.solo_cfg(k)
             ),
         )
 
@@ -566,49 +549,67 @@ class TestLockstep:
         X, y = self.data()
         sigmas = [np.random.default_rng(90 + k).uniform(0.2, 1.5, size=203) for k in range(3)]
         nets = self.nets([3, 12, 6, 1], 100, hidden_activation=Activation.RELU)
-        outcomes = train_nll_fixed_sigma_lockstep(nets, sigmas, X, y, self.cfgs())
+        outcomes = train_nll_fixed_sigma_lockstep(nets, sigmas, X, y, self.cfg, self.seeds)
         self.assert_matches_alone(
             nets,
             outcomes,
             lambda k: train_nll_fixed_sigma(
-                self.nets([3, 12, 6, 1], 100, hidden_activation=Activation.RELU)[k], sigmas[k], X, y, self.cfgs()[k]
+                self.nets([3, 12, 6, 1], 100, hidden_activation=Activation.RELU)[k], sigmas[k], X, y, self.solo_cfg(k)
             ),
         )
 
     def test_a_non_finite_loss_stops_only_its_network(self):
-        """Member 1's target is NaN in a row of its third batch of epoch 0:
-        it leaves the stack there, and the members before and after it
-        train on as they do alone."""
+        """Member 1's target is NaN in a row of its third batch of epoch 0
+        and infinite in a row of its fifth: it fails with the first non-finite
+        loss and leaves the stack at the end of the epoch, and the members
+        before and after it train on as they do alone."""
         X, y = self.data()
-        cfgs = self.cfgs()
-        _, train_idx = validation_split(X.shape[0], cfgs[1])
-        order = np.random.default_rng(np.random.SeedSequence([cfgs[1].seed, 1, 0])).permutation(train_idx.size)
+        _, train_idx = validation_split(X.shape[0], self.solo_cfg(1))
+        order = np.random.default_rng(np.random.SeedSequence([self.seeds[1], 1, 0])).permutation(train_idx.size)
         broken = y.copy()
         broken[train_idx[order[2 * self.cfg.batch_size]]] = np.nan
+        broken[train_idx[order[4 * self.cfg.batch_size]]] = np.inf
         targets = (y, broken, y)
         nets = self.nets([3, 12, 6, 1], 60)
-        outcomes = _run_training(nets, X, _MseObjective(np.stack(targets)[:, :, None]), cfgs)
+        outcomes = _run_training(nets, X, _MseObjective(np.stack(targets)[:, :, None]), self.cfg, self.seeds)
         assert isinstance(outcomes[1], TrainingError)
         assert str(outcomes[1]) == "non-finite loss nan at epoch 0"
         for k in (0, 2):
-            solo_net, solo_log = train_mse(self.nets([3, 12, 6, 1], 60)[k], X, y, cfgs[k])
+            solo_net, solo_log = train_mse(self.nets([3, 12, 6, 1], 60)[k], X, y, self.solo_cfg(k))
             assert vars(outcomes[k]) == vars(solo_log)
             for got, want in zip(nets[k].weights + nets[k].biases, solo_net.weights + solo_net.biases):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize(
-        "nets, cfgs, message",
-        [
-            ([Mlp([3, 4, 1]), Mlp([3, 5, 1])], None, "one shape"),
-            ([Mlp([3, 4, 1]), Mlp([3, 4, 1], Activation.RELU)], None, "one shape"),
-            ([Mlp([3, 4, 1]), Mlp([3, 4, 1])], [TrainConfig(), TrainConfig(batch_size=32)], "only in the seed"),
-        ],
-        ids=["sizes", "activations", "batch-size"],
-    )
-    def test_a_stack_needs_one_shape_and_one_config(self, nets, cfgs, message):
+    def test_a_failed_network_trains_on_quietly_to_the_end_of_its_epoch(self):
+        """Member 1's frozen mean network outputs NaN, so each of its batch
+        losses is NaN. Its output gradient is zeroed, so its weights stay
+        finite for the rest of the epoch and its Softplus output raises no
+        RuntimeWarning; it fails with its first loss, and member 0 trains as
+        it does alone."""
         X, y = self.data()
-        with pytest.raises(ValueError, match=message):
-            _run_training(nets, X, _MseObjective(np.stack([y, y])[:, :, None]), cfgs or [TrainConfig(), TrainConfig(seed=1)])
+        means = [Mlp([3, 5, 1], seed=70 + k) for k in range(2)]
+        means[1].biases[-1][:] = np.nan
+        nets = self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)[:2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            outcomes = train_nll_fixed_mean_lockstep(nets, means, X, y, self.cfg, self.seeds[:2])
+        assert str(outcomes[1]) == "non-finite loss nan at epoch 0"
+        solo_net, solo_log = train_nll_fixed_mean(
+            self.nets([3, 10, 1], 80, output_activation=Activation.SOFTPLUS)[0], means[0], X, y, self.solo_cfg(0)
+        )
+        assert vars(outcomes[0]) == vars(solo_log)
+        for got, want in zip(nets[0].weights + nets[0].biases, solo_net.weights + solo_net.biases):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "nets",
+        [[Mlp([3, 4, 1]), Mlp([3, 5, 1])], [Mlp([3, 4, 1]), Mlp([3, 4, 1], Activation.RELU)]],
+        ids=["sizes", "activations"],
+    )
+    def test_a_stack_needs_one_shape_and_one_config(self, nets):
+        X, y = self.data()
+        with pytest.raises(ValueError, match="one shape"):
+            _run_training(nets, X, _MseObjective(np.stack([y, y])[:, :, None]), TrainConfig(), [0, 1])
 
 
 def test_activations_are_looked_up_once_per_run(monkeypatch):

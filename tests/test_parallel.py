@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import signal
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,24 @@ def test_lockstep_chunks_match_member_by_member_training(monkeypatch, pools):
     assert pools == [2, 3, 5]
 
 
+def test_one_stack_holds_one_networks_validation_activations(monkeypatch):
+    """20 members on 20,000 x 8 rows train as one stack of K = 20 on one CPU.
+    Each epoch gathers K x n_train rows (about 31 MiB here), but the
+    validation pass runs one network at a time: validating all 20 at once
+    would add K x n_val x (64 + 32) floats, a traced peak of about 125 MiB."""
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1, 1, (20_000, 8))
+    y = X[:, 0] + 0.1 * rng.standard_normal(20_000)
+    set_cpus(monkeypatch, 1)
+    tracemalloc.start()
+    try:
+        baselines.train_ensemble(X, y, TrainConfig(max_epochs=1, patience=1), n_members=20, rounds=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
 def fail_members(monkeypatch, cfg, failing):
     """Make member j's mean phase fail in round failing[j]."""
     seeds = {
@@ -122,11 +141,11 @@ def fail_members(monkeypatch, cfg, failing):
     }
     original = baselines.train_nll_fixed_sigma_lockstep
 
-    def train(mean_nets, sigma_values, X, y, cfgs):
-        outcomes = original(mean_nets, sigma_values, X, y, cfgs)
+    def train(mean_nets, sigma_values, X, y, cfg, phase_seeds):
+        outcomes = original(mean_nets, sigma_values, X, y, cfg, phase_seeds)
         return [
-            TrainingError(f"injected into member {seeds[c.seed]}") if c.seed in seeds else outcome
-            for c, outcome in zip(cfgs, outcomes)
+            TrainingError(f"injected into member {seeds[seed]}") if seed in seeds else outcome
+            for seed, outcome in zip(phase_seeds, outcomes)
         ]
 
     monkeypatch.setattr(baselines, "train_nll_fixed_sigma_lockstep", train)

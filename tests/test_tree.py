@@ -412,7 +412,7 @@ class TestLeafSigmaTargets:
             return train_nll_fixed_mean(sigma_net, mean_net, X_arg, y_arg, cfg)
 
         monkeypatch.setattr(tree_module, "train_nll_fixed_mean", spy)
-        mean_net, _, mean_log, _ = tree_module._train_leaf_nets(X, y, small_cfg(), [8], ())
+        mean_net, _, mean_log, _, _ = tree_module._train_leaf_nets(X, y, small_cfg(), [8], ())
 
         assert captured["mean_net"] is mean_net
         assert np.array_equal(captured["X"], X)
