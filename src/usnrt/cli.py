@@ -10,7 +10,6 @@ run can be reproduced byte for byte. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -30,7 +29,7 @@ from .data import (
     train_test_split,
 )
 from .metrics import compute_report
-from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, save_model
+from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, read_json, save_model, write_json
 from .nn_core import TrainConfig, TrainingError, coerce_value
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
@@ -79,43 +78,34 @@ def _write_columns(path: Path, columns: dict) -> None:
 
 
 def _out_dir(args) -> Path:
+    """--out, or $USNRT_OUT_ROOT/<command>. It is not made here: atomic_write
+    makes it with the command's first file. A path that is, or lies under, an
+    existing file is refused at once."""
     if args.out:
         out = Path(args.out)
     else:
         out = Path(os.environ.get(OUT_ROOT_ENV, "usnrt_runs")) / args.command
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise _UsageError(f"output directory {out}: {existing} is not a directory")
     return out
 
 
-def _load_config_file(path) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError("config file must hold a JSON object")
-    return payload
-
-
-def _resolved(defaults: dict, file_cfg: dict, flag_values: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(defaults)
-    for key, value in file_cfg.items():
-        if key in merged:
-            merged[key] = value
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = value
-    return merged
+def _settings(args, defaults: dict, **flags) -> dict:
+    """Each key of defaults resolved as default < config file (--config) <
+    flag: the one given here, else the argparse dest of that name. A flag
+    left at None counts as not given; config keys outside defaults are
+    ignored."""
+    config = read_json(args.config, "config", DataError) if args.config else {}
+    flags = {**vars(args), **flags}
+    return {
+        key: config.get(key, default) if flags.get(key) is None else flags[key]
+        for key, default in defaults.items()
+    }
 
 
 def _write_json(path: Path, payload) -> None:
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload, indent=2, sort_keys=True)
 
 
 def _echo_config(out: Path, args, settings: dict) -> None:
@@ -151,14 +141,6 @@ _COMMAND_DEFAULTS = {
     "train": {"seed": 0, "model_kind": "usnrt"},
     "benchmark": {"seeds": [0, 1, 2, 3, 4], "model_kinds": ["usnrt", "hnn"], "test_fraction": 0.2},
 }
-
-
-def _train_settings(args, **flags) -> dict:
-    """Settings of train or benchmark: defaults < config file < the given
-    flags and those of _add_tree_flags, whose argparse dests are their keys."""
-    tree_flags = {key: value for key, value in vars(args).items() if key in _TRAIN_DEFAULTS}
-    defaults = {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS[args.command]}
-    return _resolved(defaults, _load_config_file(args.config), {**tree_flags, **flags})
 
 
 def _trainer(kind, settings: dict, seeds):
@@ -239,8 +221,7 @@ _SIGMA_KEYS = ("sigma_low", "sigma_high")
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    flags = {key: value for key, value in vars(args).items() if key in _SYNTH_DEFAULTS}
-    settings = _resolved(_SYNTH_DEFAULTS, _load_config_file(args.config), flags)
+    settings = _settings(args, _SYNTH_DEFAULTS)
     spec = SynthSpec(**{**settings, **{key: _parse_sigma(settings[key]) for key in _SIGMA_KEYS}})
     result = generate_synthetic(spec)
     dataset = result.dataset
@@ -255,7 +236,7 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    settings = _train_settings(args, seed=args.seed, model_kind=args.model_kind)
+    settings = _settings(args, {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS["train"]})
     seed = coerce_value("seed", settings["seed"], "int")
     fit = _trainer(settings["model_kind"], settings, [seed])
     X, y, state = fit_transform(load_csv(args.data, Schema.from_file(args.schema)))
@@ -335,7 +316,8 @@ def run_benchmark(dataset: Dataset, fits: dict, seeds, test_fraction: float) -> 
 
 def cmd_benchmark(args) -> int:
     out = _out_dir(args)
-    settings = _train_settings(args, seeds=args.seed, model_kinds=args.model_kind, test_fraction=args.test_fraction)
+    defaults = {**_TRAIN_DEFAULTS, **_COMMAND_DEFAULTS["benchmark"]}
+    settings = _settings(args, defaults, seeds=args.seed, model_kinds=args.model_kind)
     seeds = coerce_value("seeds", settings["seeds"], "Sequence[int]")
     kinds = coerce_value("model_kinds", settings["model_kinds"], "Sequence[str]")
     for key, values in (("seeds", seeds), ("model_kinds", kinds)):

@@ -5,7 +5,6 @@ heteroscedastic generator with retained ground truth."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 import os
 import warnings
@@ -15,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .model_io import atomic_write
+from .model_io import read_json, write_json
 from .nn_core import coerce_fields
 
 __all__ = [
@@ -82,19 +81,10 @@ class Schema:
 
     @classmethod
     def from_file(cls, path) -> "Schema":
-        try:
-            with open(path, "r", encoding="utf-8-sig") as fh:
-                raw = json.load(fh)
-        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read schema file {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataError("schema file must hold a column-name to kind mapping")
-        return cls.from_mapping(raw)
+        return cls.from_mapping(read_json(path, "schema", DataError))
 
     def to_file(self, path) -> None:
-        with atomic_write(path) as fh:
-            json.dump(self.to_mapping(), fh, indent=2, sort_keys=False)
-            fh.write("\n")
+        write_json(path, self.to_mapping(), indent=2)
 
 
 @dataclass

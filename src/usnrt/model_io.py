@@ -10,7 +10,8 @@ Every model class has the same interface: a `model_kind` class constant,
 `preprocess`, `predict_arrays(X, denormalize=True)`, `to_payload()` (the
 file body without its header), the `from_payload(payload, preprocess)` class
 method, and `train_log`. This module owns the header and the table from kind
-to class.
+to class, and the one JSON reader and writer (read_json, write_json) that
+the schema, config and CLI output files go through as well.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ __all__ = [
     "encode_array",
     "encode_mlp",
     "load_model",
+    "read_json",
     "read_payload",
     "save_model",
+    "write_json",
     "write_payload",
 ]
 
@@ -128,7 +131,9 @@ def check_networks(where: str, width: int, *nets: Mlp) -> None:
 def atomic_write(path):
     """A text file to write path's new content to. It is a temporary file
     beside path, moved over path when the block ends cleanly, so a failed
-    write leaves any existing file untouched."""
+    write leaves any existing file untouched. Missing parent directories of
+    path are created first."""
+    os.makedirs(os.path.dirname(os.fspath(path)) or ".", exist_ok=True)
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -140,11 +145,33 @@ def atomic_write(path):
         raise
 
 
-def write_payload(path, payload: dict) -> None:
-    """Write payload as JSON through atomic_write."""
+def write_json(path, payload, **dump_options) -> None:
+    """Write payload as JSON (json.dump with dump_options) and a newline
+    through atomic_write."""
     with atomic_write(path) as fh:
-        json.dump(payload, fh, sort_keys=True)
+        json.dump(payload, fh, **dump_options)
         fh.write("\n")
+
+
+def read_json(path, what: str, error: type[Exception]) -> dict:
+    """The JSON object in the file at path, read as UTF-8 with an optional
+    byte-order mark. A file that cannot be read, is not UTF-8 JSON, or holds
+    anything but an object raises error naming what (the file kind) and path."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            payload = json.load(fh)
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{what} file {path} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise error(f"{what} file {path} must hold a JSON object")
+    return payload
+
+
+def write_payload(path, payload: dict) -> None:
+    """Write a model file's payload as JSON through atomic_write."""
+    write_json(path, payload, sort_keys=True)
 
 
 def save_model(model, path) -> None:
@@ -156,15 +183,7 @@ def save_model(model, path) -> None:
 
 
 def read_payload(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"model file {path} is corrupt or truncated: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"model file {path} does not hold a model document")
+    payload = read_json(path, "model", ModelFormatError)
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(

@@ -169,10 +169,12 @@ def _sums_above(e: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray):
 
 def levene_test(e_left, e_right) -> LeveneResult:
     """levene_statistic with its two-sided p-value: either direction of
-    variance inequality counts as evidence against equality."""
+    variance inequality counts as evidence against equality. The p-value is
+    twice the lower tail at -|T|, not 2 * (1 - F(|T|)), which would cancel
+    to 0 below about 1e-16."""
     statistic = levene_statistic(e_left, e_right)
     df = len(e_left) + len(e_right) - 2
-    p_value = 2.0 * (1.0 - student_t_cdf(abs(statistic), df))
+    p_value = 2.0 * student_t_cdf(-abs(statistic), df)
     return LeveneResult(statistic=statistic, degrees_of_freedom=df, p_value=min(p_value, 1.0))
 
 

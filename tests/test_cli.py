@@ -611,6 +611,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["synth", "train", "predict"])
     def test_out_naming_a_file_exits_1(self, trained_dir, synth_dir, tmp_path, capsys, command):
+        """An --out that is, or lies under, an existing file is refused
+        before any work."""
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         inputs = {
@@ -618,11 +620,12 @@ class TestExitCodes:
             "train": ["--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")],
             "predict": ["--model", str(trained_dir / "model.json"), "--data", str(synth_dir / "data.csv")],
         }
-        assert main([command, *inputs[command], "--out", str(afile)]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(afile) in err
-        assert "Traceback" not in err
-        assert afile.read_text() == "keep\n"
+        for out in (afile, afile / "sub"):
+            assert main([command, *inputs[command], "--out", str(out)]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(afile) in err
+            assert "Traceback" not in err
+            assert afile.read_text() == "keep\n"
 
     def test_corrupt_model_file(self, synth_dir, tmp_path):
         bad = tmp_path / "bad.json"
@@ -845,6 +848,55 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and str(bad) in err
 
+    @pytest.mark.parametrize("kind", ["schema", "config", "model"])
+    @pytest.mark.parametrize(
+        "fault, content, message",
+        [
+            ("missing", None, "cannot read {kind} file {path}: "),
+            ("not-utf8", b'{"x1": "\xe9"}', "{kind} file {path} is not UTF-8 JSON: "),
+            ("not-json", b"{not json", "{kind} file {path} is not UTF-8 JSON: "),
+            ("too-deep", b"[" * 100_000, "{kind} file {path} is not UTF-8 JSON: "),
+            ("list", b"[1, 2]", "{kind} file {path} must hold a JSON object\n"),
+        ],
+    )
+    def test_unreadable_json_file_exits_2(self, synth_dir, tmp_path, capsys, kind, fault, content, message):
+        """A schema, config or model file that is missing, is not UTF-8 JSON,
+        or holds anything but an object is a data error naming the file kind
+        and the path, and no output is written."""
+        path = tmp_path / f"{fault}.json"
+        if content is not None:
+            path.write_bytes(content)
+        if kind == "model":
+            argv = ["predict", "--model", str(path), "--data", str(synth_dir / "data.csv")]
+        else:
+            files = {"--data": synth_dir / "data.csv", "--schema": synth_dir / "schema.json", f"--{kind}": path}
+            argv = ["train", *(arg for key, value in files.items() for arg in (key, str(value)))]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: " + message.format(kind=kind, path=path))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, code",
+        [
+            ("train", ["--data", "nope.csv", "--schema", "nope.json", "--seed", "-1"], EXIT_USAGE),
+            ("synth", ["--sigma-low", "nan"], EXIT_USAGE),
+            ("benchmark", ["--data", "nope.csv", "--schema", "nope.json", "--seed", "0", "--seed", "0"], EXIT_USAGE),
+            ("evaluate", ["--model", "nope.json", "--data", "nope.csv"], EXIT_DATA),
+            ("predict", ["--model", "nope.json", "--data", "nope.csv"], EXIT_DATA),
+            ("inspect", ["--model", "nope.json", "--data", "nope.csv"], EXIT_DATA),
+        ],
+    )
+    def test_failed_check_leaves_no_output_directory(self, tmp_path, capsys, command, flags, code):
+        """The output directory is made with a command's first file, so a
+        command that fails its checks leaves none behind."""
+        flags = [str(tmp_path / flag) if flag.startswith("nope.") else flag for flag in flags]
+        out = tmp_path / "out" / "nested"
+        assert main([command, *flags, "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "predict"])
     def test_cell_over_the_csv_field_limit_exits_2(self, synth_dir, trained_dir, tmp_path, capsys, command):
         """A cell longer than the csv module's field limit (131,072
@@ -910,7 +962,7 @@ class TestExitCodes:
             assert main([command, "--model", str(model), "--data", str(data), "--out", str(out)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {data}: a predicted mu or sigma is not finite")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, fault",

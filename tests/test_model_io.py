@@ -248,6 +248,14 @@ def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
         assert np.array_equal(got, want)
 
 
+def test_save_makes_missing_directories(hnn_model, X, tmp_path):
+    path = tmp_path / "a" / "b" / "model.json"
+    save_model(hnn_model, path)
+    assert os.listdir(path.parent) == ["model.json"]
+    for got, want in zip(load_model(path).predict_arrays(X), hnn_model.predict_arrays(X)):
+        assert np.array_equal(got, want)
+
+
 def test_failed_write_keeps_existing_file(tmp_path):
     path = tmp_path / "model.json"
     write_payload(path, {"a": 1})

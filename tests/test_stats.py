@@ -60,6 +60,17 @@ class TestLevene:
         expected = 2.0 * scipy.stats.t.sf(abs(result.statistic), 6)
         assert result.p_value == pytest.approx(expected, abs=1e-8)
 
+    def test_tiny_p_value_against_scipy(self):
+        """A p-value far below 1e-16 keeps its precision: the tail is not
+        taken as 1 - F(|T|), which would cancel to 0."""
+        rng = np.random.default_rng(53)
+        a = rng.normal(scale=0.5, size=2000)
+        b = rng.normal(scale=1.0, size=2000)
+        result = levene_test(a, b)
+        expected = scipy.stats.levene(a, b, center="mean").pvalue
+        assert 1e-160 < expected < 1e-156
+        assert result.p_value == pytest.approx(expected, rel=1e-10)
+
     def test_group_swap_negates_statistic(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=17)

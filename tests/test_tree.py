@@ -150,11 +150,11 @@ class TestFindBestSplit:
             d = int(rng.integers(1, 4))
             X = rng.uniform(-1, 1, (n, d))
             cases.append((X, rng.standard_normal(n) * np.where(X[:, 0] > 0, 2.0, 0.7)))
-        # A 10x sigma jump: several cuts' p-values underflow to 0, and only
-        # the larger |T| tells them apart.
+        # A 10x sigma jump: the best cuts' p-values are tiny (about 1e-28)
+        # but stay above 0, so they still order the cuts as |T| does.
         X = rng.uniform(-1, 1, (200, 2))
         cases.append((X, rng.standard_normal(200) * np.where(X[:, 0] > 0, 10.0, 1.0)))
-        assert sum(p == 0.0 for p in cut_p_values(*cases[-1], n_min=10)) >= 2
+        assert all(p > 0.0 for p in cut_p_values(*cases[-1], n_min=10))
         for X, residuals in cases:
             cfg = UsnrtConfig(n_min=10, split_stride=1)
             found = find_best_split(X, residuals, cfg)
