@@ -3,6 +3,7 @@ heteroscedastic networks (HNN) and their moment-matched deep ensembles."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .nn_core import (
     default_hidden,
     derived_seed,
     predict_sigma,
+    row_blocks,
     train_nll_fixed_mean,  # unused here, but perfbench/tracing.py wraps this name and the next in this module
     train_nll_fixed_mean_lockstep,
     train_nll_fixed_sigma,
@@ -38,6 +40,10 @@ __all__ = [
 # Defaults of train_hnn's rounds and train_ensemble's n_members.
 HNN_ROUNDS = 2
 ENSEMBLE_MEMBERS = 5
+# Budget of one lockstep stack's per-epoch gather of X, K * n * d * 8 bytes
+# for K members on n rows of d features; train_ensemble splits the members
+# into enough stacks to keep each under it.
+STACK_BUDGET_BYTES = 16 << 20
 
 
 @dataclass
@@ -217,16 +223,18 @@ def train_ensemble(
     rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
     """Train n_members HNNs that differ only in their derived seeds. The
-    members are split into contiguous chunks, one per worker process that
-    fork_map starts (one chunk when it runs serially), and each chunk trains
-    in lockstep. The members hold no preprocessing state; the ensemble holds
+    members are split into contiguous chunks, as many as fork_map starts
+    worker processes (one when it runs serially) or more where one chunk's
+    gather of X would pass STACK_BUDGET_BYTES, and each chunk trains in
+    lockstep. The members hold no preprocessing state; the ensemble holds
     it once."""
     if n_members < 1:
         raise ValueError("n_members must be at least 1")
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
     seeds = [derived_seed(cfg.seed, 100 + j) for j in range(n_members)]
-    chunks = np.array_split(np.arange(n_members), pool_size(n_members))
+    n_chunks = max(pool_size(n_members), math.ceil(n_members * X.nbytes / STACK_BUDGET_BYTES))
+    chunks = np.array_split(np.arange(n_members), min(n_chunks, n_members))
 
     def chunk(i: int) -> list[HnnModel]:
         return _train_hnns(X, y, cfg, [seeds[j] for j in chunks[i]], hidden, rounds)
@@ -241,23 +249,19 @@ def ensemble_predict_arrays(model: EnsembleModel, X, denormalize: bool = True):
     the mean member variance plus the dispersion of member means. Both are
     computed anchored at member 0, so an ensemble of identical members
     reproduces that member's output exactly. X is checked once, against
-    member 0's width, which every member shares.
+    member 0's width, which every member shares, and runs in row_blocks, so
+    only one block's member outputs are held at a time.
     """
     (X,) = check_rows(X, model.members[0].mean_net.input_dim)
-    mus = []
-    sigmas = []
-    for member in model.members:
-        mu, sigma = member._forward(X)
-        mus.append(mu)
-        sigmas.append(sigma)
-    mu_stack = np.stack(mus)
-    sigma_stack = np.stack(sigmas)
-
-    mu_bar = mu_stack[0] + np.mean(mu_stack - mu_stack[0], axis=0)
-    deviations = mu_stack - mu_bar
-    variance_excess = np.mean(sigma_stack**2 - sigma_stack[0] ** 2, axis=0)
-    ratio = (variance_excess + np.mean(deviations**2, axis=0)) / sigma_stack[0] ** 2
-    sigma_bar = sigma_stack[0] * np.sqrt(np.maximum(1.0 + ratio, 0.0))
+    mu_bar = np.empty(X.shape[0])
+    sigma_bar = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0]):
+        mu_stack, sigma_stack = map(np.stack, zip(*(member._forward(X[rows]) for member in model.members)))
+        mu_bar[rows] = mu_stack[0] + np.mean(mu_stack - mu_stack[0], axis=0)
+        deviations = mu_stack - mu_bar[rows]
+        variance_excess = np.mean(sigma_stack**2 - sigma_stack[0] ** 2, axis=0)
+        ratio = (variance_excess + np.mean(deviations**2, axis=0)) / sigma_stack[0] ** 2
+        sigma_bar[rows] = sigma_stack[0] * np.sqrt(np.maximum(1.0 + ratio, 0.0))
 
     if denormalize and model.preprocess is not None:
         mu_bar = model.preprocess.denormalize_mean(mu_bar)

@@ -30,7 +30,7 @@ from .data import (
 )
 from .metrics import compute_report
 from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, read_json, save_model, write_json
-from .nn_core import TrainConfig, TrainingError, coerce_value
+from .nn_core import TrainConfig, TrainingError, coerce_value, row_blocks
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
 
@@ -63,13 +63,19 @@ def _cell(value) -> str:
     return "" if value is None else _quoted(str(value))
 
 
+def _array_cells(column: np.ndarray):
+    """The cells of an array column, converted one block of rows at a time.
+    A float array's tolist() gives Python floats: no _cell call, never quoted."""
+    for rows in row_blocks(len(column)):
+        yield from map(repr, column[rows].tolist())
+
+
 def _write_columns(path: Path, columns: dict) -> None:
     """Write a CSV table given as {header: column}, row by row. A float cell
     is its repr (it reads back bit for bit), None an empty cell, anything
     else its str, quoted where needed."""
-    # A float array's tolist() gives Python floats: no _cell call, never quoted.
     cells = [
-        map(repr, column.tolist()) if isinstance(column, np.ndarray) else map(_cell, column)
+        _array_cells(column) if isinstance(column, np.ndarray) else map(_cell, column)
         for column in columns.values()
     ]
     with atomic_write(path) as fh:
@@ -170,14 +176,21 @@ def _trainer(kind, settings: dict, seeds):
 
 
 def _model_and_data(args):
-    """The model of --model, then the rows of --data read with its schema:
-    without the label for predict, and for inspect only from a usnrt model."""
+    """(model, X, labels): the model of --model, then the rows of --data read
+    with its schema and encoded for it, and their labels (None for predict,
+    which reads no label). inspect takes only a usnrt model. The parsed
+    table is not kept once it is encoded."""
     model = load_model(args.model)
     if args.command == "inspect" and model.model_kind != "usnrt":
         raise _UsageError("inspect applies to usnrt models")
     if model.preprocess is None:
         raise DataError("model file carries no preprocessing state")
-    return model, load_csv(args.data, model.preprocess.schema, require_label=args.command != "predict")
+    require_label = args.command != "predict"
+    dataset = load_csv(args.data, model.preprocess.schema, require_label=require_label)
+    X = model.preprocess.transform(dataset)
+    # The labels are copied: loaded columns may be views of one parsed table,
+    # which a view would keep whole.
+    return model, X, dataset.labels.copy() if require_label else None
 
 
 def _predict(model, X, source, denormalize: bool = True):
@@ -190,11 +203,10 @@ def _predict(model, X, source, denormalize: bool = True):
     return mu, sigma
 
 
-def _evaluate(model, dataset: Dataset, source="the test split"):
-    """Metrics on the normalised label scale, plus the normalised sigmas."""
-    state = model.preprocess
-    X = state.transform(dataset)
-    y_norm = state.transform_labels(dataset.labels)
+def _evaluate(model, X, labels, source="the test split"):
+    """Metrics of the model on encoded rows X on the normalised label scale,
+    plus the normalised sigmas."""
+    y_norm = model.preprocess.transform_labels(labels)
     mu, sigma = _predict(model, X, source, denormalize=False)
     return compute_report(mu, sigma, y_norm), sigma
 
@@ -256,8 +268,8 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    model, dataset = _model_and_data(args)
-    report, sigma_norm = _evaluate(model, dataset, args.data)
+    model, X, labels = _model_and_data(args)
+    report, sigma_norm = _evaluate(model, X, labels, args.data)
     payload = report.to_dict()
     del payload["curve"]
     if args.original_units:
@@ -277,8 +289,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     out = _out_dir(args)
-    model, dataset = _model_and_data(args)
-    mu, sigma = _predict(model, model.preprocess.transform(dataset), args.data)
+    model, X, _ = _model_and_data(args)
+    mu, sigma = _predict(model, X, args.data)
     _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
     _echo_config(out, args, {})
     print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
@@ -305,7 +317,7 @@ def run_benchmark(dataset: Dataset, fits: dict, seeds, test_fraction: float) -> 
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
         X, y, state = fit_transform(train)
         for kind, fit in fits.items():
-            report, _ = _evaluate(fit(X, y, state, seed), test)
+            report, _ = _evaluate(fit(X, y, state, seed), state.transform(test), test.labels)
             add(kind, seed, *(getattr(report, key) for key in scores))
     cells = {key: np.array(table[key]) for key in ("model", *scores)}
     for kind in fits:
@@ -350,12 +362,11 @@ def cmd_benchmark(args) -> int:
 
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
-    model, dataset = _model_and_data(args)
+    model, X, labels = _model_and_data(args)
     state = model.preprocess
-    X = state.transform(dataset)
-    y_norm = state.transform_labels(dataset.labels)
+    y_norm = state.transform_labels(labels)
     with np.errstate(over="ignore", invalid="ignore"):
-        report = tree.leaf_report(model, X, dataset.labels)
+        report = tree.leaf_report(model, X, labels)
     for key, column in report.items():
         for region, value in zip(report["region_id"], column):
             if value is not None and not np.isfinite(value):

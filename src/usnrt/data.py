@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .model_io import read_json, write_json
-from .nn_core import coerce_fields
+from .nn_core import BLOCK_ROWS, coerce_fields
 
 __all__ = [
     "Column",
@@ -112,7 +112,7 @@ class Dataset:
 
 # Data rows that load_csv's block path parses at a time. Memory while it reads
 # is this many rows of cells plus the parsed columns, whatever the file's length.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = BLOCK_ROWS
 # Bytes that _plain_rows reads at a time.
 _SCAN_BYTES = 1 << 20
 

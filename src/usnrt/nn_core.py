@@ -37,6 +37,7 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
+    "BLOCK_ROWS",
     "SIGMA_FLOOR",
     "Activation",
     "Mlp",
@@ -51,6 +52,7 @@ __all__ = [
     "derived_seed",
     "nll_loss",
     "predict_sigma",
+    "row_blocks",
     "train_mse",
     "train_nll_fixed_mean",
     "train_nll_fixed_mean_lockstep",
@@ -62,6 +64,24 @@ __all__ = [
 # Additive floor on predicted standard deviations. The NLL diverges as
 # sigma -> 0, so every sigma-prediction path reports softplus(z) + SIGMA_FLOOR.
 SIGMA_FLOOR = 1e-6
+
+# Rows that a pass over an unbounded row count (a 2-d forward, ensemble
+# moment matching, a CSV read or write) handles at a time, so its working set
+# does not grow with the rows.
+BLOCK_ROWS = 4096
+# BLAS computes a product with fewer rows than this by vector and edge
+# kernels that round differently from the rows of a larger product, so a
+# block never ends shorter (row_blocks) and Mlp.forward pads a shorter input.
+_MIN_ROWS = 4
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Slices covering rows 0..n in order, BLOCK_ROWS rows each but the last,
+    which takes up a remainder shorter than _MIN_ROWS rows."""
+    stops = list(range(BLOCK_ROWS, n, BLOCK_ROWS))
+    if stops and n - stops[-1] < _MIN_ROWS:
+        stops.pop()
+    return [slice(start, stop) for start, stop in zip([0, *stops], [*stops, n])]
 
 
 class TrainingError(RuntimeError):
@@ -99,10 +119,20 @@ _ACTIVATIONS = {
 
 
 def _forward(weights, biases, activations, X: np.ndarray) -> np.ndarray:
-    """The network's output on X, holding only the live layer: each
-    activation overwrites its pre-activation. The arrays may carry a leading
-    stack axis (see the module docstring)."""
-    a = X
+    """The network's output on the rows of a 2-d X, holding only the live
+    layer of one of its row_blocks at a time: each activation overwrites its
+    pre-activation, and each block's output is written into one array. Under
+    one BLAS thread the bits are those of one pass over all the rows."""
+    blocks = row_blocks(X.shape[0])
+    if len(blocks) < 2:
+        return _layers(weights, biases, activations, X)
+    out = np.empty((X.shape[0], weights[-1].shape[-1]))
+    for rows in blocks:
+        out[rows] = _layers(weights, biases, activations, X[rows])
+    return out
+
+
+def _layers(weights, biases, activations, a: np.ndarray) -> np.ndarray:
     for W, b, (act, _) in zip(weights, biases, activations):
         a = np.matmul(a, W)
         a += b
@@ -188,11 +218,16 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def forward(self, X) -> np.ndarray:
-        """Apply the network to an (n, d) batch."""
+        """Apply the network to an (n, d) batch. A batch of 1 to _MIN_ROWS - 1
+        rows runs padded with copies of its last row, so each row gets the
+        output it gets inside a larger batch."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected an (n, {self.input_dim}) batch, got shape {X.shape}")
-        return _forward(self.weights, self.biases, self._activations(), X)
+        n = X.shape[0]
+        if 0 < n < _MIN_ROWS:
+            X = X[np.arange(_MIN_ROWS).clip(max=n - 1)]
+        return _forward(self.weights, self.biases, self._activations(), X)[:n]
 
     def _activations(self) -> list[tuple]:
         """The (act, times_derivative) pair of each layer, looked up once."""
@@ -559,29 +594,33 @@ def train_mse(net: Mlp, X, y, cfg: TrainConfig):
     return net, _only(_run_training([net], X, _MseObjective(y[None, :, None]), cfg, [cfg.seed]))
 
 
-def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig):
+def train_nll_fixed_mean(sigma_net: Mlp, mean_net: Mlp, X, y, cfg: TrainConfig, mu=None):
     """Fit the sigma network by Gaussian NLL with the mean network frozen.
 
     The per-sample loss is log(sigma^2)/2 + (y - mu)^2 / (2 sigma^2) with
     sigma = softplus output + SIGMA_FLOOR. The mean network is only read,
-    never written.
+    never written; a caller that holds its output on X passes it as mu, and
+    the network is not run again.
     """
-    return sigma_net, _only(train_nll_fixed_mean_lockstep([sigma_net], [mean_net], X, y, cfg, [cfg.seed]))
+    mus = None if mu is None else [mu]
+    return sigma_net, _only(train_nll_fixed_mean_lockstep([sigma_net], [mean_net], X, y, cfg, [cfg.seed], mus))
 
 
 def train_nll_fixed_mean_lockstep(
-    sigma_nets: list[Mlp], mean_nets: list[Mlp], X, y, cfg: TrainConfig, seeds: Sequence[int]
+    sigma_nets: list[Mlp], mean_nets: list[Mlp], X, y, cfg: TrainConfig, seeds: Sequence[int], mus=None
 ) -> list:
     """train_nll_fixed_mean for same-shaped sigma networks, each with its own
-    frozen mean network and seed (read in place of cfg.seed), trained in
-    lockstep. Returns per network its TrainLog, or the TrainingError that
-    stopped it while the others trained on."""
+    frozen mean network (or its output on X, in mus) and seed (read in place
+    of cfg.seed), trained in lockstep. Returns per network its TrainLog, or
+    the TrainingError that stopped it while the others trained on."""
     if sigma_nets[0].output_activation is not Activation.SOFTPLUS:
         raise ValueError("sigma network must have a Softplus output activation")
     if sigma_nets[0].output_dim != 1:
         raise ValueError("sigma network must have a single output")
     X, y = check_rows(X, sigma_nets[0].input_dim, y=y)
-    residuals = np.stack([y - mean_net.forward(X)[:, 0] for mean_net in mean_nets])
+    if mus is None:
+        mus = [mean_net.forward(X)[:, 0] for mean_net in mean_nets]
+    residuals = np.stack([y - mu for mu in mus])
     return _run_training(sigma_nets, X, _NllSigmaObjective(residuals), cfg, seeds)
 
 

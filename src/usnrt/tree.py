@@ -305,8 +305,8 @@ def _train_split_net(
 
 
 def _sigma_targets(mean_net: Mlp, X: np.ndarray, y: np.ndarray, train_cfg: TrainConfig):
-    """(targets, residuals): labels whose residuals against mean_net are the
-    sigma network's targets, and the plain residuals y - mu.
+    """(targets, mu): labels whose residuals against mean_net are the sigma
+    network's targets, and mean_net's output mu on X.
 
     Rows that train_cfg's validation split holds out keep their labels; on
     the other rows the residual is scaled by sqrt(held-out MSE / in-sample
@@ -317,7 +317,7 @@ def _sigma_targets(mean_net: Mlp, X: np.ndarray, y: np.ndarray, train_cfg: Train
     scale = np.sqrt(np.mean(residual[val_idx] ** 2) / np.mean(residual[train_idx] ** 2))
     targets = y.copy()
     targets[train_idx] = mu[train_idx] + scale * residual[train_idx]
-    return targets, residual
+    return targets, mu
 
 
 def _train_leaf_nets(
@@ -337,11 +337,11 @@ def _train_leaf_nets(
     train_cfg = replace(cfg.train_cfg, seed=_node_seed(cfg.seed, _ROLE_MEAN, path, 1))
     try:
         _, mean_log = train_mse(mean_net, X, y, train_cfg)
-        sigma_y, residual = _sigma_targets(mean_net, X, y, train_cfg)
-        _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, sigma_y, train_cfg)
+        sigma_y, mu = _sigma_targets(mean_net, X, y, train_cfg)
+        _, sigma_log = train_nll_fixed_mean(sigma_net, mean_net, X, sigma_y, train_cfg, mu=mu)
     except (TrainingError, ValueError) as exc:
         raise TreeBuildError(f"leaf networks at {_path_str(path)}: {exc}") from exc
-    return mean_net, sigma_net, mean_log, sigma_log, residual
+    return mean_net, sigma_net, mean_log, sigma_log, y - mu
 
 
 def build(X, y, cfg: UsnrtConfig, preprocess: PreprocessState | None = None) -> UsnrtModel:

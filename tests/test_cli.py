@@ -5,6 +5,8 @@ import csv
 import json
 import os
 import re
+import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -238,6 +240,23 @@ class TestPredict:
             outputs.append((tmp_path / name / "predictions.csv").read_bytes())
         assert rows[0][-1] == "y" and outputs[0] == outputs[1]
 
+    def test_write_holds_one_block_of_an_array_column(self, tmp_path):
+        """A 200,000-row float column is converted to Python floats one block
+        at a time: the traced peak stays well below 200,000 floats (about 4.6
+        MiB; converting the whole column at once peaks at 6.1 MiB)."""
+        column = np.random.default_rng(0).standard_normal(200_000)
+        path = tmp_path / "predictions.csv"
+        tracemalloc.start()
+        try:
+            _write_columns(path, {"mu": column})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < column.size * sys.getsizeof(1.0) / 4, f"traced peak {peak / 2**20:.2f} MiB"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mu"] and np.array_equal([float(row[0]) for row in rows[1:]], column)
+
     def test_failed_write_keeps_existing_predictions(self, tmp_path):
         path = tmp_path / "predictions.csv"
         _write_columns(path, {"mu": [0.0], "sigma": [1.0]})
@@ -420,7 +439,7 @@ class TestBenchmark:
         }
         monkeypatch.setattr(cli, "_trainer", lambda kind, settings, seeds: lambda X, y, state, seed: (kind, seed))
         monkeypatch.setattr(
-            cli, "_evaluate", lambda cell, test: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
+            cli, "_evaluate", lambda cell, X, labels: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
         )
         dataset = load_csv(synth_dir / "data.csv", Schema.from_file(synth_dir / "schema.json"))
         fits = {kind: cli._trainer(kind, {}, [3, 5]) for kind in ("usnrt", "hnn")}

@@ -2,15 +2,22 @@
 correctness against central finite differences, determinism, and bit
 identity with a textbook reference trainer."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usnrt
 from usnrt.nn_core import (
+    BLOCK_ROWS,
     SIGMA_FLOOR,
     Activation,
     Mlp,
@@ -20,6 +27,7 @@ from usnrt.nn_core import (
     check_rows,
     nll_loss,
     predict_sigma,
+    row_blocks,
     train_mse,
     train_nll_fixed_mean,
     train_nll_fixed_mean_lockstep,
@@ -60,8 +68,8 @@ class TestForward:
         assert out[0, 0] == pytest.approx(1.3132616875182228, abs=1e-12)
 
     def test_batch_matches_per_row(self):
-        # BLAS may order the sums differently for matrix and vector products,
-        # so agreement is to rounding, not bit-exact.
+        # BLAS computes the last rows of a product by edge kernels that may
+        # round differently, so agreement is to rounding, not bit-exact.
         net = Mlp([4, 7, 3, 1], seed=9)
         X = np.random.default_rng(2).normal(size=(11, 4))
         batch = net.forward(X)
@@ -85,10 +93,11 @@ class TestForward:
         assert np.array_equal(X, before)
 
     def test_forward_holds_only_the_live_layer(self):
-        """50,000 rows through [8, 64, 32, 1]: the traced peak stays below
-        twice the 64-wide layer's output (it is the 64- and 32-wide outputs,
-        1.5 times; keeping every layer's pre-activation and activation takes
-        about 3 times)."""
+        """50,000 rows through [8, 64, 32, 1]: the traced peak stays below the
+        output plus twice one row block's 64- and 32-wide layers. The pass
+        runs in blocks, each holding only its live layer; one pass over all
+        rows holds 1.5 times the 64-wide layer's output, about 37 MiB, and
+        keeping every layer's pre-activation and activation about 3 times."""
         net = Mlp([8, 64, 32, 1], seed=1)
         X = np.random.default_rng(6).normal(size=(50_000, 8))
         tracemalloc.start()
@@ -97,7 +106,7 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * X.shape[0] * 64 * X.itemsize
+        assert peak < X.shape[0] * X.itemsize + 2 * BLOCK_ROWS * (64 + 32) * X.itemsize
 
     def test_dimension_mismatch(self):
         net = Mlp([4, 3, 1], seed=0)
@@ -115,6 +124,70 @@ class TestForward:
         net = Mlp([4, 3, 1], seed=0)
         with pytest.raises(ValueError, match=r"expected an \(n, 4\) batch"):
             net.forward(np.ones(4))
+
+
+# Runs in a fresh interpreter with one BLAS thread: a multithreaded BLAS may
+# split the rows of one large product among its threads at any row, and each
+# thread's last rows then take edge kernels, so that pass is not a fixed
+# reference. Prints the cases where the blocked forward differs.
+_BLOCKED_FORWARD_CHECK = """
+import itertools, json
+import numpy as np
+from usnrt.nn_core import Activation, Mlp, _forward, _layers
+X = 3.0 * np.random.default_rng(7).normal(size=(50_000, 8))
+differ = []
+for hidden, output in itertools.product(Activation, Activation):
+    net = Mlp([8, 32, 16, 1], hidden, output, seed=3)
+    args = (net.weights, net.biases, net._activations())
+    for n in (1, 2, 4095, 4096, 4097, 4098, 8193, 50_000):
+        if _forward(*args, X[:n]).tobytes() != _layers(*args, X[:n]).tobytes():
+            differ.append([hidden.value, output.value, n])
+print(json.dumps(differ))
+"""
+
+
+class TestBlocks:
+    @pytest.mark.parametrize(
+        "n, sizes",
+        [
+            (0, [0]),
+            (1, [1]),
+            (BLOCK_ROWS, [BLOCK_ROWS]),
+            (BLOCK_ROWS + 3, [BLOCK_ROWS + 3]),
+            (BLOCK_ROWS + 4, [BLOCK_ROWS, 4]),
+            (2 * BLOCK_ROWS + 1, [BLOCK_ROWS, BLOCK_ROWS + 1]),
+            (3 * BLOCK_ROWS, [BLOCK_ROWS] * 3),
+        ],
+    )
+    def test_row_blocks_cover_the_rows_in_order(self, n, sizes):
+        blocks = row_blocks(n)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert [b.start for b in blocks] == [0, *(b.stop for b in blocks[:-1])]
+        assert blocks[-1].stop == n
+
+    def test_blocked_forward_equals_one_pass_bit_for_bit(self):
+        """Every pair of hidden and output activations, on 1 to 50,000 rows
+        around the block boundaries; a one-row last block, which would take
+        BLAS's vector kernels, joins the block before it."""
+        src = str(Path(usnrt.__file__).resolve().parents[1])
+        threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", _BLOCKED_FORWARD_CHECK], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(result.stdout) == []
+
+    def test_a_small_batch_gets_the_rows_of_a_larger_one(self):
+        """A batch of 1 to 3 rows runs padded to 4 rows, so each row gets the
+        bits it gets inside a batch of 4, where BLAS uses its matrix kernels."""
+        X = np.random.default_rng(3).normal(size=(40, 8))
+        for hidden in (Activation.TANH, Activation.RELU):
+            for output in (Activation.LINEAR, Activation.SOFTPLUS):
+                net = Mlp([8, 32, 16, 1], hidden, output, seed=5)
+                for start in range(0, 40, 4):
+                    window = net.forward(X[start : start + 4])
+                    for n in (1, 2, 3):
+                        assert net.forward(X[start : start + n]).tobytes() == window[:n].tobytes()
 
 
 class TestCheckRows:

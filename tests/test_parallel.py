@@ -116,11 +116,9 @@ def test_lockstep_chunks_match_member_by_member_training(monkeypatch, pools):
     assert pools == [2, 3, 5]
 
 
-def test_one_stack_holds_one_networks_validation_activations(monkeypatch):
-    """20 members on 20,000 x 8 rows train as one stack of K = 20 on one CPU.
-    Each epoch gathers K x n_train rows (about 31 MiB here), but the
-    validation pass runs one network at a time: validating all 20 at once
-    would add K x n_val x (64 + 32) floats, a traced peak of about 125 MiB."""
+def twenty_member_peak(monkeypatch) -> int:
+    """Traced peak of training 20 members on 20,000 x 8 rows on one CPU, one
+    epoch of one round."""
     rng = np.random.default_rng(8)
     X = rng.uniform(-1, 1, (20_000, 8))
     y = X[:, 0] + 0.1 * rng.standard_normal(20_000)
@@ -128,10 +126,28 @@ def test_one_stack_holds_one_networks_validation_activations(monkeypatch):
     tracemalloc.start()
     try:
         baselines.train_ensemble(X, y, TrainConfig(max_epochs=1, patience=1), n_members=20, rounds=1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_one_stack_holds_one_networks_validation_activations(monkeypatch):
+    """With the stack budget lifted, the 20 members train as one stack of
+    K = 20. Each epoch gathers K x n_train rows (about 31 MiB here), but the
+    validation pass runs one network at a time: validating all 20 at once
+    would add K x n_val x (64 + 32) floats, a traced peak of about 125 MiB."""
+    monkeypatch.setattr(baselines, "STACK_BUDGET_BYTES", 2**62)
+    peak = twenty_member_peak(monkeypatch)
     assert peak < 100 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_stacks_stay_within_the_byte_budget(monkeypatch):
+    """20 x 20,000 x 8 floats of X (24.4 MiB) pass the 16 MiB stack budget,
+    so the members train as two stacks of 10 in turn: a traced peak of about
+    33 MiB, against 65 MiB for one stack of 20."""
+    assert 20 * 20_000 * 8 * 8 > baselines.STACK_BUDGET_BYTES
+    peak = twenty_member_peak(monkeypatch)
+    assert peak < 48 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def fail_members(monkeypatch, cfg, failing):
@@ -172,10 +188,10 @@ def fail_right_subtree(monkeypatch):
     """Make every leaf sigma network right of the root split fail."""
     original = tree.train_nll_fixed_mean
 
-    def train(sigma_net, mean_net, X, y, cfg):
+    def train(sigma_net, mean_net, X, y, cfg, mu=None):
         if X[:, 0].min() > 0.0:
             raise TrainingError("injected")
-        return original(sigma_net, mean_net, X, y, cfg)
+        return original(sigma_net, mean_net, X, y, cfg, mu=mu)
 
     monkeypatch.setattr(tree, "train_nll_fixed_mean", train)
 

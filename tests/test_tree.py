@@ -407,9 +407,9 @@ class TestLeafSigmaTargets:
         X, y = X[:1000], y[:1000]
         captured = {}
 
-        def spy(sigma_net, mean_net, X_arg, y_arg, cfg):
-            captured.update(mean_net=mean_net, X=X_arg, y=y_arg, cfg=cfg)
-            return train_nll_fixed_mean(sigma_net, mean_net, X_arg, y_arg, cfg)
+        def spy(sigma_net, mean_net, X_arg, y_arg, cfg, mu=None):
+            captured.update(mean_net=mean_net, X=X_arg, y=y_arg, cfg=cfg, mu=mu)
+            return train_nll_fixed_mean(sigma_net, mean_net, X_arg, y_arg, cfg, mu=mu)
 
         monkeypatch.setattr(tree_module, "train_nll_fixed_mean", spy)
         mean_net, _, mean_log, _, _ = tree_module._train_leaf_nets(X, y, small_cfg(), [8], ())
@@ -417,6 +417,7 @@ class TestLeafSigmaTargets:
         assert captured["mean_net"] is mean_net
         assert np.array_equal(captured["X"], X)
         mu = mean_net.forward(X)[:, 0]
+        assert np.array_equal(captured["mu"], mu)
         residual = y - mu
         target = captured["y"] - mu
         val_idx, train_idx = validation_split(X.shape[0], captured["cfg"])
@@ -432,6 +433,24 @@ class TestLeafSigmaTargets:
         np.testing.assert_allclose(
             target[train_idx], ratio * residual[train_idx], rtol=1e-9, atol=1e-12
         )
+
+
+def test_a_leaf_runs_its_mean_network_once_after_training(monkeypatch):
+    """The sigma network trains on the residuals of the mean network's output
+    that _sigma_targets computed; the mean network is not run again."""
+    calls = []
+    forward = Mlp.forward
+
+    def counting(net, X):
+        if net.output_activation is Activation.LINEAR:
+            calls.append(len(X))
+        return forward(net, X)
+
+    monkeypatch.setattr(Mlp, "forward", counting)
+    X = np.random.default_rng(1).uniform(-1, 1, (600, 2))
+    model = build(X, X[:, 0], small_cfg(n_min=400))
+    assert model.leaf_count == 1
+    assert calls == [600]
 
 
 class TestPredict:
