@@ -7,6 +7,11 @@ the validation split and the per-epoch batch shuffles are all derived from
 the training seed, so identical (data, config, seed) reproduce identical
 weights bit for bit.
 
+A 2-d forward (prediction, validation) runs in blocks of BLOCK_ROWS rows,
+each padded to a whole number of 4-row groups with copies of its last row,
+so under one BLAS thread a row's output does not depend on the rows it is
+passed with.
+
 Parameter layout: a training run trains a stack of K networks of one shape
 and one pair of activations in lockstep (K = 1 for a single network), under
 one config and one seed per network. It packs their parameters into one
@@ -69,19 +74,15 @@ SIGMA_FLOOR = 1e-6
 # moment matching, a CSV read or write) handles at a time, so its working set
 # does not grow with the rows.
 BLOCK_ROWS = 4096
-# BLAS computes a product with fewer rows than this by vector and edge
-# kernels that round differently from the rows of a larger product, so a
-# block never ends shorter (row_blocks) and Mlp.forward pads a shorter input.
-_MIN_ROWS = 4
+# BLAS computes a product's rows in groups of this many, and the rows past a
+# multiple of it by edge kernels that round differently, so _forward runs
+# every block as whole groups.
+_ROW_GROUP = 4
 
 
 def row_blocks(n: int) -> list[slice]:
-    """Slices covering rows 0..n in order, BLOCK_ROWS rows each but the last,
-    which takes up a remainder shorter than _MIN_ROWS rows."""
-    stops = list(range(BLOCK_ROWS, n, BLOCK_ROWS))
-    if stops and n - stops[-1] < _MIN_ROWS:
-        stops.pop()
-    return [slice(start, stop) for start, stop in zip([0, *stops], [*stops, n])]
+    """Slices covering rows 0..n in order, BLOCK_ROWS rows each but the last."""
+    return [slice(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)]
 
 
 class TrainingError(RuntimeError):
@@ -121,14 +122,16 @@ _ACTIVATIONS = {
 def _forward(weights, biases, activations, X: np.ndarray) -> np.ndarray:
     """The network's output on the rows of a 2-d X, holding only the live
     layer of one of its row_blocks at a time: each activation overwrites its
-    pre-activation, and each block's output is written into one array. Under
-    one BLAS thread the bits are those of one pass over all the rows."""
-    blocks = row_blocks(X.shape[0])
-    if len(blocks) < 2:
-        return _layers(weights, biases, activations, X)
+    pre-activation, and each block's output is written into one array. A
+    block whose rows are not whole _ROW_GROUPs runs padded with copies of its
+    last row, so under one BLAS thread a row gets the same bits in any call."""
     out = np.empty((X.shape[0], weights[-1].shape[-1]))
-    for rows in blocks:
-        out[rows] = _layers(weights, biases, activations, X[rows])
+    for rows in row_blocks(X.shape[0]):
+        block = X[rows]
+        n = block.shape[0]
+        if n % _ROW_GROUP:
+            block = np.concatenate([block, block[[-1] * (-n % _ROW_GROUP)]])
+        out[rows] = _layers(weights, biases, activations, block)[:n]
     return out
 
 
@@ -218,16 +221,11 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def forward(self, X) -> np.ndarray:
-        """Apply the network to an (n, d) batch. A batch of 1 to _MIN_ROWS - 1
-        rows runs padded with copies of its last row, so each row gets the
-        output it gets inside a larger batch."""
+        """Apply the network to an (n, d) batch."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected an (n, {self.input_dim}) batch, got shape {X.shape}")
-        n = X.shape[0]
-        if 0 < n < _MIN_ROWS:
-            X = X[np.arange(_MIN_ROWS).clip(max=n - 1)]
-        return _forward(self.weights, self.biases, self._activations(), X)[:n]
+        return _forward(self.weights, self.biases, self._activations(), X)
 
     def _activations(self) -> list[tuple]:
         """The (act, times_derivative) pair of each layer, looked up once."""
@@ -393,14 +391,13 @@ class _NllMeanObjective:
     """Gaussian NLL in the mean network, per-sample sigmas fixed."""
 
     def __init__(self, y: np.ndarray, sigma: np.ndarray):
-        # y (..., n), then per-row terms that depend only on the fixed sigmas.
-        variance = sigma * sigma
-        self.columns = (y, variance, np.log(variance) / 2.0, 2.0 * sigma * sigma)
+        self.columns = (y, sigma)  # (..., n) each
 
     @staticmethod
-    def sums_and_grad(outputs, y, variance, half_log_variance, twice_variance):
+    def sums_and_grad(outputs, y, sigma):
+        variance = sigma * sigma
         diff = outputs[..., 0] - y
-        terms = half_log_variance + diff * diff / twice_variance
+        terms = np.log(variance) / 2.0 + diff * diff / (2.0 * sigma * sigma)
         g = (diff / variance) / outputs.shape[-2]
         return np.add.reduce(terms, axis=-1), g[..., None]
 

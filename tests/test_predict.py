@@ -2,11 +2,18 @@
 depend on the rows predicted with it, and a large prediction holds the input
 plus a few row blocks, not every layer of every row."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usnrt
 from usnrt.baselines import EnsembleModel, HnnModel, ensemble_predict_arrays
 from usnrt.nn_core import BLOCK_ROWS, Activation, Mlp, predict_sigma
 from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel
@@ -48,20 +55,53 @@ def _traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("kind", MODELS)
-def test_a_row_predicts_alone_as_within_a_call(kind):
-    """predict_arrays row by row equals predict_arrays on the same rows four
-    at a time. A lone row, or a leaf routed fewer than 4 rows, runs padded to
-    4 rows, so it takes BLAS's matrix kernels, not its vector kernels. (In a
-    call whose leaf group is not a multiple of 4 rows, the group's last rows
-    still take BLAS's edge kernels, which may round differently.)"""
-    model = MODELS[kind]()
-    X = np.random.default_rng(4).uniform(-1.0, 1.0, (200, D))
-    for start in range(0, X.shape[0], 4):
-        mu, sigma = model.predict_arrays(X[start : start + 4])
-        for i in range(4):
-            alone = model.predict_arrays(X[start + i : start + i + 1])
-            assert (alone[0][0], alone[1][0]) == (mu[i], sigma[i]), f"row {start + i}"
+# Call sizes around the block boundaries, and a larger odd one.
+SIZES = (1, 2, 3, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1, 10_001)
+
+
+def _predictors(kind):
+    """Functions from rows to the arrays a kind predicts for them: a network
+    of each pair of hidden and output activations, or one model's
+    predict_arrays."""
+    if kind == "forward":
+        nets = [Mlp([D, 32, 16, 1], hidden, output, seed=3) for hidden, output in itertools.product(Activation, repeat=2)]
+        return [lambda X, net=net: (net.forward(X),) for net in nets]
+    return [MODELS[kind]().predict_arrays]
+
+
+def rows_that_depend_on_the_call(kind) -> list:
+    """[predictor, n, row] of each row whose prediction in one call over the
+    first n rows differs in any bit from its prediction alone."""
+    X = np.random.default_rng(8).uniform(-2.0, 2.0, (max(SIZES), D))
+    differ = []
+    for index, predict in enumerate(_predictors(kind)):
+        alone = np.concatenate([np.column_stack(predict(X[row : row + 1])) for row in range(X.shape[0])])
+        for n in SIZES:
+            together = np.column_stack(predict(X[:n]))
+            bits_differ = together.view(np.uint64) != alone[:n].view(np.uint64)
+            differ += [[index, n, int(row)] for row in np.flatnonzero(bits_differ.any(axis=1))]
+    return differ
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"], ids=["default-kernels", "haswell-kernels"])
+@pytest.mark.parametrize("kind", ["forward", *MODELS])
+def test_a_row_predicts_alone_as_within_any_call(kind, coretype):
+    """Each row predicted alone gets the bits it gets in one call over 1 to
+    10,001 rows: every pass runs its blocks padded to whole 4-row groups, so
+    BLAS computes each row by its matrix kernel, never by the edge kernels
+    of a product's last rows. Runs in a fresh interpreter with one BLAS
+    thread, since a multithreaded BLAS splits a large product among its
+    threads at rows that need not be multiples of 4; and under OpenBLAS's
+    Haswell kernels (which AVX2-only and AMD Zen CPUs get) as well as the
+    ones it picks for the CPU it runs on."""
+    threads = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    paths = [str(Path(usnrt.__file__).resolve().parents[1]), str(Path(__file__).parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, **threads, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
+    script = f"import json, test_predict; print(json.dumps(test_predict.rows_that_depend_on_the_call({kind!r})))"
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(result.stdout) == []
 
 
 @pytest.mark.parametrize("n", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 2, 3 * BLOCK_ROWS + 5])
