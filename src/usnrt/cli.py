@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -63,24 +64,31 @@ def _cell(value) -> str:
     return "" if value is None else _quoted(str(value))
 
 
+# Rows that _write_columns joins into one string. One string per group, not
+# per row, is most of the writer's speed-up; groups of BLOCK_ROWS rows raised
+# predict's peak RSS by 2 MiB on a 50,000-row file, and 256 rows did not.
+_WRITE_ROWS = 256
+
+
 def _array_cells(column: np.ndarray):
     """The cells of an array column, converted one block of rows at a time.
     A float array's tolist() gives Python floats: no _cell call, never quoted."""
-    for rows in row_blocks(len(column)):
-        yield from map(repr, column[rows].tolist())
+    return chain.from_iterable(map(repr, column[rows].tolist()) for rows in row_blocks(len(column)))
 
 
 def _write_columns(path: Path, columns: dict) -> None:
-    """Write a CSV table given as {header: column}, row by row. A float cell
-    is its repr (it reads back bit for bit), None an empty cell, anything
-    else its str, quoted where needed."""
+    """Write a CSV table given as {header: column}, _WRITE_ROWS rows at a
+    time. A float cell is its repr (it reads back bit for bit), None an empty
+    cell, anything else its str, quoted where needed."""
     cells = [
         _array_cells(column) if isinstance(column, np.ndarray) else map(_cell, column)
         for column in columns.values()
     ]
+    rows = zip(*cells)
     with atomic_write(path) as fh:
         fh.write(",".join(map(_quoted, columns)) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+        while group := list(islice(rows, _WRITE_ROWS)):
+            fh.write("\n".join(map(",".join, group)) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -178,8 +186,9 @@ def _trainer(kind, settings: dict, seeds):
 def _model_and_data(args):
     """(model, X, labels): the model of --model, then the rows of --data read
     with its schema and encoded for it, and their labels (None for predict,
-    which reads no label). inspect takes only a usnrt model. The parsed
-    table is not kept once it is encoded."""
+    which does not require a label: load_csv still parses a label column
+    that is there, and it is dropped here). inspect takes only a usnrt model.
+    The parsed table is not kept once it is encoded."""
     model = load_model(args.model)
     if args.command == "inspect" and model.model_kind != "usnrt":
         raise _UsageError("inspect applies to usnrt models")

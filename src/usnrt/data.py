@@ -230,7 +230,8 @@ def _plain_rows(path) -> int | None:
     by a line feed (csv ends a row there and loadtxt may skip the blank line
     that follows), or a line longer than csv's field limit, which csv
     rejects as a cell. A line is counted in bytes, at least its length in
-    characters."""
+    characters. Only a chunk that holds a carriage return has its carriage
+    returns and CRLFs counted."""
     limit = csv.field_size_limit()
     lines = size = 0
     last_end = -1  # file offset of the last line feed seen
@@ -239,7 +240,7 @@ def _plain_rows(path) -> int | None:
             while chunk := fh.read(_SCAN_BYTES):
                 if chunk.endswith(b"\r"):
                     chunk += fh.read(1)  # a CRLF stays in one chunk
-                if b'"' in chunk or chunk.count(b"\r") != chunk.count(b"\r\n"):
+                if b'"' in chunk or b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
                     return None
                 ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + size
                 if len(ends):

@@ -405,9 +405,14 @@ class TestLoadCsvOnePass:
             ("x1,x2,y\n", 0),
             ("x1,x2,y\n" + "4" * 131_072 + "\n", 1),  # as long as a csv cell may be
             ("x1,x2,y\n" + "4" * 131_072, 1),
+            # CRLF only, with pairs both inside 3-byte chunks and across their edges
+            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", 3),
         ]:
             assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == rows
         assert data._plain_rows(write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,\r\r\n")) is None
+        # a lone carriage return first met in a later chunk, inside it or at its end
+        for text in ["x1,x2,y\n1,2,3\n4,\r5,6\n", "x1,x2,y\n1,2,3\n4,5\r6\n"]:
+            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
 
     def test_numeric_cells_of_a_categorical_column_stay_str(self, tmp_path):
         ds = load_csv(write_csv(tmp_path / "d.csv", "x1,color,y\n1,2,3\n4,5,6\n"), CAT_SCHEMA)
