@@ -4,7 +4,9 @@ Subcommands: synth | train | evaluate | predict | benchmark | inspect.
 Settings resolve as defaults < config file (--config, JSON) < flags, and the
 fully resolved configuration is echoed into the output directory so every
 run can be reproduced byte for byte. Exit codes: 0 success, 1 usage error,
-2 data error, 3 training failure.
+2 data error, 3 training failure or a worker process lost (as when killed
+for lack of memory). Each command runs with the loaded OpenBLAS at one
+thread (usnrt.parallel.one_blas_thread).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from . import baselines, tree
 from .data import (
     DataError,
     Dataset,
+    NumericCsv,
     Schema,
     SynthSpec,
     fit_transform,
@@ -31,7 +34,8 @@ from .data import (
 )
 from .metrics import compute_report
 from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, read_json, save_model, write_json
-from .nn_core import TrainConfig, TrainingError, coerce_value, row_blocks
+from .nn_core import BLOCK_ROWS, TrainConfig, TrainingError, coerce_value, row_blocks
+from .parallel import WorkerLost, fork_map, one_blas_thread, pool_size
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
 
@@ -43,6 +47,11 @@ EXIT_TRAINING = 3
 
 class _UsageError(Exception):
     pass
+
+
+class _LostReader(Exception):
+    """A read-back worker process that ended abruptly: exit 3, though no
+    model was training."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,19 +85,30 @@ def _array_cells(column: np.ndarray):
     return chain.from_iterable(map(repr, column[rows].tolist()) for rows in row_blocks(len(column)))
 
 
-def _write_columns(path: Path, columns: dict) -> None:
-    """Write a CSV table given as {header: column}, _WRITE_ROWS rows at a
-    time. A float cell is its repr (it reads back bit for bit), None an empty
-    cell, anything else its str, quoted where needed."""
+def _csv_rows(columns: dict):
+    """The rows of a table given as {header: column} as CSV text, one string
+    per _WRITE_ROWS rows. A float cell is its repr (it reads back bit for
+    bit), None an empty cell, anything else its str, quoted where needed."""
     cells = [
         _array_cells(column) if isinstance(column, np.ndarray) else map(_cell, column)
         for column in columns.values()
     ]
     rows = zip(*cells)
+    while group := list(islice(rows, _WRITE_ROWS)):
+        yield "\n".join(map(",".join, group)) + "\n"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a CSV file: the header's names, quoted where needed, then the
+    text of rows, the strings that _csv_rows gives."""
     with atomic_write(path) as fh:
-        fh.write(",".join(map(_quoted, columns)) + "\n")
-        while group := list(islice(rows, _WRITE_ROWS)):
-            fh.write("\n".join(map(",".join, group)) + "\n")
+        fh.write(",".join(map(_quoted, header)) + "\n")
+        fh.writelines(rows)
+
+
+def _write_columns(path: Path, columns: dict) -> None:
+    """Write a CSV table given as {header: column}, _WRITE_ROWS rows at a time."""
+    _write_csv(path, columns, _csv_rows(columns))
 
 
 def _out_dir(args) -> Path:
@@ -183,23 +203,75 @@ def _trainer(kind, settings: dict, seeds):
     return lambda X, y, state, seed: baselines.train_ensemble(X, y, cfgs[seed], preprocess=state, **hnn)
 
 
-def _model_and_data(args):
-    """(model, X, labels): the model of --model, then the rows of --data read
-    with its schema and encoded for it, and their labels (None for predict,
-    which does not require a label: load_csv still parses a label column
-    that is there, and it is dropped here). inspect takes only a usnrt model.
-    The parsed table is not kept once it is encoded."""
+def _model(args):
+    """The model of --model; inspect takes only a usnrt model."""
     model = load_model(args.model)
     if args.command == "inspect" and model.model_kind != "usnrt":
         raise _UsageError("inspect applies to usnrt models")
     if model.preprocess is None:
         raise DataError("model file carries no preprocessing state")
+    return model
+
+
+def _encoded(model, dataset: Dataset, labelled: bool = True):
+    """(X, labels): dataset's rows encoded for model, and its labels, or None
+    when not labelled. The labels are copied: loaded columns may be views of
+    one parsed table, which a view would keep whole."""
+    return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
+
+
+def _model_and_data(args):
+    """(model, X, labels): the model of --model, then the rows of --data read
+    with its schema and encoded for it, and their labels."""
+    model = _model(args)
+    return (model, *_encoded(model, load_csv(args.data, model.preprocess.schema)))
+
+
+# A file of at least this many rows is read back block by block in fork_map
+# workers, when a pool can run. A smaller one (5,000 rows, say) is parsed
+# whole in this process, as is any file where no pool runs: one process
+# streaming blocks was 7-9% slower than one whole-file parse.
+_FORK_ROWS = 2 * BLOCK_ROWS
+
+
+def _read_back(args, model, task, pack=lambda *result: result) -> list:
+    """task(X, labels) over the rows of --data, encoded for model, in order;
+    labels are None for predict, which does not use them. A file that NumericCsv takes, of at least
+    _FORK_ROWS rows, is read block by block when fork_map can run a pool:
+    each block is one fork_map task, which parses and encodes the block and
+    runs task on it in a worker, so that a worker holds one block at a time
+    and only pack(*task's result), which must pickle, comes back, one per
+    block. Every other file, and one in which any block fails a check, is
+    read whole by load_csv, which names the first fault in its usual order,
+    and task runs once."""
+    schema = model.preprocess.schema
     require_label = args.command != "predict"
-    dataset = load_csv(args.data, model.preprocess.schema, require_label=require_label)
-    X = model.preprocess.transform(dataset)
-    # The labels are copied: loaded columns may be views of one parsed table,
-    # which a view would keep whole.
-    return model, X, dataset.labels.copy() if require_label else None
+    plain = NumericCsv.scan(args.data, schema, require_label)
+    if plain is not None and plain.n_rows >= _FORK_ROWS and pool_size(plain.n_blocks) > 1:
+
+        def block_task(block: int):
+            """task's result for one block, or None where the block has a fault."""
+            dataset = plain.dataset(block)
+            if dataset is None:
+                return None
+            try:
+                return pack(*task(*_encoded(model, dataset, require_label)))
+            except DataError:
+                return None
+
+        try:
+            results = fork_map(block_task, plain.n_blocks)
+        except WorkerLost as exc:
+            raise _LostReader(str(exc)) from exc
+        if all(result is not None for result in results):
+            return results
+        plain = None
+    dataset = plain.dataset() if plain is not None else None
+    if dataset is None:
+        dataset = load_csv(args.data, schema, require_label=require_label)
+    X, labels = _encoded(model, dataset, require_label)
+    del dataset  # the parsed table is not kept once it is encoded
+    return [task(X, labels)]
 
 
 def _predict(model, X, source, denormalize: bool = True):
@@ -212,12 +284,17 @@ def _predict(model, X, source, denormalize: bool = True):
     return mu, sigma
 
 
-def _evaluate(model, X, labels, source="the test split"):
-    """Metrics of the model on encoded rows X on the normalised label scale,
-    plus the normalised sigmas."""
+def _scored(model, X, labels, source):
+    """(mu, sigma, y): the model's predictions for encoded rows X and their
+    labels, all on the model's normalised label scale."""
     y_norm = model.preprocess.transform_labels(labels)
     mu, sigma = _predict(model, X, source, denormalize=False)
-    return compute_report(mu, sigma, y_norm), sigma
+    return mu, sigma, y_norm
+
+
+def _evaluate(model, X, labels):
+    """Metrics of the model on encoded test rows X, on its normalised label scale."""
+    return compute_report(*_scored(model, X, labels, "the test split"))
 
 
 # ----------------------------------------------------------------------
@@ -277,8 +354,10 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     out = _out_dir(args)
-    model, X, labels = _model_and_data(args)
-    report, sigma_norm = _evaluate(model, X, labels, args.data)
+    model = _model(args)
+    parts = _read_back(args, model, lambda X, labels: _scored(model, X, labels, args.data))
+    mu, sigma_norm, y_norm = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    report = compute_report(mu, sigma_norm, y_norm)
     payload = report.to_dict()
     del payload["curve"]
     if args.original_units:
@@ -298,11 +377,18 @@ def cmd_evaluate(args) -> int:
 
 def cmd_predict(args) -> int:
     out = _out_dir(args)
-    model, X, _ = _model_and_data(args)
-    mu, sigma = _predict(model, X, args.data)
-    _write_columns(out / "predictions.csv", {"mu": mu, "sigma": sigma})
+    model = _model(args)
+
+    def rows(X, labels):
+        mu, sigma = _predict(model, X, args.data)
+        return len(mu), _csv_rows({"mu": mu, "sigma": sigma})
+
+    # A worker formats its block's rows; in this process they are formatted
+    # as they are written.
+    counts, texts = zip(*_read_back(args, model, rows, pack=lambda count, text: (count, list(text))))
+    _write_csv(out / "predictions.csv", ("mu", "sigma"), chain.from_iterable(texts))
     _echo_config(out, args, {})
-    print(f"wrote {len(mu)} predictions to {out / 'predictions.csv'}")
+    print(f"wrote {sum(counts)} predictions to {out / 'predictions.csv'}")
     return EXIT_OK
 
 
@@ -326,7 +412,7 @@ def run_benchmark(dataset: Dataset, fits: dict, seeds, test_fraction: float) -> 
         train, test = train_test_split(dataset, test_fraction=test_fraction, seed=seed)
         X, y, state = fit_transform(train)
         for kind, fit in fits.items():
-            report, _ = _evaluate(fit(X, y, state, seed), state.transform(test), test.labels)
+            report = _evaluate(fit(X, y, state, seed), state.transform(test), test.labels)
             add(kind, seed, *(getattr(report, key) for key in scores))
     cells = {key: np.array(table[key]) for key in ("model", *scores)}
     for kind in fits:
@@ -509,7 +595,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        with one_blas_thread():
+            return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -518,6 +605,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
+    except _LostReader as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ __all__ = [
     "Column",
     "DataError",
     "Dataset",
+    "NumericCsv",
     "PreprocessState",
     "Schema",
     "SynthSpec",
@@ -121,8 +122,8 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     """Parse a headered CSV against the schema.
 
     Continuous and label cells must be finite numbers. A file that
-    _numeric_table takes is parsed in one np.loadtxt call. Any other file is
-    read in blocks of _BLOCK_ROWS rows, never held whole; faults are
+    NumericCsv.scan takes is parsed in one np.loadtxt call. Any other file
+    is read in blocks of _BLOCK_ROWS rows, never held whole; faults are
     recorded as they are met and the first in this order is raised after
     the last row, with its 1-based data row and column name: a file that
     cannot be read, an empty file or one with no data rows, a row whose
@@ -133,14 +134,14 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     read when the header has it and its cells are finite numbers, and is
     otherwise left out, never a fault.
     """
+    plain = NumericCsv.scan(path, schema, require_label)
+    dataset = plain.dataset() if plain is not None else None
+    if dataset is not None:
+        return dataset
     blocks = _blocks(path)
     header = next(blocks)
     if header is None:
         raise DataError(f"{path}: file is empty")
-    table = _numeric_table(path, schema, header, require_label)
-    if table is not None:
-        blocks.close()
-        return Dataset(schema, {c.name: table[c.name] for c in schema.columns if c.name in table})
     readers = [_ColumnReader(path, col, header) for col in schema.columns]
     length_fault = None
     n_rows = 0
@@ -165,53 +166,104 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     return Dataset(schema, columns)
 
 
-def _numeric_table(path, schema: Schema, header: list[str], require_label: bool) -> dict[str, np.ndarray] | None:
-    """The columns of the CSV at path, parsed in one np.loadtxt call, when
-    that reads the file as the block path would; otherwise None, and the
-    block path reads it and names any fault.
+class NumericCsv:
+    """A CSV file whose rows np.loadtxt reads as load_csv's block path
+    would, found by scan: its data row count and the byte offset of each
+    block of _BLOCK_ROWS data rows, then the file's size, so that the whole
+    file or any one block can be parsed on its own.
 
-    The file qualifies when it is a regular file (a pipe cannot be read
-    twice), the schema has no categorical column, the header names each of
-    its columns once and only schema columns, every schema column but an
-    optional label is in it, _plain_rows counts its data rows, and loadtxt
-    parses exactly that many rows, with no error or warning, and every
-    column but an optional label is finite. Both paths strip the str.isspace
-    characters of a cell and parse the rest with CPython's own
-    string-to-double conversion, so the numbers are bit-identical; a
-    spelling that loadtxt does not take (1_0, non-ASCII digits) sends the
-    file to the block path. An optional label is parsed by _optional_cell,
-    as the block path parses it, and left out unless every cell is finite,
-    so a blank or NA label never sends the file to the block path.
+    Both paths strip the str.isspace characters of a cell and parse the
+    rest with CPython's own string-to-double conversion, so the numbers are
+    bit-identical; a spelling that loadtxt does not take (1_0, non-ASCII
+    digits) makes dataset return None, and load_csv's block path reads the
+    file. An optional label is parsed by _optional_cell, as the block path
+    parses it, and left out unless every cell is finite, so a blank or NA
+    label never makes dataset return None.
+
+    Not a dataclass: defined as one, it moved the peak RSS of a process that
+    runs train, evaluate and predict (perfbench's fit-hetero-d8) up by about
+    0.6 MiB.
     """
-    names = {c.name for c in schema.columns}
-    optional = set() if require_label else {schema.label_name}
-    if (
-        not os.path.isfile(path)
-        or any(c.kind == "categorical" for c in schema.columns)
-        or len(set(header)) < len(header)
-        or not names - optional <= set(header) <= names
-    ):
-        return None
-    n_rows = _plain_rows(path)
-    if not n_rows:
-        return None
-    converters = {header.index(name): _optional_cell for name in optional & set(header)}
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+
+    def __init__(self, path: str, schema: Schema, header: list[str], optional: frozenset[str], n_rows: int, starts):
+        self.path = path
+        self.schema = schema
+        self.header = header
+        self.optional = optional
+        self.n_rows = n_rows
+        self.starts = starts
+
+    @classmethod
+    def scan(cls, path, schema: Schema, require_label: bool = True) -> "NumericCsv | None":
+        """The file at path, when it is a regular file (a pipe cannot be
+        read twice), the schema has no categorical column, the file has a
+        header that names each of its columns once and only schema columns,
+        and every schema column but an optional label, and _plain_rows
+        counts at least one data row; otherwise None."""
+        if not os.path.isfile(path) or any(c.kind == "categorical" for c in schema.columns):
+            return None
+        blocks = _blocks(path)
+        try:
+            header = next(blocks)
+        except DataError:
+            return None
+        blocks.close()
+        names = {c.name for c in schema.columns}
+        optional = frozenset() if require_label else frozenset({schema.label_name})
+        if header is None or len(set(header)) < len(header) or not names - optional <= set(header) <= names:
+            return None
+        scanned = _plain_rows(path)
+        if scanned is None or not scanned[0]:
+            return None
+        return cls(os.fspath(path), schema, header, optional, *scanned)
+
+    @property
+    def n_blocks(self) -> int:
+        return len(self.starts) - 1
+
+    def dataset(self, block: int | None = None) -> Dataset | None:
+        """The rows of one block (of every row when block is None) in one
+        np.loadtxt call, or None when it does not read them as the block path
+        would: it raises or warns, gives another row count, or a column but
+        an optional label holds a value that is not finite. A block is read
+        from its own bytes alone."""
+        if block is None:
             # max_rows sizes the array once; one row more shows a row the count missed.
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, quotechar=None,
-                ndmin=2, encoding="utf-8-sig", max_rows=n_rows + 1, converters=converters,
-            )
-    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
-        return None
-    if caught or table.shape != (n_rows, len(header)):
-        return None
-    finite = np.isfinite(table).all(axis=0)
-    if not all(ok or name in optional for name, ok in zip(header, finite)):
-        return None
-    return {name: table[:, i] for i, (name, ok) in enumerate(zip(header, finite)) if ok}
+            source, n_rows = self.path, self.n_rows
+            options = {"skiprows": 1, "encoding": "utf-8-sig", "max_rows": n_rows + 1}
+        else:
+            start, stop = self.starts[block], self.starts[block + 1]
+            try:
+                with open(self.path, "rb") as fh:
+                    fh.seek(start)
+                    text = fh.read(stop - start).decode("utf-8")
+            except (OSError, UnicodeDecodeError):
+                return None
+            # The lines as loadtxt reads them from a file, whose only line end
+            # besides a line feed can be a CRLF here (_plain_rows).
+            source = text.replace("\r\n", "\n").split("\n")
+            if not source[-1]:
+                source.pop()  # the empty string after the last line feed
+            n_rows, options = min(_BLOCK_ROWS, self.n_rows - block * _BLOCK_ROWS), {}
+        header = self.header
+        converters = {header.index(name): _optional_cell for name in self.optional & set(header)}
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                table = np.loadtxt(
+                    source, delimiter=",", comments=None, quotechar=None, ndmin=2, converters=converters, **options
+                )
+        except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+            return None
+        if caught or table.shape != (n_rows, len(header)):
+            return None
+        finite = dict(zip(header, np.isfinite(table).all(axis=0)))
+        if not all(ok or name in self.optional for name, ok in finite.items()):
+            return None
+        return Dataset(
+            self.schema,
+            {c.name: table[:, header.index(c.name)] for c in self.schema.columns if finite.get(c.name, False)},
+        )
 
 
 def _optional_cell(cell: str) -> float:
@@ -223,18 +275,20 @@ def _optional_cell(cell: str) -> float:
         return math.nan
 
 
-def _plain_rows(path) -> int | None:
-    """The number of lines after the first in the file at path, read
-    _SCAN_BYTES at a time, or None when csv and np.loadtxt could split it
-    differently: it holds a quote, or a carriage return that is not followed
-    by a line feed (csv ends a row there and loadtxt may skip the blank line
-    that follows), or a line longer than csv's field limit, which csv
-    rejects as a cell. A line is counted in bytes, at least its length in
-    characters. Only a chunk that holds a carriage return has its carriage
-    returns and CRLFs counted."""
+def _plain_rows(path) -> tuple[int, list[int]] | None:
+    """(the number of lines after the first in the file at path, the byte
+    offset of every _BLOCK_ROWS-th of those lines from the first, then the
+    file's size), read _SCAN_BYTES at a time; or None when csv and
+    np.loadtxt could split it differently: it holds a quote, or a carriage
+    return that is not followed by a line feed (csv ends a row there and
+    loadtxt may skip the blank line that follows), or a line longer than
+    csv's field limit, which csv rejects as a cell. A line is counted in
+    bytes, at least its length in characters. Only a chunk that holds a
+    carriage return has its carriage returns and CRLFs counted."""
     limit = csv.field_size_limit()
     lines = size = 0
     last_end = -1  # file offset of the last line feed seen
+    starts = []  # the offset after line feed 0 (the header's), _BLOCK_ROWS, 2 * _BLOCK_ROWS, ...
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(_SCAN_BYTES):
@@ -247,13 +301,15 @@ def _plain_rows(path) -> int | None:
                     if (np.diff(ends, prepend=last_end) > limit + 1).any():
                         return None
                     last_end = int(ends[-1])
+                    starts += (ends[-lines % _BLOCK_ROWS :: _BLOCK_ROWS] + 1).tolist()
                 lines += len(ends)
                 size += len(chunk)
     except OSError:
         return None
     if size - last_end - 1 > limit:
         return None
-    return lines - (size == last_end + 1)
+    n_rows = lines - (size == last_end + 1)
+    return n_rows, starts[: -(-n_rows // _BLOCK_ROWS)] + [size]
 
 
 def _blocks(path):

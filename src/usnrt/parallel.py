@@ -1,7 +1,11 @@
-"""Independent tasks in forked worker processes, or in order in this process."""
+"""Independent tasks in forked worker processes, or in order in this
+process, and the BLAS thread count of this process."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import multiprocessing
 import os
 import threading
@@ -10,10 +14,15 @@ from concurrent.futures.process import BrokenProcessPool
 
 from .nn_core import TrainingError
 
-__all__ = ["fork_map", "pool_size", "usable_cpus"]
+__all__ = ["WorkerLost", "fork_map", "one_blas_thread", "pool_size", "usable_cpus"]
 
 # The task of a worker process; set only in workers, by _set_task.
 _task = None
+
+
+class WorkerLost(TrainingError):
+    """A fork_map worker process that ended without a result, as one killed
+    by a signal or by the out-of-memory killer does."""
 
 
 def usable_cpus() -> int:
@@ -48,7 +57,7 @@ def fork_map(task, n_tasks: int) -> list:
     Workers inherit task by the fork, so it may be a closure; only indices
     and results cross between processes, so results must pickle. The first
     task in index order that raises has its exception raised here; a worker
-    that dies without raising (killed by a signal) is a TrainingError. Every
+    that dies without raising (killed by a signal) is a WorkerLost. Every
     worker has exited before fork_map returns or raises.
     """
     workers = pool_size(n_tasks)
@@ -59,7 +68,7 @@ def fork_map(task, n_tasks: int) -> list:
         with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_task, initargs=(task,)) as pool:
             return list(pool.map(_run_task, range(n_tasks)))
     except BrokenProcessPool as exc:
-        raise TrainingError("a training worker process ended abruptly, as when killed for lack of memory") from exc
+        raise WorkerLost("a worker process ended abruptly, as when killed for lack of memory") from exc
 
 
 def _set_task(task) -> None:
@@ -69,3 +78,58 @@ def _set_task(task) -> None:
 
 def _run_task(index: int):
     return _task(index)
+
+
+# The (get, set) thread-count functions of an OpenBLAS build: numpy's wheels
+# bundle scipy-openblas with 64-bit integers, other builds export the plain names.
+_OPENBLAS_NAMES = [
+    (f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}")
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("64_", "")
+]
+
+
+@functools.cache
+def _openblas() -> list[tuple]:
+    """The (get, set) thread-count functions of each OpenBLAS library that
+    this process has loaded, found once per process from /proc/self/maps;
+    none where that cannot be read (macOS, Windows) or where the BLAS is
+    another library (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh if "openblas" in line.lower()})
+    except (OSError, IndexError):
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_NAMES:
+            if hasattr(lib, get_name) and hasattr(lib, set_name):
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return found
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS at one thread, and give each
+    its thread count back after. At one thread a row's bits do not depend
+    on the CPU count, and fork_map's workers, which inherit the setting, do
+    not oversubscribe the CPUs. Where no OpenBLAS is found this does
+    nothing. Call it before forking, never in a worker: setting the count
+    there starts OpenBLAS's thread pool again in that process."""
+    libraries = _openblas()
+    counts = [get() for get, _ in libraries]
+    for _, set_ in libraries:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(libraries, counts):
+            set_(count)

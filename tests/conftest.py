@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from usnrt import parallel
 from usnrt.data import SynthSpec, generate_synthetic
 from usnrt.model_io import encode_mlp
 from usnrt.nn_core import Activation, Mlp, TrainConfig, _backward, _forward_cached, _Stack
@@ -10,6 +11,25 @@ def feature_matrix(dataset):
     """Stack a synthetic dataset's continuous columns into an (n, d) matrix."""
     names = [c.name for c in dataset.schema.feature_columns]
     return np.column_stack([dataset.columns[name] for name in names])
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Worker counts of the process pools fork_map starts."""
+    started = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def set_cpus(monkeypatch, count):
+    """Make fork_map see count usable CPUs."""
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
 
 
 def fast_train_cfg(seed=0, max_epochs=80, patience=10):

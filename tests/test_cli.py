@@ -3,8 +3,11 @@
 import copy
 import csv
 import json
+import multiprocessing
 import os
 import re
+import signal
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -24,13 +27,13 @@ from usnrt.cli import (
     main,
     run_benchmark,
 )
-from usnrt import baselines, cli, tree
+from usnrt import baselines, cli, parallel, tree
 from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
-from usnrt.nn_core import Mlp, TrainConfig
+from usnrt.nn_core import BLOCK_ROWS, Mlp, TrainConfig
 
-from conftest import width3_member, with_color
+from conftest import set_cpus, width3_member, with_color
 
 
 FAST = {"max_epochs": 40, "patience": 6, "n_min": 300}
@@ -336,6 +339,179 @@ class TestPredict:
         assert float(rows[1][0]) == 0.1 + 0.2
 
 
+# Three whole blocks and 5 rows: four fork_map tasks, the last block short.
+POOLED_ROWS = 3 * BLOCK_ROWS + 5
+
+
+@pytest.fixture(scope="module")
+def pooled_data(tmp_path_factory):
+    """A plain numeric file of POOLED_ROWS rows with trained_dir's columns."""
+    out = tmp_path_factory.mktemp("pooled")
+    argv = ["synth", "--n", str(POOLED_ROWS), "--d", "2", "--sigma-low", "0.1", "--sigma-high", "1.0"]
+    assert main([*argv, "--seed", "9", "--out", str(out)]) == EXIT_OK
+    return out / "data.csv"
+
+
+def _model_file(trained_dir, tmp_path, kind):
+    """trained_dir's usnrt model file, or an hnn or ensemble file made of it."""
+    if kind == "usnrt":
+        return trained_dir / "model.json"
+    payload = {"hnn": _as_hnn, "ensemble": _as_ensemble}[kind](json.loads((trained_dir / "model.json").read_text()))
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+class TestPooledReadBack:
+    """predict and evaluate read a plain numeric file of at least two blocks
+    in fork_map workers, one block per task, where a pool can run."""
+
+    @pytest.mark.parametrize("kind", ["usnrt", "hnn", "ensemble"])
+    def test_pooled_outputs_are_the_in_process_bytes(
+        self, monkeypatch, pools, trained_dir, pooled_data, tmp_path, kind
+    ):
+        model = _model_file(trained_dir, tmp_path, kind)
+        commands = {
+            "predict": ([], ["predictions.csv"]),
+            "evaluate": (["--original-units"], ["metrics.json", "curve.csv"]),
+        }
+        outputs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            files = {}
+            for command, (flags, names) in commands.items():
+                out = tmp_path / f"{command}-{cpus}"
+                argv = [command, "--model", str(model), "--data", str(pooled_data), *flags, "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                files.update({name: (out / name).read_bytes() for name in names})
+            outputs.append(files)
+            assert multiprocessing.active_children() == []
+        assert outputs[0] == outputs[1]
+        assert outputs[0]["predictions.csv"].count(b"\n") == POOLED_ROWS + 1
+        assert pools == [2, 2]  # none at 1 CPU; one of 2 workers per command at 2
+
+    @pytest.mark.parametrize(
+        "command, fault, message",
+        [
+            ("predict", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
+            ("predict", "short-row", "{data}: row {row} has 2 cells, header has 3"),
+            ("predict", "huge-feature", "column 'x1': a value is not finite once normalised"),
+            ("evaluate", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
+            ("evaluate", "short-row", "{data}: row {row} has 2 cells, header has 3"),
+            ("evaluate", "blank-label", "{data}: row {row}, column 'y': missing value"),
+        ],
+        ids=[
+            "predict-nan-feature",
+            "predict-short-row",
+            "predict-huge-feature",
+            "evaluate-nan-feature",
+            "evaluate-short-row",
+            "evaluate-blank-label",
+        ],
+    )
+    def test_fault_in_the_last_block_reads_as_in_process(
+        self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path, command, fault, message
+    ):
+        """A block that fails a check sends the whole file to load_csv, so
+        the exit code and message are those of one process, with no
+        traceback; a worker never reports a fault itself."""
+        lines = pooled_data.read_text().splitlines()
+        row = 3 * BLOCK_ROWS + 3  # in the last block
+        cells = lines[row].split(",")
+        if fault == "short-row":
+            cells.pop()
+        else:
+            index, value = {"nan-feature": (1, "nan"), "huge-feature": (0, "1.7e308"), "blank-label": (2, "")}[fault]
+            cells[index] = value
+        lines[row] = ",".join(cells)
+        data = tmp_path / "faulty.csv"
+        data.write_text("\n".join(lines) + "\n")
+        results = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            out = tmp_path / f"out-{cpus}"
+            code = main([command, "--model", str(trained_dir / "model.json"), "--data", str(data), "--out", str(out)])
+            results.append((code, capsys.readouterr().err))
+            assert not out.exists()
+        assert results[0] == results[1]
+        assert results[0] == (EXIT_DATA, f"data error: {message.format(data=data, row=row)}\n")
+        assert pools == [2]
+
+    def test_killed_worker_exits_3_and_is_no_training_error(
+        self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path
+    ):
+        """A predict worker killed by a signal, as the out-of-memory killer
+        would kill it, exits 3 with one line of message: a worker process
+        ended, and no model was training."""
+        original = cli._predict
+
+        def predict(*args, **kwargs):
+            if multiprocessing.parent_process() is not None:  # never the test process itself
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_predict", predict)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", str(pooled_data), "--out", str(out)]
+        assert main(argv) == EXIT_TRAINING
+        assert capsys.readouterr().err == "error: a worker process ended abruptly, as when killed for lack of memory\n"
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+
+@pytest.mark.skipif(not parallel._openblas(), reason="numpy's BLAS is not a known OpenBLAS")
+class TestOneBlasThread:
+    def test_haswell_training_is_the_same_with_blas_threads_unset(self, tmp_path):
+        """Under OpenBLAS's Haswell kernels (AVX2-only and AMD Zen CPUs), two
+        BLAS threads split a product at rows that need not be multiples of 4,
+        so a forward pass, and with it a trained model, could differ between
+        thread counts. The CLI runs each command at one BLAS thread, so a
+        tree that splits at the root trains the same with the count unset
+        (one thread per CPU) as at 1."""
+        unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        paths = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = {key: value for key, value in os.environ.items() if key not in unset}
+        env.update(OPENBLAS_CORETYPE="Haswell", PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+        def usnrt(*argv, **threads):
+            command = [sys.executable, "-m", "usnrt", *argv]
+            return subprocess.run(command, env={**env, **threads}, capture_output=True, text=True, check=True)
+
+        data = tmp_path / "data"
+        usnrt("synth", "--n", "6000", "--d", "8", "--sigma-low", "0.1", "--sigma-high", "1.0", "--out", str(data))
+        config = tmp_path / "fixed.json"
+        config.write_text(json.dumps({"max_epochs": 3, "patience": 3}))
+        argv = ["train", "--data", str(data / "data.csv"), "--schema", str(data / "schema.json")]
+        argv += ["--n-min", "1000", "--config", str(config)]
+        trained = usnrt(*argv, "--out", str(tmp_path / "unset"))
+        assert "depth 2, 3 leaves" in trained.stdout
+        usnrt(*argv, "--out", str(tmp_path / "one"), OPENBLAS_NUM_THREADS="1")
+        for name in ("model.json", "train_log.json"):
+            assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    def test_main_runs_at_one_thread_and_restores_the_count(self, monkeypatch, tmp_path):
+        (get, set_), *_ = parallel._openblas()
+        seen = []
+        original = cli.generate_synthetic
+
+        def generate(spec):
+            seen.append(get())
+            return original(spec)
+
+        monkeypatch.setattr(cli, "generate_synthetic", generate)
+        before = get()
+        set_(2)
+        try:
+            assert get() == 2
+            assert main(["synth", "--n", "20", "--out", str(tmp_path / "synth")]) == EXIT_OK
+            assert get() == 2
+        finally:
+            set_(before)
+        assert seen == [1]
+
+
 class TestInspect:
     def test_exports(self, trained_dir, synth_dir, tmp_path):
         out = tmp_path / "inspect"
@@ -472,7 +648,7 @@ class TestBenchmark:
         }
         monkeypatch.setattr(cli, "_trainer", lambda kind, settings, seeds: lambda X, y, state, seed: (kind, seed))
         monkeypatch.setattr(
-            cli, "_evaluate", lambda cell, X, labels: (MetricsReport(*scores[cell], curve=[], n_test=0), None)
+            cli, "_evaluate", lambda cell, X, labels: MetricsReport(*scores[cell], curve=[], n_test=0)
         )
         dataset = load_csv(synth_dir / "data.csv", Schema.from_file(synth_dir / "schema.json"))
         fits = {kind: cli._trainer(kind, {}, [3, 5]) for kind in ("usnrt", "hnn")}

@@ -398,17 +398,21 @@ class TestLoadCsvOnePass:
         assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
 
     def test_row_count_spans_chunks(self, tmp_path, monkeypatch):
+        """The row count, and the byte offsets of each block's first row
+        (blocks of 2 rows here) then the file's size."""
         monkeypatch.setattr(data, "_SCAN_BYTES", 3)
-        for text, rows in [
-            ("x1,x2,y\r\n1,2,3\r\n4,5,6", 2),
-            ("x1,x2,y\n1,2,3\n", 1),
-            ("x1,x2,y\n", 0),
-            ("x1,x2,y\n" + "4" * 131_072 + "\n", 1),  # as long as a csv cell may be
-            ("x1,x2,y\n" + "4" * 131_072, 1),
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+        for text, scanned in [
+            ("x1,x2,y\r\n1,2,3\r\n4,5,6", (2, [9, 21])),
+            ("x1,x2,y\n1,2,3\n", (1, [8, 14])),
+            ("x1,x2,y\n", (0, [8])),
+            ("x1,x2,y\n" + "4" * 131_072 + "\n", (1, [8, 131_081])),  # as long as a csv cell may be
+            ("x1,x2,y\n" + "4" * 131_072, (1, [8, 131_080])),
             # CRLF only, with pairs both inside 3-byte chunks and across their edges
-            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", 3),
+            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", (3, [9, 26, 39])),
+            ("x1,x2,y\n1\n2\n3\n4\n5", (5, [8, 12, 16, 17])),
         ]:
-            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == rows
+            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == scanned
         assert data._plain_rows(write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,\r\r\n")) is None
         # a lone carriage return first met in a later chunk, inside it or at its end
         for text in ["x1,x2,y\n1,2,3\n4,\r5,6\n", "x1,x2,y\n1,2,3\n4,5\r6\n"]:
@@ -421,8 +425,9 @@ class TestLoadCsvOnePass:
 
     def test_row_count_that_misses_a_row_takes_the_block_path(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n4,5,6\n")
-        monkeypatch.setattr(data, "_plain_rows", lambda path: 1)
-        assert data._numeric_table(path, SCHEMA, ["x1", "x2", "y"], True) is None
+        monkeypatch.setattr(data, "_plain_rows", lambda path: (1, [8, 20]))
+        assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
+        assert data.NumericCsv.scan(path, SCHEMA).dataset(0) is None
         assert load_csv(path, SCHEMA).labels.tolist() == [3.0, 6.0]
 
     def test_loadtxt_warning_takes_the_block_path_and_is_not_shown(self, tmp_path, monkeypatch):
@@ -436,7 +441,8 @@ class TestLoadCsvOnePass:
         monkeypatch.setattr(np, "loadtxt", loadtxt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert data._numeric_table(path, SCHEMA, ["x1", "x2", "y"], True) is None
+            assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
+            assert data.NumericCsv.scan(path, SCHEMA).dataset(0) is None
             assert load_csv(path, SCHEMA).labels.tolist() == [3.0]
 
     @pytest.mark.parametrize(
@@ -503,15 +509,47 @@ class TestLoadCsvOnePass:
         path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
         taken = []
 
-        def numeric_table(*args):
-            taken.append(real_numeric_table(*args))
+        def dataset(self, block=None):
+            taken.append(real_dataset(self, block))
             return taken[-1]
 
-        real_numeric_table = data._numeric_table
-        with mock.patch.object(data, "_numeric_table", numeric_table):
+        real_dataset = data.NumericCsv.dataset
+        with mock.patch.object(data.NumericCsv, "dataset", dataset):
             loaded = _streamed_load(path, SCHEMA, require_label)
         event("one-pass parse" if taken and taken[0] is not None else "block path")
         assert loaded == _reference_load(path, SCHEMA, require_label)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        raw=_raw_csv(),
+        byte_order_mark=st.booleans(),
+        require_label=st.booleans(),
+        block_rows=st.integers(min_value=1, max_value=3),
+    )
+    def test_blocks_parse_as_the_whole_file(
+        self, tmp_path_factory, raw, byte_order_mark, require_label, block_rows
+    ):
+        """Each block, parsed from its own bytes, passes the one-pass checks
+        exactly when the whole file does, and the blocks' columns are the
+        whole file's, bit for bit. An optional label is left out per block,
+        so a block may keep one that the whole file leaves out."""
+        text, header = raw
+        path = tmp_path_factory.mktemp("raw") / "d.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
+        with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+            plain = data.NumericCsv.scan(path, SCHEMA, require_label)
+            if plain is None:
+                return
+            whole = plain.dataset()
+            blocks = [plain.dataset(block) for block in range(plain.n_blocks)]
+        event("whole file taken" if whole is not None else "whole file declined")
+        assert plain.n_blocks == -(-plain.n_rows // block_rows)
+        assert (whole is None) == any(block is None for block in blocks)
+        if whole is None:
+            return
+        for name, values in whole.columns.items():
+            joined = np.concatenate([block.columns[name] for block in blocks])
+            assert joined.tobytes() == values.tobytes()
 
 
 class TestPreprocess:

@@ -15,25 +15,7 @@ import pytest
 from usnrt import baselines, parallel, tree
 from usnrt.nn_core import TrainConfig, TrainingError, derived_seed
 
-from conftest import fast_train_cfg
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Worker counts of the process pools fork_map starts."""
-    started = []
-
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
-    return started
-
-
-def set_cpus(monkeypatch, count):
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: count)
+from conftest import fast_train_cfg, set_cpus
 
 
 def two_level_data(n=2400):
@@ -256,10 +238,12 @@ def kill_task_1(i):
 
 def test_dead_worker_is_a_training_error(monkeypatch, pools):
     """A worker killed by a signal, as the out-of-memory killer would kill
-    it, is a TrainingError once every worker has exited."""
+    it, is a WorkerLost, a TrainingError, once every worker has exited. Its
+    message names no kind of task: prediction runs in workers too."""
     set_cpus(monkeypatch, 2)
-    with pytest.raises(TrainingError, match="worker process ended abruptly"):
+    with pytest.raises(parallel.WorkerLost, match="^a worker process ended abruptly"):
         parallel.fork_map(kill_task_1, 3)
+    assert issubclass(parallel.WorkerLost, TrainingError)
     assert pools == [2]
     assert multiprocessing.active_children() == []
 
