@@ -220,30 +220,25 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-def _model_and_data(args):
-    """(model, X, labels): the model of --model, then the rows of --data read
-    with its schema and encoded for it, and their labels."""
-    model = _model(args)
-    return (model, *_encoded(model, load_csv(args.data, model.preprocess.schema)))
-
-
 # A file of at least this many rows is read back block by block in fork_map
-# workers, when a pool can run. A smaller one (5,000 rows, say) is parsed
-# whole in this process, as is any file where no pool runs: one process
-# streaming blocks was 7-9% slower than one whole-file parse.
+# workers, when a pool can run. A smaller one is parsed whole in this
+# process, as is any file where no pool runs: on 2 CPUs, one process
+# streaming blocks was 3-5% slower than one whole-file parse (np.loadtxt
+# reads a path in chunks and a byte stream line by line), and a pool of 2
+# took a 5,000-row file's predict from 18 to 22 ms and evaluate from 14 to 19.
 _FORK_ROWS = 2 * BLOCK_ROWS
 
 
 def _read_back(args, model, task, pack=lambda *result: result) -> list:
     """task(X, labels) over the rows of --data, encoded for model, in order;
-    labels are None for predict, which does not use them. A file that NumericCsv takes, of at least
-    _FORK_ROWS rows, is read block by block when fork_map can run a pool:
-    each block is one fork_map task, which parses and encodes the block and
-    runs task on it in a worker, so that a worker holds one block at a time
-    and only pack(*task's result), which must pickle, comes back, one per
-    block. Every other file, and one in which any block fails a check, is
-    read whole by load_csv, which names the first fault in its usual order,
-    and task runs once."""
+    labels are None for predict, which does not use them. A file that
+    NumericCsv takes, of at least _FORK_ROWS rows, is read block by block
+    when fork_map can run a pool: each block is one fork_map task, which
+    parses and encodes the block and runs task on it in a worker, so that a
+    worker holds one block at a time and only pack(*task's result), which
+    must pickle, comes back, one per block. Every other file, and one in
+    which any block fails a check, is read whole by load_csv, which names
+    the first fault in its usual order, and task runs once."""
     schema = model.preprocess.schema
     require_label = args.command != "predict"
     plain = NumericCsv.scan(args.data, schema, require_label)
@@ -457,8 +452,9 @@ def cmd_benchmark(args) -> int:
 
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
-    model, X, labels = _model_and_data(args)
+    model = _model(args)
     state = model.preprocess
+    X, labels = _encoded(model, load_csv(args.data, state.schema))
     y_norm = state.transform_labels(labels)
     with np.errstate(over="ignore", invalid="ignore"):
         report = tree.leaf_report(model, X, labels)

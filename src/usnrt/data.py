@@ -5,6 +5,7 @@ heteroscedastic generator with retained ground truth."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 import warnings
@@ -236,15 +237,10 @@ class NumericCsv:
             try:
                 with open(self.path, "rb") as fh:
                     fh.seek(start)
-                    text = fh.read(stop - start).decode("utf-8")
-            except (OSError, UnicodeDecodeError):
+                    source = io.BytesIO(fh.read(stop - start))
+            except OSError:
                 return None
-            # The lines as loadtxt reads them from a file, whose only line end
-            # besides a line feed can be a CRLF here (_plain_rows).
-            source = text.replace("\r\n", "\n").split("\n")
-            if not source[-1]:
-                source.pop()  # the empty string after the last line feed
-            n_rows, options = min(_BLOCK_ROWS, self.n_rows - block * _BLOCK_ROWS), {}
+            n_rows, options = min(_BLOCK_ROWS, self.n_rows - block * _BLOCK_ROWS), {"encoding": "utf-8"}
         header = self.header
         converters = {header.index(name): _optional_cell for name in self.optional & set(header)}
         try:

@@ -370,7 +370,12 @@ class TestPooledReadBack:
     def test_pooled_outputs_are_the_in_process_bytes(
         self, monkeypatch, pools, trained_dir, pooled_data, tmp_path, kind
     ):
+        """Pooled and in-process runs write the same bytes, and so does a
+        copy of the file with CRLF line ends and a UTF-8 byte-order mark,
+        whose blocks np.loadtxt reads as they are."""
         model = _model_file(trained_dir, tmp_path, kind)
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(b"\xef\xbb\xbf" + pooled_data.read_bytes().replace(b"\n", b"\r\n"))
         commands = {
             "predict": ([], ["predictions.csv"]),
             "evaluate": (["--original-units"], ["metrics.json", "curve.csv"]),
@@ -378,17 +383,18 @@ class TestPooledReadBack:
         outputs = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            files = {}
-            for command, (flags, names) in commands.items():
-                out = tmp_path / f"{command}-{cpus}"
-                argv = [command, "--model", str(model), "--data", str(pooled_data), *flags, "--out", str(out)]
-                assert main(argv) == EXIT_OK
-                files.update({name: (out / name).read_bytes() for name in names})
-            outputs.append(files)
+            for data in (pooled_data, crlf):
+                files = {}
+                for command, (flags, names) in commands.items():
+                    out = tmp_path / f"{command}-{cpus}-{data.stem}"
+                    argv = [command, "--model", str(model), "--data", str(data), *flags, "--out", str(out)]
+                    assert main(argv) == EXIT_OK
+                    files.update({name: (out / name).read_bytes() for name in names})
+                outputs.append(files)
             assert multiprocessing.active_children() == []
-        assert outputs[0] == outputs[1]
+        assert all(files == outputs[0] for files in outputs)
         assert outputs[0]["predictions.csv"].count(b"\n") == POOLED_ROWS + 1
-        assert pools == [2, 2]  # none at 1 CPU; one of 2 workers per command at 2
+        assert pools == [2, 2, 2, 2]  # none at 1 CPU; one of 2 workers per command and file at 2
 
     @pytest.mark.parametrize(
         "command, fault, message",
@@ -399,6 +405,8 @@ class TestPooledReadBack:
             ("evaluate", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
             ("evaluate", "short-row", "{data}: row {row} has 2 cells, header has 3"),
             ("evaluate", "blank-label", "{data}: row {row}, column 'y': missing value"),
+            ("predict", "invalid-utf8", "cannot read {data}: 'utf-8' codec can't decode byte 0xff in position "),
+            ("evaluate", "invalid-utf8", "cannot read {data}: 'utf-8' codec can't decode byte 0xff in position "),
         ],
         ids=[
             "predict-nan-feature",
@@ -407,6 +415,8 @@ class TestPooledReadBack:
             "evaluate-nan-feature",
             "evaluate-short-row",
             "evaluate-blank-label",
+            "predict-invalid-utf8",
+            "evaluate-invalid-utf8",
         ],
     )
     def test_fault_in_the_last_block_reads_as_in_process(
@@ -421,11 +431,16 @@ class TestPooledReadBack:
         if fault == "short-row":
             cells.pop()
         else:
-            index, value = {"nan-feature": (1, "nan"), "huge-feature": (0, "1.7e308"), "blank-label": (2, "")}[fault]
+            index, value = {
+                "nan-feature": (1, "nan"),
+                "huge-feature": (0, "1.7e308"),
+                "blank-label": (2, ""),
+                "invalid-utf8": (0, "0.5\udcff"),  # written as the byte 0xff, which UTF-8 never holds
+            }[fault]
             cells[index] = value
         lines[row] = ",".join(cells)
         data = tmp_path / "faulty.csv"
-        data.write_text("\n".join(lines) + "\n")
+        data.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         results = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
@@ -434,7 +449,12 @@ class TestPooledReadBack:
             results.append((code, capsys.readouterr().err))
             assert not out.exists()
         assert results[0] == results[1]
-        assert results[0] == (EXIT_DATA, f"data error: {message.format(data=data, row=row)}\n")
+        code, err = results[0]
+        expected = f"data error: {message.format(data=data, row=row)}"
+        if fault == "invalid-utf8":  # the position is the byte's in the chunk that the decoder was given
+            assert code == EXIT_DATA and re.fullmatch(re.escape(expected) + r"\d+: invalid start byte\n", err)
+        else:
+            assert (code, err) == (EXIT_DATA, f"{expected}\n")
         assert pools == [2]
 
     def test_killed_worker_exits_3_and_is_no_training_error(
