@@ -40,9 +40,10 @@ __all__ = [
 # Defaults of train_hnn's rounds and train_ensemble's n_members.
 HNN_ROUNDS = 2
 ENSEMBLE_MEMBERS = 5
-# Budget of one lockstep stack's per-epoch gather of X, K * n * d * 8 bytes
-# for K members on n rows of d features; train_ensemble splits the members
-# into enough stacks to keep each under it.
+# Budget of one lockstep stack's per-epoch gather, K * n * (d + 2) * 8 bytes
+# for K members on n rows of d features: the rows and the mean phase's two
+# objective columns (the labels and the fixed sigmas). train_ensemble splits
+# the members into enough stacks to keep each under it.
 STACK_BUDGET_BYTES = 16 << 20
 
 
@@ -223,9 +224,9 @@ def train_ensemble(
     rounds: int = HNN_ROUNDS,
 ) -> EnsembleModel:
     """Train n_members HNNs that differ only in their derived seeds. The
-    members are split into contiguous chunks, as many as fork_map starts
-    worker processes (one when it runs serially) or more where one chunk's
-    gather of X would pass STACK_BUDGET_BYTES, and each chunk trains in
+    members are split into contiguous chunks, as many as fork_map runs
+    processes (one when it runs serially) or more where one chunk's
+    per-epoch gather would pass STACK_BUDGET_BYTES, and each chunk trains in
     lockstep. The members hold no preprocessing state; the ensemble holds
     it once."""
     if n_members < 1:
@@ -233,7 +234,8 @@ def train_ensemble(
     X, y = check_rows(X, y=y)
     hidden = default_hidden(hidden, preprocess.d_raw if preprocess is not None else X.shape[1], 8)
     seeds = [derived_seed(cfg.seed, 100 + j) for j in range(n_members)]
-    n_chunks = max(pool_size(n_members), math.ceil(n_members * X.nbytes / STACK_BUDGET_BYTES))
+    gather = n_members * X.shape[0] * (X.shape[1] + 2) * X.itemsize
+    n_chunks = max(pool_size(n_members), math.ceil(gather / STACK_BUDGET_BYTES))
     chunks = np.array_split(np.arange(n_members), min(n_chunks, n_members))
 
     def chunk(i: int) -> list[HnnModel]:

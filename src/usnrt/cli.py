@@ -34,7 +34,7 @@ from .data import (
 )
 from .metrics import compute_report
 from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, read_json, save_model, write_json
-from .nn_core import BLOCK_ROWS, TrainConfig, TrainingError, coerce_value, row_blocks
+from .nn_core import TrainConfig, TrainingError, coerce_value, row_blocks
 from .parallel import WorkerLost, fork_map, one_blas_thread, pool_size
 
 OUT_ROOT_ENV = "USNRT_OUT_ROOT"
@@ -220,33 +220,38 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-# A file of at least this many rows is read back block by block in fork_map
-# workers, when a pool can run. A smaller one is parsed whole in this
-# process, as is any file where no pool runs: on 2 CPUs, one process
-# streaming blocks was 3-5% slower than one whole-file parse (np.loadtxt
-# reads a path in chunks and a byte stream line by line), and a pool of 2
-# took a 5,000-row file's predict from 18 to 22 ms and evaluate from 14 to 19.
-_FORK_ROWS = 2 * BLOCK_ROWS
+# A file of at least this many bytes is read back in parts by fork_map's
+# processes, this one among them, when a pool can run. Below it a fork stops
+# paying for evaluate: on 2 CPUs, a 516 KB file (8,700 rows, d 2, a usnrt
+# model) took 10.6 ms to evaluate in one process and 10.8 ms in two, though
+# predict, which also formats its rows, went from 17.7 to 13.8 ms. A smaller
+# file is parsed whole in this process, as is any file where no pool runs:
+# one process streaming parts was 3-5% slower than one whole-file parse
+# (np.loadtxt reads a path in chunks and a byte stream line by line).
+_FORK_BYTES = 1 << 19
 
 
 def _read_back(args, model, task, pack=lambda *result: result) -> list:
     """task(X, labels) over the rows of --data, encoded for model, in order;
     labels are None for predict, which does not use them. A file that
-    NumericCsv takes, of at least _FORK_ROWS rows, is read block by block
-    when fork_map can run a pool: each block is one fork_map task, which
-    parses and encodes the block and runs task on it in a worker, so that a
-    worker holds one block at a time and only pack(*task's result), which
-    must pickle, comes back, one per block. Every other file, and one in
-    which any block fails a check, is read whole by load_csv, which names
-    the first fault in its usual order, and task runs once."""
+    NumericCsv takes, of at least _FORK_BYTES bytes, is cut into
+    NumericCsv.parts, as many for each of fork_map's processes, when it can
+    run a pool: each part is one fork_map task, which parses and encodes the
+    part and runs task on it, so that a process holds one part at a time and
+    only pack(*task's result), which must pickle, comes back, one per part.
+    Every other file, and one in which any part fails a check, is read whole
+    by load_csv, which names the first fault in its usual order, and task
+    runs once."""
     schema = model.preprocess.schema
     require_label = args.command != "predict"
     plain = NumericCsv.scan(args.data, schema, require_label)
-    if plain is not None and plain.n_rows >= _FORK_ROWS and pool_size(plain.n_blocks) > 1:
+    processes = pool_size(plain.n_rows) if plain is not None and plain.size >= _FORK_BYTES else 1
+    if processes > 1:
+        parts = plain.parts(processes)
 
-        def block_task(block: int):
-            """task's result for one block, or None where the block has a fault."""
-            dataset = plain.dataset(block)
+        def part_task(i: int):
+            """task's result for one part, or None where the part has a fault."""
+            dataset = plain.dataset(parts[i])
             if dataset is None:
                 return None
             try:
@@ -255,7 +260,7 @@ def _read_back(args, model, task, pack=lambda *result: result) -> list:
                 return None
 
         try:
-            results = fork_map(block_task, plain.n_blocks)
+            results = fork_map(part_task, len(parts))
         except WorkerLost as exc:
             raise _LostReader(str(exc)) from exc
         if all(result is not None for result in results):
@@ -378,8 +383,8 @@ def cmd_predict(args) -> int:
         mu, sigma = _predict(model, X, args.data)
         return len(mu), _csv_rows({"mu": mu, "sigma": sigma})
 
-    # A worker formats its block's rows; in this process they are formatted
-    # as they are written.
+    # The process that reads a part formats its rows; the rows of a file
+    # read whole are formatted as they are written.
     counts, texts = zip(*_read_back(args, model, rows, pack=lambda count, text: (count, list(text))))
     _write_csv(out / "predictions.csv", ("mu", "sigma"), chain.from_iterable(texts))
     _echo_config(out, args, {})

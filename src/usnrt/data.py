@@ -117,6 +117,10 @@ class Dataset:
 _BLOCK_ROWS = BLOCK_ROWS
 # Bytes that _plain_rows reads at a time.
 _SCAN_BYTES = 1 << 20
+# Row offsets that _plain_rows keeps at most (more only once they are
+# _BLOCK_ROWS rows apart): each time it would pass this, it keeps every
+# other offset and records one every twice as many rows.
+_MAX_STARTS = 1024
 
 
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
@@ -169,9 +173,9 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
 
 class NumericCsv:
     """A CSV file whose rows np.loadtxt reads as load_csv's block path
-    would, found by scan: its data row count and the byte offset of each
-    block of _BLOCK_ROWS data rows, then the file's size, so that the whole
-    file or any one block can be parsed on its own.
+    would, found by scan: its data row count, the byte offset of every
+    step-th data row from the first, then the file's size, so that the whole
+    file or any part of it cut at those offsets can be parsed on its own.
 
     Both paths strip the str.isspace characters of a cell and parse the
     rest with CPython's own string-to-double conversion, so the numbers are
@@ -186,12 +190,15 @@ class NumericCsv:
     0.6 MiB.
     """
 
-    def __init__(self, path: str, schema: Schema, header: list[str], optional: frozenset[str], n_rows: int, starts):
+    def __init__(
+        self, path: str, schema: Schema, header: list[str], optional: frozenset[str], n_rows: int, step: int, starts
+    ):
         self.path = path
         self.schema = schema
         self.header = header
         self.optional = optional
         self.n_rows = n_rows
+        self.step = step
         self.starts = starts
 
     @classmethod
@@ -219,28 +226,40 @@ class NumericCsv:
         return cls(os.fspath(path), schema, header, optional, *scanned)
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.starts) - 1
+    def size(self) -> int:
+        """The file's size in bytes."""
+        return self.starts[-1]
 
-    def dataset(self, block: int | None = None) -> Dataset | None:
-        """The rows of one block (of every row when block is None) in one
+    def parts(self, multiple: int) -> list[tuple[int, int]]:
+        """The data rows cut at recorded offsets into near-equal parts of at
+        most _BLOCK_ROWS rows, as (first, stop) indices into starts: as few
+        parts as that allows, rounded up to a multiple of multiple, but never
+        more parts than offsets."""
+        units = len(self.starts) - 1
+        count = multiple * -(-units // (multiple * (_BLOCK_ROWS // self.step)))
+        count = min(count, units)
+        cuts = [k * units // count for k in range(count + 1)]
+        return list(zip(cuts, cuts[1:]))
+
+    def dataset(self, part: tuple[int, int] | None = None) -> Dataset | None:
+        """The rows of one part (of every row when part is None) in one
         np.loadtxt call, or None when it does not read them as the block path
         would: it raises or warns, gives another row count, or a column but
-        an optional label holds a value that is not finite. A block is read
+        an optional label holds a value that is not finite. A part is read
         from its own bytes alone."""
-        if block is None:
+        if part is None:
             # max_rows sizes the array once; one row more shows a row the count missed.
             source, n_rows = self.path, self.n_rows
             options = {"skiprows": 1, "encoding": "utf-8-sig", "max_rows": n_rows + 1}
         else:
-            start, stop = self.starts[block], self.starts[block + 1]
+            first, stop = part
             try:
                 with open(self.path, "rb") as fh:
-                    fh.seek(start)
-                    source = io.BytesIO(fh.read(stop - start))
+                    fh.seek(self.starts[first])
+                    source = io.BytesIO(fh.read(self.starts[stop] - self.starts[first]))
             except OSError:
                 return None
-            n_rows, options = min(_BLOCK_ROWS, self.n_rows - block * _BLOCK_ROWS), {"encoding": "utf-8"}
+            n_rows, options = min(stop * self.step, self.n_rows) - first * self.step, {"encoding": "utf-8"}
         header = self.header
         converters = {header.index(name): _optional_cell for name in self.optional & set(header)}
         try:
@@ -271,20 +290,23 @@ def _optional_cell(cell: str) -> float:
         return math.nan
 
 
-def _plain_rows(path) -> tuple[int, list[int]] | None:
-    """(the number of lines after the first in the file at path, the byte
-    offset of every _BLOCK_ROWS-th of those lines from the first, then the
+def _plain_rows(path) -> tuple[int, int, list[int]] | None:
+    """(the number of lines after the first in the file at path, a step,
+    the byte offset of every step-th of those lines from the first, then the
     file's size), read _SCAN_BYTES at a time; or None when csv and
     np.loadtxt could split it differently: it holds a quote, or a carriage
     return that is not followed by a line feed (csv ends a row there and
     loadtxt may skip the blank line that follows), or a line longer than
-    csv's field limit, which csv rejects as a cell. A line is counted in
-    bytes, at least its length in characters. Only a chunk that holds a
-    carriage return has its carriage returns and CRLFs counted."""
+    csv's field limit, which csv rejects as a cell. The step is 1, doubled
+    while more than _MAX_STARTS offsets would be kept and it stays at most
+    _BLOCK_ROWS. A line is counted in bytes, at least its length in
+    characters. Only a chunk that holds a carriage return has its carriage
+    returns and CRLFs counted."""
     limit = csv.field_size_limit()
     lines = size = 0
     last_end = -1  # file offset of the last line feed seen
-    starts = []  # the offset after line feed 0 (the header's), _BLOCK_ROWS, 2 * _BLOCK_ROWS, ...
+    step = 1
+    starts = []  # the offset after line feed 0 (the header's), step, 2 * step, ...
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(_SCAN_BYTES):
@@ -297,7 +319,11 @@ def _plain_rows(path) -> tuple[int, list[int]] | None:
                     if (np.diff(ends, prepend=last_end) > limit + 1).any():
                         return None
                     last_end = int(ends[-1])
-                    starts += (ends[-lines % _BLOCK_ROWS :: _BLOCK_ROWS] + 1).tolist()
+                    kept = ends[-lines % step :: step]
+                    while len(starts) + len(kept) > _MAX_STARTS and 2 * step <= _BLOCK_ROWS:
+                        starts, step = starts[::2], 2 * step
+                        kept = ends[-lines % step :: step]
+                    starts += (kept + 1).tolist()
                 lines += len(ends)
                 size += len(chunk)
     except OSError:
@@ -305,7 +331,7 @@ def _plain_rows(path) -> tuple[int, list[int]] | None:
     if size - last_end - 1 > limit:
         return None
     n_rows = lines - (size == last_end + 1)
-    return n_rows, starts[: -(-n_rows // _BLOCK_ROWS)] + [size]
+    return n_rows, step, starts[: -(-n_rows // step)] + [size]
 
 
 def _blocks(path):

@@ -1,28 +1,29 @@
-"""Independent tasks in forked worker processes, or in order in this
-process, and the BLAS thread count of this process."""
+"""Independent tasks in forked child processes and this one, or in order
+in this process, and the BLAS thread count of this process."""
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
 import functools
-import multiprocessing
 import os
+import pickle
+import signal
+import sys
 import threading
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 
 from .nn_core import TrainingError
 
 __all__ = ["WorkerLost", "fork_map", "one_blas_thread", "pool_size", "usable_cpus"]
 
-# The task of a worker process; set only in workers, by _set_task.
-_task = None
+# True in a fork_map child, and in the caller while it runs its own share of
+# the tasks: a fork_map there runs its tasks in place, so pools never nest.
+_in_pool = False
 
 
 class WorkerLost(TrainingError):
-    """A fork_map worker process that ended without a result, as one killed
-    by a signal or by the out-of-memory killer does."""
+    """A fork_map child process that ended without sending all of its
+    results, as one killed by a signal or by the out-of-memory killer does."""
 
 
 def usable_cpus() -> int:
@@ -31,53 +32,136 @@ def usable_cpus() -> int:
 
 
 def pool_size(n_tasks: int) -> int:
-    """Worker processes fork_map starts for n_tasks tasks: min(n_tasks,
-    usable_cpus()), or 1 when it runs the tasks here instead.
+    """Processes that run fork_map's n_tasks tasks, this one included:
+    min(n_tasks, usable_cpus()), or 1 when it runs the tasks here alone.
 
-    The pool runs only when the fork start method exists, there are at least
-    2 CPUs and 2 tasks, this process is not itself a pool worker (pools never
-    nest), and it runs no other Python thread (one holding a lock at the fork
-    would leave that lock held in the worker)."""
-    workers = min(n_tasks, usable_cpus())
-    if (
-        workers < 2
-        or "fork" not in multiprocessing.get_all_start_methods()
-        or multiprocessing.parent_process() is not None
-        or threading.active_count() != 1
-    ):
+    The pool runs only where os.fork exists, there are at least 2 CPUs and
+    2 tasks, no pool is running in this process already (pools never nest),
+    and it runs no other Python thread (one holding a lock at the fork would
+    leave that lock held in the child)."""
+    processes = min(n_tasks, usable_cpus())
+    if processes < 2 or not hasattr(os, "fork") or _in_pool or threading.active_count() != 1:
         return 1
-    return workers
+    return processes
 
 
 def fork_map(task, n_tasks: int) -> list:
     """[task(i) for i in range(n_tasks)], with the tasks spread over
-    pool_size(n_tasks) forked worker processes, or run here, in order, when
-    that is 1.
+    pool_size(n_tasks) processes, or run here, in order, when that is 1.
 
-    Workers inherit task by the fork, so it may be a closure; only indices
-    and results cross between processes, so results must pickle. The first
-    task in index order that raises has its exception raised here; a worker
-    that dies without raising (killed by a signal) is a WorkerLost. Every
-    worker has exited before fork_map returns or raises.
+    Of P processes, this one is process 0 and P - 1 are forked children;
+    task i runs in process i mod P. Children inherit task by the fork, so it
+    may be a closure; only their results cross back, pickled, so results
+    must pickle. The first task in index order that raises has its
+    exception raised here; a child that ends without sending all of its
+    results (killed by a signal) is a WorkerLost. Every child has been
+    reaped before fork_map returns or raises.
     """
-    workers = pool_size(n_tasks)
-    if workers < 2:
+    processes = pool_size(n_tasks)
+    if processes < 2:
         return [task(i) for i in range(n_tasks)]
-    fork = multiprocessing.get_context("fork")
+    return _forked(task, n_tasks, processes)
+
+
+def _forked(task, n_tasks: int, processes: int) -> list:
+    """fork_map's tasks over this process and processes - 1 children."""
+    global _in_pool
+    pipes = {}  # child pid: the read end of its result pipe, until it is read
+    _flush_std_streams()  # so that no child writes this process's buffered text again
     try:
-        with ProcessPoolExecutor(workers, mp_context=fork, initializer=_set_task, initargs=(task,)) as pool:
-            return list(pool.map(_run_task, range(n_tasks)))
-    except BrokenProcessPool as exc:
-        raise WorkerLost("a worker process ended abruptly, as when killed for lack of memory") from exc
+        for share in range(1, processes):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(task, n_tasks, processes, share, read, write)
+            os.close(write)
+            pipes[pid] = read
+        _in_pool = True
+        try:
+            results = _share(task, n_tasks, processes, 0, Exception)
+        finally:
+            _in_pool = False
+        for pid in pipes:
+            read, pipes[pid] = pipes[pid], None
+            received = _receive(read)
+            if received is None:
+                raise WorkerLost("a worker process ended abruptly, as when killed for lack of memory")
+            results += received
+    except BaseException:
+        for pid in pipes:
+            os.kill(pid, signal.SIGKILL)  # nothing is left to take their results
+        raise
+    finally:
+        for pid, read in pipes.items():
+            if read is not None:
+                os.close(read)
+            os.waitpid(pid, 0)
+    results.sort(key=lambda result: result[0])
+    for _, ok, value in results:
+        if not ok:
+            raise value
+    return [value for _, _, value in results]
 
 
-def _set_task(task) -> None:
-    global _task
-    _task = task
+def _share(task, n_tasks: int, processes: int, first: int, catch) -> list:
+    """[(i, True, task(i))] for tasks first, first + processes, ..., ending
+    at the first that raises an exception of type catch, as (i, False, it):
+    a later task of this share has a higher index."""
+    results = []
+    for index in range(first, n_tasks, processes):
+        try:
+            results.append((index, True, task(index)))
+        except catch as exc:
+            results.append((index, False, exc))
+            break
+    return results
 
 
-def _run_task(index: int):
-    return _task(index)
+def _child(task, n_tasks: int, processes: int, share: int, read: int, write: int):
+    """Run one child's share and send its results through the pipe write,
+    its length first; always end in os._exit, so that no frame of the
+    caller's stack (a finally, a context manager's exit) runs here. Any
+    exception of a task, SystemExit and KeyboardInterrupt too, is a result."""
+    global _in_pool
+    _in_pool = True
+    code = 1
+    try:
+        os.close(read)
+        payload = pickle.dumps(_share(task, n_tasks, processes, share, BaseException), pickle.HIGHEST_PROTOCOL)
+        _flush_std_streams()
+        _send(write, payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+
+
+def _send(write: int, payload: bytes) -> None:
+    """Write payload, its length first, to the pipe write, and close it."""
+    with open(write, "wb") as fh:
+        fh.write(len(payload).to_bytes(8, "little"))
+        fh.write(payload)
+
+
+def _receive(read: int) -> list | None:
+    """A child's results from the read end of its pipe, closed after; None
+    when fewer bytes came than it announced."""
+    with open(read, "rb") as fh:
+        length = int.from_bytes(fh.read(8), "little")
+        payload = fh.read()
+    if length == 0 or len(payload) != length:
+        return None
+    return pickle.loads(payload)
 
 
 # The (get, set) thread-count functions of an OpenBLAS build: numpy's wheels

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,22 @@ def feature_matrix(dataset):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Worker counts of the process pools fork_map starts."""
+    """Process counts, this process included, of the fork_map calls that fork."""
     started = []
+    forked = parallel._forked
 
-    class CountingPool(parallel.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def counting(task, n_tasks, processes):
+        started.append(processes)
+        return forked(task, n_tasks, processes)
 
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(parallel, "_forked", counting)
     return started
+
+
+def assert_no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def set_cpus(monkeypatch, count):

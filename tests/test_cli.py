@@ -3,7 +3,6 @@
 import copy
 import csv
 import json
-import multiprocessing
 import os
 import re
 import signal
@@ -28,12 +27,12 @@ from usnrt.cli import (
     run_benchmark,
 )
 from usnrt import baselines, cli, parallel, tree
-from usnrt.data import Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
+from usnrt.data import NumericCsv, Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import BLOCK_ROWS, Mlp, TrainConfig
 
-from conftest import set_cpus, width3_member, with_color
+from conftest import assert_no_child_left, set_cpus, width3_member, with_color
 
 
 FAST = {"max_epochs": 40, "patience": 6, "n_min": 300}
@@ -362,9 +361,43 @@ def _model_file(trained_dir, tmp_path, kind):
     return path
 
 
+def _faulty_read_back(monkeypatch, capsys, trained_dir, pooled_data, tmp_path, command, fault, message, row):
+    """Run command at 1 and 2 CPUs on pooled_data with fault in data row
+    row, and check that both exit 2 with message and write nothing."""
+    lines = pooled_data.read_text().splitlines()
+    cells = lines[row].split(",")
+    if fault == "short-row":
+        cells.pop()
+    else:
+        index, value = {
+            "nan-feature": (1, "nan"),
+            "huge-feature": (0, "1.7e308"),
+            "blank-label": (2, ""),
+            "invalid-utf8": (0, "0.5\udcff"),  # written as the byte 0xff, which UTF-8 never holds
+        }[fault]
+        cells[index] = value
+    lines[row] = ",".join(cells)
+    data = tmp_path / "faulty.csv"
+    data.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
+    results = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        out = tmp_path / f"out-{cpus}"
+        code = main([command, "--model", str(trained_dir / "model.json"), "--data", str(data), "--out", str(out)])
+        results.append((code, capsys.readouterr().err))
+        assert not out.exists()
+    assert results[0] == results[1]
+    code, err = results[0]
+    expected = f"data error: {message.format(data=data, row=row)}"
+    if fault == "invalid-utf8":  # the position is the byte's in the chunk that the decoder was given
+        assert code == EXIT_DATA and re.fullmatch(re.escape(expected) + r"\d+: invalid start byte\n", err)
+    else:
+        assert (code, err) == (EXIT_DATA, f"{expected}\n")
+
+
 class TestPooledReadBack:
-    """predict and evaluate read a plain numeric file of at least two blocks
-    in fork_map workers, one block per task, where a pool can run."""
+    """predict and evaluate read a plain numeric file of at least
+    cli._FORK_BYTES in parts, in fork_map's processes, where a pool can run."""
 
     @pytest.mark.parametrize("kind", ["usnrt", "hnn", "ensemble"])
     def test_pooled_outputs_are_the_in_process_bytes(
@@ -391,7 +424,7 @@ class TestPooledReadBack:
                     assert main(argv) == EXIT_OK
                     files.update({name: (out / name).read_bytes() for name in names})
                 outputs.append(files)
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
         assert all(files == outputs[0] for files in outputs)
         assert outputs[0]["predictions.csv"].count(b"\n") == POOLED_ROWS + 1
         assert pools == [2, 2, 2, 2]  # none at 1 CPU; one of 2 workers per command and file at 2
@@ -422,40 +455,53 @@ class TestPooledReadBack:
     def test_fault_in_the_last_block_reads_as_in_process(
         self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path, command, fault, message
     ):
-        """A block that fails a check sends the whole file to load_csv, so
+        """A part that fails a check sends the whole file to load_csv, so
         the exit code and message are those of one process, with no
-        traceback; a worker never reports a fault itself."""
-        lines = pooled_data.read_text().splitlines()
-        row = 3 * BLOCK_ROWS + 3  # in the last block
-        cells = lines[row].split(",")
-        if fault == "short-row":
-            cells.pop()
-        else:
-            index, value = {
-                "nan-feature": (1, "nan"),
-                "huge-feature": (0, "1.7e308"),
-                "blank-label": (2, ""),
-                "invalid-utf8": (0, "0.5\udcff"),  # written as the byte 0xff, which UTF-8 never holds
-            }[fault]
-            cells[index] = value
-        lines[row] = ",".join(cells)
-        data = tmp_path / "faulty.csv"
-        data.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
-        results = []
+        traceback; a worker never reports a fault itself. The last part
+        runs in a child."""
+        row = 3 * BLOCK_ROWS + 3  # in the last part
+        _faulty_read_back(monkeypatch, capsys, trained_dir, pooled_data, tmp_path, command, fault, message, row)
+        assert pools == [2]
+
+    @pytest.mark.parametrize(
+        "command, fault, message",
+        [
+            ("predict", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
+            ("evaluate", "short-row", "{data}: row {row} has 2 cells, header has 3"),
+            ("evaluate", "blank-label", "{data}: row {row}, column 'y': missing value"),
+        ],
+        ids=["predict-nan-feature", "evaluate-short-row", "evaluate-blank-label"],
+    )
+    def test_fault_in_the_first_part_reads_as_in_process(
+        self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path, command, fault, message
+    ):
+        """The first part runs in this process: its fault too sends the file
+        to load_csv, with one process's message and exit code."""
+        _faulty_read_back(monkeypatch, capsys, trained_dir, pooled_data, tmp_path, command, fault, message, 3)
+        assert pools == [2]
+
+    def test_parts_cut_off_the_4_row_grid_give_the_in_process_bytes(
+        self, monkeypatch, pools, trained_dir, pooled_data, tmp_path
+    ):
+        """With an offset kept for every row, the file is cut at rows 3,073,
+        6,146 and 9,219, none a multiple of 4; each part's last 4-row group
+        runs padded, and the outputs are still one process's bytes."""
+        monkeypatch.setattr("usnrt.data._MAX_STARTS", POOLED_ROWS + 1)
+        plain = NumericCsv.scan(pooled_data, Schema.from_file(pooled_data.parent / "schema.json"))
+        assert plain.step == 1 and plain.parts(2) == [(0, 3073), (3073, 6146), (6146, 9219), (9219, POOLED_ROWS)]
+        outputs = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            out = tmp_path / f"out-{cpus}"
-            code = main([command, "--model", str(trained_dir / "model.json"), "--data", str(data), "--out", str(out)])
-            results.append((code, capsys.readouterr().err))
-            assert not out.exists()
-        assert results[0] == results[1]
-        code, err = results[0]
-        expected = f"data error: {message.format(data=data, row=row)}"
-        if fault == "invalid-utf8":  # the position is the byte's in the chunk that the decoder was given
-            assert code == EXIT_DATA and re.fullmatch(re.escape(expected) + r"\d+: invalid start byte\n", err)
-        else:
-            assert (code, err) == (EXIT_DATA, f"{expected}\n")
-        assert pools == [2]
+            files = {}
+            for command, names in (("predict", ["predictions.csv"]), ("evaluate", ["metrics.json", "curve.csv"])):
+                out = tmp_path / f"{command}-{cpus}"
+                argv = [command, "--model", str(trained_dir / "model.json"), "--data", str(pooled_data), "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                files.update({name: (out / name).read_bytes() for name in names})
+            outputs.append(files)
+        assert outputs[0] == outputs[1]
+        assert pools == [2, 2]
+        assert_no_child_left()
 
     def test_killed_worker_exits_3_and_is_no_training_error(
         self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path
@@ -463,10 +509,10 @@ class TestPooledReadBack:
         """A predict worker killed by a signal, as the out-of-memory killer
         would kill it, exits 3 with one line of message: a worker process
         ended, and no model was training."""
-        original = cli._predict
+        original, test_pid = cli._predict, os.getpid()
 
         def predict(*args, **kwargs):
-            if multiprocessing.parent_process() is not None:  # never the test process itself
+            if os.getpid() != test_pid:  # a child; the test process predicts its own part
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(*args, **kwargs)
 
@@ -477,7 +523,7 @@ class TestPooledReadBack:
         assert main(argv) == EXIT_TRAINING
         assert capsys.readouterr().err == "error: a worker process ended abruptly, as when killed for lack of memory\n"
         assert pools == [2]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         assert not out.exists()
 
 

@@ -398,19 +398,22 @@ class TestLoadCsvOnePass:
         assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
 
     def test_row_count_spans_chunks(self, tmp_path, monkeypatch):
-        """The row count, and the byte offsets of each block's first row
-        (blocks of 2 rows here) then the file's size."""
+        """The row count, the step, and the byte offsets of every step-th
+        row then the file's size: the step doubles while more than 2 offsets
+        would be kept, but stays at most the 4 rows of a block here."""
         monkeypatch.setattr(data, "_SCAN_BYTES", 3)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+        monkeypatch.setattr(data, "_MAX_STARTS", 2)
         for text, scanned in [
-            ("x1,x2,y\r\n1,2,3\r\n4,5,6", (2, [9, 21])),
-            ("x1,x2,y\n1,2,3\n", (1, [8, 14])),
-            ("x1,x2,y\n", (0, [8])),
-            ("x1,x2,y\n" + "4" * 131_072 + "\n", (1, [8, 131_081])),  # as long as a csv cell may be
-            ("x1,x2,y\n" + "4" * 131_072, (1, [8, 131_080])),
+            ("x1,x2,y\r\n1,2,3\r\n4,5,6", (2, 1, [9, 16, 21])),
+            ("x1,x2,y\n1,2,3\n", (1, 1, [8, 14])),
+            ("x1,x2,y\n", (0, 1, [8])),
+            ("x1,x2,y\n" + "4" * 131_072 + "\n", (1, 1, [8, 131_081])),  # as long as a csv cell may be
+            ("x1,x2,y\n" + "4" * 131_072, (1, 1, [8, 131_080])),
             # CRLF only, with pairs both inside 3-byte chunks and across their edges
-            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", (3, [9, 26, 39])),
-            ("x1,x2,y\n1\n2\n3\n4\n5", (5, [8, 12, 16, 17])),
+            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", (3, 2, [9, 26, 39])),
+            ("x1,x2,y\n1\n2\n3\n4\n5", (5, 4, [8, 16, 17])),
+            ("x1,x2,y\n" + "1\n" * 10, (10, 4, [8, 16, 24, 28])),
         ]:
             assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == scanned
         assert data._plain_rows(write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,\r\r\n")) is None
@@ -425,9 +428,9 @@ class TestLoadCsvOnePass:
 
     def test_row_count_that_misses_a_row_takes_the_block_path(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n4,5,6\n")
-        monkeypatch.setattr(data, "_plain_rows", lambda path: (1, [8, 20]))
+        monkeypatch.setattr(data, "_plain_rows", lambda path: (1, 1, [8, 20]))
         assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
-        assert data.NumericCsv.scan(path, SCHEMA).dataset(0) is None
+        assert data.NumericCsv.scan(path, SCHEMA).dataset((0, 1)) is None
         assert load_csv(path, SCHEMA).labels.tolist() == [3.0, 6.0]
 
     def test_loadtxt_warning_takes_the_block_path_and_is_not_shown(self, tmp_path, monkeypatch):
@@ -442,7 +445,7 @@ class TestLoadCsvOnePass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
-            assert data.NumericCsv.scan(path, SCHEMA).dataset(0) is None
+            assert data.NumericCsv.scan(path, SCHEMA).dataset((0, 1)) is None
             assert load_csv(path, SCHEMA).labels.tolist() == [3.0]
 
     @pytest.mark.parametrize(
@@ -509,8 +512,8 @@ class TestLoadCsvOnePass:
         path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
         taken = []
 
-        def dataset(self, block=None):
-            taken.append(real_dataset(self, block))
+        def dataset(self, part=None):
+            taken.append(real_dataset(self, part))
             return taken[-1]
 
         real_dataset = data.NumericCsv.dataset
@@ -525,25 +528,38 @@ class TestLoadCsvOnePass:
         byte_order_mark=st.booleans(),
         require_label=st.booleans(),
         block_rows=st.integers(min_value=1, max_value=3),
+        max_starts=st.integers(min_value=1, max_value=4),
+        multiple=st.integers(min_value=1, max_value=3),
     )
     def test_blocks_parse_as_the_whole_file(
-        self, tmp_path_factory, raw, byte_order_mark, require_label, block_rows
+        self, tmp_path_factory, raw, byte_order_mark, require_label, block_rows, max_starts, multiple
     ):
-        """Each block, parsed from its own bytes, passes the one-pass checks
-        exactly when the whole file does, and the blocks' columns are the
-        whole file's, bit for bit. An optional label is left out per block,
-        so a block may keep one that the whole file leaves out."""
+        """Each part, parsed from its own bytes, passes the one-pass checks
+        exactly when the whole file does, and the parts' columns are the
+        whole file's, bit for bit. The parts cover the rows in order, hold
+        near-equal numbers of recorded offsets and at most _BLOCK_ROWS rows
+        each, and come in a multiple of multiple, unless there are fewer
+        offsets than that. An optional label is left out per part, so a part
+        may keep one that the whole file leaves out."""
         text, header = raw
         path = tmp_path_factory.mktemp("raw") / "d.csv"
         path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
-        with mock.patch.object(data, "_BLOCK_ROWS", block_rows):
+        with mock.patch.object(data, "_BLOCK_ROWS", block_rows), mock.patch.object(data, "_MAX_STARTS", max_starts):
             plain = data.NumericCsv.scan(path, SCHEMA, require_label)
             if plain is None:
                 return
             whole = plain.dataset()
-            blocks = [plain.dataset(block) for block in range(plain.n_blocks)]
+            parts = plain.parts(multiple)
+            blocks = [plain.dataset(part) for part in parts]
         event("whole file taken" if whole is not None else "whole file declined")
-        assert plain.n_blocks == -(-plain.n_rows // block_rows)
+        step, units = plain.step, len(plain.starts) - 1
+        assert step <= block_rows and units == -(-plain.n_rows // step)
+        assert units <= max_starts or 2 * step > block_rows
+        assert [first for first, _ in parts] == [0] + [stop for _, stop in parts[:-1]] and parts[-1][1] == units
+        sizes = [stop - first for first, stop in parts]
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        assert max(min(stop * step, plain.n_rows) - first * step for first, stop in parts) <= block_rows
+        assert len(parts) % multiple == 0 or len(parts) == units
         assert (whole is None) == any(block is None for block in blocks)
         if whole is None:
             return

@@ -2,10 +2,10 @@
 logs and errors must not depend on how many CPUs the pool may use, and no
 worker may outlive the call."""
 
-import multiprocessing
 import os
 import signal
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +15,10 @@ import pytest
 from usnrt import baselines, parallel, tree
 from usnrt.nn_core import TrainConfig, TrainingError, derived_seed
 
-from conftest import fast_train_cfg, set_cpus
+from conftest import assert_no_child_left, fast_train_cfg, set_cpus
+
+# The test process: a fork_map task that runs anywhere else runs in a child.
+TEST_PID = os.getpid()
 
 
 def two_level_data(n=2400):
@@ -62,7 +65,7 @@ def test_same_model_and_log_for_1_and_2_cpus(monkeypatch, pools, train, pools_at
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
         models.append(train())
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     serial, pooled = models
     assert serial.to_payload() == pooled.to_payload()
     assert serial.train_log == pooled.train_log
@@ -94,7 +97,7 @@ def test_lockstep_chunks_match_member_by_member_training(monkeypatch, pools):
         model = baselines.train_ensemble(X, y, cfg, hidden=[6])
         assert model.to_payload() == reference.to_payload()
         assert model.train_log == reference.train_log
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert pools == [2, 3, 5]
 
 
@@ -133,6 +136,30 @@ def test_stacks_stay_within_the_byte_budget(monkeypatch):
     assert peak < 30 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
 
 
+def test_stack_budget_counts_the_objective_columns(monkeypatch, pools):
+    """Each epoch gathers K x n x (d + 2) floats: the rows and the mean
+    phase's two objective columns. Two members on 100 x 1 rows gather 4,800
+    bytes, of which X is 1,600, so a 3,200-byte budget splits them into two
+    stacks, though X alone would pass it."""
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-1, 1, (100, 1))
+    y = X[:, 0] + 0.1 * rng.standard_normal(100)
+    stacks = []
+    train_hnns = baselines._train_hnns
+
+    def counting(X, y, cfg, seeds, hidden, rounds):
+        stacks.append(len(seeds))
+        return train_hnns(X, y, cfg, seeds, hidden, rounds)
+
+    monkeypatch.setattr(baselines, "_train_hnns", counting)
+    monkeypatch.setattr(baselines, "STACK_BUDGET_BYTES", 3200)
+    set_cpus(monkeypatch, 1)
+    baselines.train_ensemble(X, y, fast_train_cfg(max_epochs=2, patience=2), n_members=2, hidden=[4], rounds=1)
+    assert 2 * X.nbytes <= baselines.STACK_BUDGET_BYTES < 2 * 100 * (1 + 2) * 8
+    assert stacks == [1, 1]
+    assert pools == []
+
+
 def fail_members(monkeypatch, cfg, failing):
     """Make member j's mean phase fail in round failing[j]."""
     seeds = {
@@ -163,7 +190,7 @@ def test_lowest_failing_member_is_reported_for_any_chunking(monkeypatch, pools, 
         baselines.train_ensemble(X, y, cfg, hidden=[4])
     with pytest.raises(TrainingError, match=r"^hnn round 1, mean phase: injected into member 1$"):
         member_by_member(X, y, cfg, [4])
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
     assert pools == ([] if cpus == 1 else [cpus])
 
 
@@ -210,7 +237,7 @@ def test_worker_error_matches_serial_error(monkeypatch, pools, train, expected):
         with pytest.raises(TrainingError) as caught:
             train()
         errors.append((type(caught.value), str(caught.value)))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
     assert pools
     assert errors[0] == errors[1]
     assert errors[0] == expected
@@ -227,11 +254,11 @@ def test_first_failing_task_in_index_order_raises(monkeypatch, cpus):
     set_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError, match="^task 1$"):
         parallel.fork_map(square_or_raise, 3)
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def kill_task_1(i):
-    if i == 1 and multiprocessing.parent_process() is not None:  # never the test process itself
+    if i == 1 and os.getpid() != TEST_PID:
         os.kill(os.getpid(), signal.SIGKILL)
     return i
 
@@ -245,15 +272,21 @@ def test_dead_worker_is_a_training_error(monkeypatch, pools):
         parallel.fork_map(kill_task_1, 3)
     assert issubclass(parallel.WorkerLost, TrainingError)
     assert pools == [2]
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 def test_tasks_run_in_workers_that_do_not_nest_pools(monkeypatch, pools):
+    """Of two outer tasks, the first runs in this process and the second in
+    a child, and neither's inner fork_map forks again: this process runs
+    its share with its pool flag set, so its subtree does not fork while its
+    sibling runs in the child."""
     set_cpus(monkeypatch, 2)
     pids = parallel.fork_map(lambda i: parallel.fork_map(lambda j: os.getpid(), 2), 2)
     assert pools == [2]
-    assert all(len(set(inner)) == 1 for inner in pids)  # each worker ran its inner tasks itself
-    assert os.getpid() not in {pid for inner in pids for pid in inner}
+    assert all(len(set(inner)) == 1 for inner in pids)  # each task ran its inner tasks in one process
+    assert [inner[0] == TEST_PID for inner in pids] == [True, False]
+    assert not parallel._in_pool
+    assert_no_child_left()
 
 
 def test_serial_while_another_thread_runs(monkeypatch, pools):
@@ -268,3 +301,72 @@ def test_serial_while_another_thread_runs(monkeypatch, pools):
         thread.join(10.0)
     assert not thread.is_alive()
     assert pools == []
+
+
+@pytest.mark.parametrize("written", [3, 8, 40], ids=["part-of-the-length", "the-length", "part-of-the-results"])
+def test_child_that_dies_mid_result_is_a_worker_lost(monkeypatch, pools, written):
+    """A child killed after writing only part of its result is a WorkerLost,
+    as one killed before writing any is."""
+
+    def send_part(write, payload):
+        os.write(write, (len(payload).to_bytes(8, "little") + payload)[:written])
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(parallel, "_send", send_part)
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(parallel.WorkerLost, match="^a worker process ended abruptly"):
+        parallel.fork_map(lambda i: "x" * 100, 2)
+    assert pools == [2]
+    assert_no_child_left()
+
+
+def slow_in_child_or_raise(failing):
+    def task(i):
+        if os.getpid() != TEST_PID:
+            time.sleep(0.2)  # the child still runs when this process's task raises
+        if i in failing:
+            raise ValueError(f"task {i}")
+        return i
+
+    return task
+
+
+@pytest.mark.parametrize("failing, raised", [((0, 3), "task 0"), ((1, 2), "task 1")], ids=["own", "child's"])
+def test_own_failing_task_still_reaps_every_child(monkeypatch, pools, failing, raised):
+    """This process runs tasks 0 and 2 and its child 1 and 3. When one of
+    this process's tasks raises, the child is still waited for, and the
+    lowest failing index is raised, whichever process ran it."""
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=f"^{raised}$"):
+        parallel.fork_map(slow_in_child_or_raise(failing), 4)
+    assert pools == [2]
+    assert not parallel._in_pool
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [SystemExit, KeyboardInterrupt])
+def test_child_ends_by_os_exit_whatever_its_task_raises(monkeypatch, tmp_path, pools, error):
+    """A child whose task raises SystemExit or KeyboardInterrupt sends it as
+    that task's error and still ends by os._exit: it never returns through
+    the caller's frames, so one_blas_thread sets the thread count back in
+    this process only."""
+    calls = tmp_path / "set_threads.txt"
+
+    def set_threads(count):
+        with open(calls, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {count}\n")
+
+    def task(i):
+        if i == 1:
+            raise error(f"task {i}")
+        return i
+
+    monkeypatch.setattr(parallel, "_openblas", lambda: [(lambda: 4, set_threads)])
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(error, match="^task 1$"):
+        with parallel.one_blas_thread():
+            parallel.fork_map(task, 2)
+    assert calls.read_text(encoding="utf-8") == f"{TEST_PID} 1\n{TEST_PID} 4\n"
+    assert pools == [2]
+    assert_no_child_left()
+
