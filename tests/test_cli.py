@@ -27,7 +27,7 @@ from usnrt.cli import (
     run_benchmark,
 )
 from usnrt import baselines, cli, parallel, tree
-from usnrt.data import NumericCsv, Schema, SynthSpec, fit_transform, generate_synthetic, load_csv
+from usnrt.data import NumericCsv, Schema, fit_transform, generate_synthetic, load_csv
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import BLOCK_ROWS, Mlp, TrainConfig
