@@ -12,7 +12,9 @@ thread (usnrt.parallel.one_blas_thread).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import shutil
 import sys
 from dataclasses import fields, replace
 from itertools import chain, islice
@@ -29,7 +31,7 @@ from .data import (
     SynthSpec,
     fit_transform,
     generate_synthetic,
-    load_csv,
+    load_csv_blocks,
     train_test_split,
 )
 from .metrics import compute_report
@@ -49,9 +51,9 @@ class _UsageError(Exception):
     pass
 
 
-class _LostReader(Exception):
-    """A read-back worker process that ended abruptly: exit 3, though no
-    model was training."""
+class _LostWorker(Exception):
+    """A worker process that read or wrote a file and ended abruptly: exit
+    3, though no model was training."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,9 +108,52 @@ def _write_csv(path: Path, header, rows) -> None:
         fh.writelines(rows)
 
 
+# A table of float arrays with at least this many cells is written in parts
+# by fork_map's processes when a pool can run. On 2 CPUs, in medians of 80
+# interleaved writes of three float columns, 16,000 cells took 14.6 ms in one
+# process and 21.6 ms in two, 24,000 took 17.6 and 21.5 ms, and 40,000 took
+# 47.9 and 33.3 ms: a fork, its copied pages and the temporary file cost a
+# few ms, which the repr of about 25,000 floats pays for.
+_FORK_CELLS = 1 << 15
+
+
 def _write_columns(path: Path, columns: dict) -> None:
-    """Write a CSV table given as {header: column}, _WRITE_ROWS rows at a time."""
-    _write_csv(path, columns, _csv_rows(columns))
+    """Write a CSV table given as {header: column}, _WRITE_ROWS rows at a
+    time. A table of float arrays with at least _FORK_CELLS cells is cut
+    into one contiguous range of rows per fork_map process, where a pool can
+    run: this process writes the header and the first range into the file,
+    each child writes the text of its range to a temporary file beside it,
+    and this process then appends those in order. No process holds more
+    than a row group of text, and the temporary files are removed on every
+    path."""
+    floats = all(isinstance(column, np.ndarray) and column.dtype.kind == "f" for column in columns.values())
+    n_rows = len(next(iter(columns.values()))) if floats and columns else 0
+    processes = pool_size(n_rows) if n_rows * len(columns) >= _FORK_CELLS else 1
+    if processes < 2:
+        _write_csv(path, columns, _csv_rows(columns))
+        return
+    cuts = [k * n_rows // processes for k in range(processes + 1)]
+    temporary = [f"{path}.{os.getpid()}.{i}.tmp" for i in range(1, processes)]  # ranges 1, 2, ...
+    with atomic_write(path) as fh:
+        fh.write(",".join(map(_quoted, columns)) + "\n")
+
+        def write_range(i: int) -> None:
+            rows = _csv_rows({name: column[cuts[i] : cuts[i + 1]] for name, column in columns.items()})
+            if i == 0:
+                fh.writelines(rows)
+                return
+            with open(temporary[i - 1], "w", encoding="utf-8", newline="") as part:
+                part.writelines(rows)
+
+        try:
+            _io_map(write_range, processes)
+            for name in temporary:
+                with open(name, encoding="utf-8", newline="") as part:
+                    shutil.copyfileobj(part, fh)
+        finally:
+            for name in temporary:
+                with contextlib.suppress(OSError):
+                    os.remove(name)
 
 
 def _out_dir(args) -> Path:
@@ -220,31 +265,41 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-# A file of at least this many bytes is read back in parts by fork_map's
+def _io_map(task, n_tasks: int) -> list:
+    """fork_map(task, n_tasks) for tasks that read or write a file: a lost
+    worker is a _LostWorker, since no model was training."""
+    try:
+        return fork_map(task, n_tasks)
+    except WorkerLost as exc:
+        raise _LostWorker(str(exc)) from exc
+
+
+# A file of at least this many bytes is read in parts by fork_map's
 # processes, this one among them, when a pool can run. Below it a fork stops
 # paying for evaluate: on 2 CPUs, a 516 KB file (8,700 rows, d 2, a usnrt
 # model) took 10.6 ms to evaluate in one process and 10.8 ms in two, though
-# predict, which also formats its rows, went from 17.7 to 13.8 ms. A smaller
-# file is parsed whole in this process, as is any file where no pool runs:
-# one process streaming parts was 3-5% slower than one whole-file parse
-# (np.loadtxt reads a path in chunks and a byte stream line by line).
+# predict, which also formats its rows, went from 17.7 to 13.8 ms; a 1.8 MB
+# training file (10,000 rows, d 8) loaded in 34-36 ms in two against 47-49 ms
+# in one. A smaller file is parsed whole in this process, as is any file
+# where no pool runs: one process streaming parts was 3-5% slower than one
+# whole-file parse (np.loadtxt reads a path in chunks and a byte stream line
+# by line).
 _FORK_BYTES = 1 << 19
 
 
-def _read_back(args, model, task, pack=lambda *result: result) -> list:
-    """task(X, labels) over the rows of --data, encoded for model, in order;
-    labels are None for predict, which does not use them. A file that
-    NumericCsv takes, of at least _FORK_BYTES bytes, is cut into
-    NumericCsv.parts, as many for each of fork_map's processes, when it can
-    run a pool: each part is one fork_map task, which parses and encodes the
-    part and runs task on it, so that a process holds one part at a time and
-    only pack(*task's result), which must pickle, comes back, one per part.
-    Every other file, and one in which any part fails a check, is read whole
-    by load_csv, which names the first fault in its usual order, and task
-    runs once."""
-    schema = model.preprocess.schema
-    require_label = args.command != "predict"
-    plain = NumericCsv.scan(args.data, schema, require_label)
+def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda result: result) -> list:
+    """task(dataset) over the rows of the CSV at path, read against schema
+    as load_csv reads them, in order. A file that NumericCsv takes, of at
+    least _FORK_BYTES bytes, is cut into NumericCsv.parts, as many for each
+    of fork_map's processes, when it can run a pool: each part is one
+    fork_map task, which parses the part and runs task on it, so that a
+    process holds one part at a time and only pack(task's result), which
+    must pickle, comes back, one per part. Every other file is parsed whole
+    and task runs once; one that the one-pass parse refuses, in any part or
+    whole, goes straight to load_csv_blocks, which names the first fault in
+    its usual order. task may empty its dataset's columns once it is done
+    with them."""
+    plain = NumericCsv.scan(path, schema, require_label)
     processes = pool_size(plain.n_rows) if plain is not None and plain.size >= _FORK_BYTES else 1
     if processes > 1:
         parts = plain.parts(processes)
@@ -255,23 +310,42 @@ def _read_back(args, model, task, pack=lambda *result: result) -> list:
             if dataset is None:
                 return None
             try:
-                return pack(*task(*_encoded(model, dataset, require_label)))
+                return pack(task(dataset))
             except DataError:
                 return None
 
-        try:
-            results = fork_map(part_task, len(parts))
-        except WorkerLost as exc:
-            raise _LostReader(str(exc)) from exc
+        results = _io_map(part_task, len(parts))
         if all(result is not None for result in results):
             return results
         plain = None
     dataset = plain.dataset() if plain is not None else None
     if dataset is None:
-        dataset = load_csv(args.data, schema, require_label=require_label)
-    X, labels = _encoded(model, dataset, require_label)
-    del dataset  # the parsed table is not kept once it is encoded
-    return [task(X, labels)]
+        dataset = load_csv_blocks(path, schema, require_label)
+    return [task(dataset)]
+
+
+def load_csv(path, schema: Schema) -> Dataset:
+    """data.load_csv(path, schema), read by _read_csv: a file read in parts
+    comes back as each part's columns, joined in order."""
+    parts = _read_csv(path, schema, True, lambda dataset: dataset.columns)
+    if len(parts) == 1:
+        return Dataset(schema, parts[0])
+    # Each part's column is dropped once it is joined.
+    return Dataset(schema, {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])})
+
+
+def _read_back(args, model, task, pack=lambda result: result) -> list:
+    """task(X, labels) over the rows of --data, encoded for model, read by
+    _read_csv, with pack for each part's result; labels are None for
+    predict, which does not use them."""
+    require_label = args.command != "predict"
+
+    def encoded_task(dataset):
+        X, labels = _encoded(model, dataset, require_label)
+        dataset.columns.clear()  # the parsed table is not kept once it is encoded
+        return task(X, labels)
+
+    return _read_csv(args.data, model.preprocess.schema, require_label, encoded_task, pack)
 
 
 def _predict(model, X, source, denormalize: bool = True):
@@ -385,7 +459,7 @@ def cmd_predict(args) -> int:
 
     # The process that reads a part formats its rows; the rows of a file
     # read whole are formatted as they are written.
-    counts, texts = zip(*_read_back(args, model, rows, pack=lambda count, text: (count, list(text))))
+    counts, texts = zip(*_read_back(args, model, rows, pack=lambda result: (result[0], list(result[1]))))
     _write_csv(out / "predictions.csv", ("mu", "sigma"), chain.from_iterable(texts))
     _echo_config(out, args, {})
     print(f"wrote {sum(counts)} predictions to {out / 'predictions.csv'}")
@@ -607,7 +681,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except _LostReader as exc:
+    except _LostWorker as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (ValueError, OSError) as exc:

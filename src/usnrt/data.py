@@ -30,6 +30,7 @@ __all__ = [
     "fit_transform",
     "generate_synthetic",
     "load_csv",
+    "load_csv_blocks",
     "synthetic_schema",
     "train_test_split",
 ]
@@ -112,7 +113,7 @@ class Dataset:
         return Dataset(self.schema, {name: values[idx] for name, values in self.columns.items()})
 
 
-# Data rows that load_csv's block path parses at a time. Memory while it reads
+# Data rows that load_csv_blocks parses at a time. Memory while it reads
 # is this many rows of cells plus the parsed columns, whatever the file's length.
 _BLOCK_ROWS = BLOCK_ROWS
 # Bytes that _plain_rows reads at a time.
@@ -127,22 +128,26 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
     """Parse a headered CSV against the schema.
 
     Continuous and label cells must be finite numbers. A file that
-    NumericCsv.scan takes is parsed in one np.loadtxt call. Any other file
-    is read in blocks of _BLOCK_ROWS rows, never held whole; faults are
-    recorded as they are met and the first in this order is raised after
-    the last row, with its 1-based data row and column name: a file that
-    cannot be read, an empty file or one with no data rows, a row whose
-    length differs from the header's, then, column by column in schema
-    order, a column missing from the header or named in it twice, a missing
-    cell, or the first cell that is not a finite number. When require_label
-    is False (prediction-only inputs) the label column is optional: it is
-    read when the header has it and its cells are finite numbers, and is
-    otherwise left out, never a fault.
+    NumericCsv.scan takes is parsed in one np.loadtxt call. Any other file,
+    and one that the parse refuses, is read by load_csv_blocks, which names
+    the first fault. When require_label is False (prediction-only inputs)
+    the label column is optional: it is read when the header has it and its
+    cells are finite numbers, and is otherwise left out, never a fault.
     """
     plain = NumericCsv.scan(path, schema, require_label)
     dataset = plain.dataset() if plain is not None else None
-    if dataset is not None:
-        return dataset
+    return dataset if dataset is not None else load_csv_blocks(path, schema, require_label)
+
+
+def load_csv_blocks(path, schema: Schema, require_label: bool = True) -> Dataset:
+    """load_csv's block path: the file is read in blocks of _BLOCK_ROWS
+    rows, never held whole; faults are recorded as they are met and the
+    first in this order is raised after the last row, with its 1-based data
+    row and column name: a file that cannot be read, an empty file or one
+    with no data rows, a row whose length differs from the header's, then,
+    column by column in schema order, a column missing from the header or
+    named in it twice, a missing cell, or the first cell that is not a
+    finite number."""
     blocks = _blocks(path)
     header = next(blocks)
     if header is None:
@@ -172,16 +177,16 @@ def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
 
 
 class NumericCsv:
-    """A CSV file whose rows np.loadtxt reads as load_csv's block path
-    would, found by scan: its data row count, the byte offset of every
-    step-th data row from the first, then the file's size, so that the whole
-    file or any part of it cut at those offsets can be parsed on its own.
+    """A CSV file whose rows np.loadtxt reads as load_csv_blocks would,
+    found by scan: its data row count, the byte offset of every step-th
+    data row from the first, then the file's size, so that the whole file
+    or any part of it cut at those offsets can be parsed on its own.
 
     Both paths strip the str.isspace characters of a cell and parse the
     rest with CPython's own string-to-double conversion, so the numbers are
     bit-identical; a spelling that loadtxt does not take (1_0, non-ASCII
-    digits) makes dataset return None, and load_csv's block path reads the
-    file. An optional label is parsed by _optional_cell, as the block path
+    digits) makes dataset return None, and load_csv_blocks reads the file.
+    An optional label is parsed by _optional_cell, as the block path
     parses it, and left out unless every cell is finite, so a blank or NA
     label never makes dataset return None.
 
@@ -362,11 +367,11 @@ def _length_fault(path, block: list[list[str]], width: int, offset: int) -> str 
 
 
 class _ColumnReader:
-    """One schema column of load_csv, fed block by block: its parsed blocks
-    and the faults met so far. settled is a fault that no later row can
-    come before (a header fault or the first missing cell), bad the first
-    cell that is not a finite number, which a missing cell in any later row
-    still beats."""
+    """One schema column of load_csv_blocks, fed block by block: its
+    parsed blocks and the faults met so far. settled is a fault that no
+    later row can come before (a header fault or the first missing cell),
+    bad the first cell that is not a finite number, which a missing cell in
+    any later row still beats."""
 
     def __init__(self, path, col: Column, header: list[str]):
         self.path = path

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import io
 import json
 import os
 import re
@@ -11,9 +12,12 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usnrt.cli import (
     _COMMAND_DEFAULTS,
@@ -26,7 +30,7 @@ from usnrt.cli import (
     main,
     run_benchmark,
 )
-from usnrt import baselines, cli, parallel, tree
+from usnrt import baselines, cli, data, parallel, tree
 from usnrt.data import NumericCsv, Schema, fit_transform, generate_synthetic, load_csv
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
@@ -242,27 +246,30 @@ class TestPredict:
             outputs.append((tmp_path / name / "predictions.csv").read_bytes())
         assert rows[0][-1] == "y" and outputs[0] == outputs[1]
 
-    def test_write_holds_one_block_of_an_array_column(self, tmp_path):
+    def test_write_holds_one_block_of_an_array_column(self, monkeypatch, tmp_path):
         """A 200,000-row table of two float columns is converted to Python
         floats one block at a time and written in small row groups: the
         traced peak stays below an eighth of its 400,000 floats (1.14 MiB).
         It is about 0.35 MiB; groups of 4,096 rows peak at 1.8 MiB, and
-        converting whole columns at once at 12.2 MiB."""
+        converting whole columns at once at 12.2 MiB. At 2 CPUs this process
+        writes half the rows and appends the other half from a file."""
         rng = np.random.default_rng(0)
         table = {"mu": rng.standard_normal(200_000), "sigma": rng.random(200_000)}
         path = tmp_path / "predictions.csv"
-        tracemalloc.start()
-        try:
-            _write_columns(path, table)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 200_000 * sys.getsizeof(1.0) / 8, f"traced peak {peak / 2**20:.2f} MiB"
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["mu", "sigma"]
-        written = [[float(cell) for cell in row] for row in rows[1:]]
-        assert np.array_equal(written, np.column_stack([table["mu"], table["sigma"]]))
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                _write_columns(path, table)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 200_000 * sys.getsizeof(1.0) / 8, f"{cpus} CPUs: traced peak {peak / 2**20:.2f} MiB"
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["mu", "sigma"]
+            written = [[float(cell) for cell in row] for row in rows[1:]]
+            assert np.array_equal(written, np.column_stack([table["mu"], table["sigma"]]))
 
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 4095, 4096, 4097, 8193])
     def test_write_gives_the_bytes_of_one_row_at_a_time(self, tmp_path, n):
@@ -525,6 +532,178 @@ class TestPooledReadBack:
         assert pools == [2]
         assert_no_child_left()
         assert not out.exists()
+
+
+    def test_train_benchmark_and_inspect_read_in_parts_give_the_in_process_bytes(
+        self, monkeypatch, pools, trained_dir, pooled_data, tmp_path
+    ):
+        """train, benchmark and inspect read a file past cli._FORK_BYTES in
+        parts at 2 CPUs, each part's columns joined in order, and write the
+        bytes of one process."""
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"max_epochs": 2, "patience": 2, "n_min": 3000}))
+        trains = ["--schema", str(pooled_data.parent / "schema.json"), "--config", str(config)]
+        commands = {
+            "train": (trains, ["model.json", "train_log.json", "tree_summary.json"]),
+            "benchmark": ([*trains, "--seed", "0", "--model-kind", "hnn"], ["benchmark.csv", "benchmark.txt"]),
+            "inspect": (["--model", str(trained_dir / "model.json")], ["root_split.csv", "leaf_report.csv"]),
+        }
+        outputs = []
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            files = {}
+            for command, (flags, names) in commands.items():
+                out = tmp_path / f"{command}-{cpus}"
+                assert main([command, "--data", str(pooled_data), *flags, "--out", str(out)]) == EXIT_OK
+                files.update({name: (out / name).read_bytes() for name in names})
+            outputs.append(files)
+            assert_no_child_left()
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["tree_summary.json"])["leaf_count"] > 1
+        # At 2 CPUs: train reads, then grows the root's subtrees; benchmark
+        # reads; inspect reads, then writes root_split.csv (4 x 12,293 cells).
+        assert pools == [2, 2, 2, 2, 2]
+
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("predict", ["predictions.csv"]),
+            ("evaluate", ["metrics.json", "curve.csv"]),
+            ("inspect", ["leaf_report.csv"]),
+        ],
+    )
+    def test_refused_part_goes_straight_to_the_block_reader(
+        self, monkeypatch, trained_dir, pooled_data, tmp_path, command, names
+    ):
+        """A cell that only float() takes (1_0) in the last part makes that
+        part's parse refuse the file. The file then goes straight to the
+        block reader: it is not scanned again and not parsed whole, at 2
+        CPUs or at 1, and the outputs are those of the same rows with the
+        cell spelled 10."""
+        lines = pooled_data.read_text().splitlines()
+        row = 3 * BLOCK_ROWS + 3
+        spelled = {}
+        for cell in ("1_0", "10"):
+            lines[row] = ",".join([cell, *lines[row].split(",")[1:]])
+            spelled[cell] = tmp_path / f"{cell}.csv"
+            spelled[cell].write_text("\n".join(lines) + "\n")
+        calls = []
+        loadtxt, blocks = np.loadtxt, data._blocks
+
+        def counting_loadtxt(source, *args, **kwargs):
+            calls.append("part" if isinstance(source, io.BytesIO) else "whole")
+            return loadtxt(source, *args, **kwargs)
+
+        def counting_blocks(path):
+            calls.append("blocks")
+            return blocks(path)
+
+        monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+        monkeypatch.setattr(data, "_blocks", counting_blocks)
+        # The scan reads the header through _blocks; at 2 CPUs this process
+        # parses its two of the 4 parts; then the block reader reads the file.
+        expected = {1: ["blocks", "whole", "blocks"], 2: ["blocks", "part", "part", "blocks"]}
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            outputs = []
+            for cell, path in spelled.items():
+                calls.clear()
+                out = tmp_path / f"{command}-{cpus}-{cell}"
+                argv = [command, "--model", str(trained_dir / "model.json"), "--data", str(path), "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                outputs.append({name: (out / name).read_bytes() for name in names})
+                if cell == "1_0":
+                    assert calls == expected[cpus]
+            assert outputs[0] == outputs[1]
+            assert_no_child_left()
+
+    def test_killed_read_worker_in_train_exits_3_as_no_training_error(
+        self, monkeypatch, pools, capsys, pooled_data, tmp_path
+    ):
+        """A child that dies while train reads its file in parts exits 3 as
+        a lost worker, not as a training error, and leaves no output."""
+        original, test_pid = data.NumericCsv.dataset, os.getpid()
+
+        def dataset(self, part=None):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(self, part)
+
+        monkeypatch.setattr(data.NumericCsv, "dataset", dataset)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(pooled_data), "--schema", str(pooled_data.parent / "schema.json")]
+        assert main([*argv, "--out", str(out)]) == EXIT_TRAINING
+        assert capsys.readouterr().err == "error: a worker process ended abruptly, as when killed for lack of memory\n"
+        assert pools == [2]
+        assert_no_child_left()
+        assert not out.exists()
+
+
+class TestPooledWrite:
+    """_write_columns writes a table of float arrays with at least
+    cli._FORK_CELLS cells as one contiguous range of rows per process."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cpus=st.integers(min_value=2, max_value=3),
+        n_columns=st.integers(min_value=1, max_value=4),
+        groups=st.integers(min_value=0, max_value=2),
+        offset=st.integers(min_value=-3, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_pooled_write_gives_the_serial_bytes(self, tmp_path_factory, cpus, n_columns, groups, offset, seed):
+        """Row counts around whole row groups per process put the range cuts
+        on, and a few rows off, the writer's 256-row groups; the pooled
+        bytes are those of one process, and only the output file is left."""
+        n_rows = max(0, cpus * cli._WRITE_ROWS * groups + offset)
+        rng = np.random.default_rng(seed)
+        special = np.array([-0.0, 1e-7, 1e22, 5e-324, 0.1 + 0.2, -1.5])
+        columns = {
+            f"c{j}": np.where(rng.random(n_rows) < 0.5, np.resize(special, n_rows), rng.standard_normal(n_rows))
+            for j in range(n_columns)
+        }
+        directory = tmp_path_factory.mktemp("pooled-write")
+        written, forked = [], []
+        started = parallel._forked
+
+        def counting(task, n_tasks, processes):
+            forked.append(processes)
+            return started(task, n_tasks, processes)
+
+        for count in (1, cpus):
+            with (
+                mock.patch.object(cli, "_FORK_CELLS", 1),
+                mock.patch.object(parallel, "usable_cpus", lambda: count),
+                mock.patch.object(parallel, "_forked", counting),
+            ):
+                _write_columns(directory / "table.csv", columns)
+            written.append((directory / "table.csv").read_bytes())
+        assert written[0] == written[1]
+        assert forked == ([min(n_rows, cpus)] if n_rows >= 2 else [])
+        assert os.listdir(directory) == ["table.csv"]
+        assert_no_child_left()
+
+    def test_killed_writer_exits_3_and_leaves_no_file(self, monkeypatch, pools, capsys, tmp_path):
+        """A child killed after writing the first row group of its range, as
+        the out-of-memory killer would kill it, makes synth exit 3 with one
+        line of message; it leaves neither data.csv nor a temporary file."""
+        original, test_pid = cli._csv_rows, os.getpid()
+
+        def rows(columns):
+            for group, text in enumerate(original(columns)):
+                if group == 1 and os.getpid() != test_pid:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield text
+
+        monkeypatch.setattr(cli, "_csv_rows", rows)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "synth"
+        assert main(["synth", "--n", "5000", "--d", "8", "--out", str(out)]) == EXIT_TRAINING
+        assert capsys.readouterr().err == "error: a worker process ended abruptly, as when killed for lack of memory\n"
+        assert pools == [2]
+        assert_no_child_left()
+        assert os.listdir(out) == []
 
 
 @pytest.mark.skipif(not parallel._openblas(), reason="numpy's BLAS is not a known OpenBLAS")
