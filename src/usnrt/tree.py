@@ -32,7 +32,7 @@ from .nn_core import (
     train_nll_fixed_mean,
     validation_split,
 )
-from .parallel import fork_map
+from .parallel import fork_map, pool_size
 from .stats import DegenerateVarianceError, levene_statistic, levene_statistics_at_cuts, levene_test
 
 __all__ = [
@@ -62,6 +62,17 @@ _ROLE_SIGMA = 2
 
 _MAX_CANDIDATES_PER_FEATURE = 256
 _SCREEN_RTOL = 1e-6  # relative error allowed in a screened |T|; the largest measured is 1.4e-7
+# A split scan of at least this many cells (rows x features) screens its
+# features in fork_map's processes when a pool can run. On 2 CPUs at one BLAS
+# thread, in medians of 21 interleaved pairs, a 2,400 x 2 scan took 3.5 ms in
+# one process and 8.2 ms in two (the fork and its results), 5,000 x 8 took
+# 17.2 and 15.0 ms, 10,000 x 8 21.0 and 16.6 ms, 12,000 x 8 30.5 and 21.7 ms,
+# and 8,000 x 16 at stride 16 70.6 and 42.7 ms. While the second CPU was busy
+# with other work, the pooled scans of 40,000 to 96,000 cells were 3 to 4 ms
+# slower instead. A gain that small does not show in a train: at 80,000 cells
+# (perfbench's fit-hetero-d8 root) 8 paired runs read -0.1% on train_s, so
+# the floor sits above it.
+_FORK_SCAN_CELLS = 100_000
 
 
 class TreeBuildError(TrainingError):
@@ -244,37 +255,56 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     returned with it; None if no candidate is feasible.
 
     All cuts of a feature are screened in one array pass
-    (levene_statistics_at_cuts); cuts are then re-scored exactly, in falling
-    screened order, until no later one can win.
+    (levene_statistics_at_cuts); cuts are then re-scored exactly, feature by
+    feature and in falling screened order, until no later one can win. A
+    scan of at least _FORK_SCAN_CELLS rows x features screens its features
+    as fork_map tasks, where a pool can run; only each feature's cuts and
+    screened |T| come back, and this process re-scores them as a serial scan
+    does, sorting a feature again when it re-scores one of its cuts. So the
+    same cuts are re-scored in the same order on any CPU count.
 
     When called standalone (cfg.n_min is None), n_min resolves against the
     rows given here.
     """
     X, residuals = check_rows(X, residuals=residuals)
-    n = X.shape[0]
+    n, d = X.shape
     n_min = resolve_n_min(cfg, n)
     stride = cfg.split_stride or max(1, math.ceil(n / _MAX_CANDIDATES_PER_FEATURE))
     sizes = np.arange(1, n + 1, stride)
     sizes = sizes[(sizes >= n_min) & (sizes <= n - n_min)]
+    if not sizes.size:
+        return None
 
-    best, best_key = None, (-1.0,)
-    for k in range(X.shape[1]):
+    def screen(k: int):
+        """(order, cuts, screened) of feature k: its stable sort order, its
+        feasible cuts and their screened |T|, a NaN screen (pooled variance
+        not positive) as inf so that it is re-scored first."""
         order = np.argsort(X[:, k], kind="stable")
         values = X[order, k]
-        ordered_residuals = residuals[order]
         cuts = sizes[values[sizes] != values[sizes - 1]]  # no cut between duplicate values
-        # A NaN screen (pooled variance not positive) is re-scored first.
-        screened = np.nan_to_num(levene_statistics_at_cuts(ordered_residuals, cuts), nan=np.inf)
+        return order, cuts, np.nan_to_num(levene_statistics_at_cuts(residuals[order], cuts), nan=np.inf)
+
+    if n * d >= _FORK_SCAN_CELLS and pool_size(d) > 1:
+        screens = fork_map(lambda k: (None, *screen(k)[1:]), d)
+    else:
+        screens = map(screen, range(d))  # one feature's order held at a time
+    best, best_key = None, (-1.0,)
+    for k, (order, cuts, screened) in enumerate(screens):
+        ordered_residuals = None
         for c in np.argsort(-screened, kind="stable"):
             if screened[c] < (1.0 - _SCREEN_RTOL) * best_key[0]:
                 break
+            if ordered_residuals is None:
+                if order is None:  # a pooled screen sends no sort order back
+                    order = np.argsort(X[:, k], kind="stable")
+                ordered_residuals = residuals[order]
             left, right = ordered_residuals[: cuts[c]], ordered_residuals[cuts[c] :]
             try:
                 key = (abs(levene_statistic(left, right)), -k, -cuts[c])
             except DegenerateVarianceError:
                 continue
             if key > best_key:
-                best_key, best = key, (k, float(values[cuts[c] - 1]), left, right)
+                best_key, best = key, (k, float(X[order[cuts[c] - 1], k]), left, right)
     if best is None:
         return None
     k, threshold, left, right = best

@@ -640,6 +640,36 @@ class TestPooledReadBack:
         assert not out.exists()
 
 
+class TestPooledScan:
+    """train's root scan screens its features as fork_map tasks where a pool
+    can run and the scan passes tree._FORK_SCAN_CELLS."""
+
+    def test_killed_screen_worker_exits_3_and_writes_no_model(
+        self, monkeypatch, pools, capsys, synth_dir, fast_config, tmp_path
+    ):
+        """A child killed while it screens a feature, as the out-of-memory
+        killer would kill it, is a training error: train exits 3 with one
+        line of message and writes no model file."""
+        screen, test_pid = tree.levene_statistics_at_cuts, os.getpid()
+
+        def killing_screen(ordered_residuals, sizes):
+            if os.getpid() != test_pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return screen(ordered_residuals, sizes)
+
+        monkeypatch.setattr(tree, "levene_statistics_at_cuts", killing_screen)
+        monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
+        set_cpus(monkeypatch, 2)
+        out = tmp_path / "out"
+        argv = ["train", "--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
+        assert main([*argv, "--config", str(fast_config), "--out", str(out)]) == EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert err == "training error: a worker process ended abruptly, as when killed for lack of memory\n"
+        assert pools == [2]
+        assert_no_child_left()
+        assert not (out / "model.json").exists()
+
+
 class TestPooledWrite:
     """_write_columns writes a table of float arrays with at least
     cli._FORK_CELLS cells as one contiguous range of rows per process."""

@@ -55,12 +55,15 @@ def single_leaf_tree():
 
 @pytest.mark.parametrize(
     "train, pools_at_2_cpus",
-    [(deep_tree, [2]), (ensemble, [2]), (single_leaf_tree, [])],
+    [(deep_tree, [2, 2]), (ensemble, [2]), (single_leaf_tree, [])],
     ids=["usnrt-depth-2", "ensemble", "single-leaf"],
 )
 def test_same_model_and_log_for_1_and_2_cpus(monkeypatch, pools, train, pools_at_2_cpus):
     """Only the 2-CPU build forks: one pool of 2 workers for the root's
-    subtrees or for the members; workers grow deeper subtrees serially."""
+    feature screens (with the scan's size floor lifted), then one for the
+    root's subtrees, or one for the members; workers scan and grow deeper
+    subtrees serially."""
+    monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
     models = []
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
@@ -272,6 +275,34 @@ def test_dead_worker_is_a_training_error(monkeypatch, pools):
         parallel.fork_map(kill_task_1, 3)
     assert issubclass(parallel.WorkerLost, TrainingError)
     assert pools == [2]
+    assert_no_child_left()
+
+
+def test_killed_screen_task_is_a_worker_lost(monkeypatch, pools):
+    """A child killed while it screens a feature of the root's scan, as the
+    out-of-memory killer would kill it, makes tree.build raise WorkerLost
+    once every child has been reaped; no subtree has started."""
+    screen, split_nets = tree.levene_statistics_at_cuts, []
+    train_split_net = tree._train_split_net
+
+    def killing_screen(ordered_residuals, sizes):
+        if os.getpid() != TEST_PID:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return screen(ordered_residuals, sizes)
+
+    def counting(X, y, cfg, hidden, path):
+        split_nets.append(path)
+        return train_split_net(X, y, cfg, hidden, path)
+
+    monkeypatch.setattr(tree, "levene_statistics_at_cuts", killing_screen)
+    monkeypatch.setattr(tree, "_train_split_net", counting)
+    monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
+    set_cpus(monkeypatch, 2)
+    X, y = two_level_data()
+    with pytest.raises(parallel.WorkerLost, match="^a worker process ended abruptly"):
+        tree.build(X, y, small_tree_cfg())
+    assert pools == [2]
+    assert split_nets == [()]
     assert_no_child_left()
 
 

@@ -2,13 +2,17 @@
 
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from usnrt.data import SynthSpec, generate_synthetic
 from usnrt.metrics import coverage, sharpness, tce
 from usnrt.model_io import ModelFormatError, load_model, save_model
+from usnrt import parallel
 from usnrt import tree as tree_module
 from usnrt.nn_core import (
     SIGMA_FLOOR,
@@ -36,7 +40,7 @@ from usnrt.tree import (
     root_split_scatter,
 )
 
-from conftest import fast_train_cfg, feature_matrix
+from conftest import assert_no_child_left, fast_train_cfg, feature_matrix, set_cpus
 
 
 def small_cfg(seed=0, **kwargs):
@@ -139,6 +143,28 @@ def cut_p_values(X, residuals, n_min):
                 yield levene_test(res[: i + 1], res[i + 1 :]).p_value
             except DegenerateVarianceError:
                 continue
+
+
+@pytest.fixture
+def pooled_scan(monkeypatch, pools):
+    """Every scan screens its features as fork_map tasks on 2 CPUs, however
+    small it is; the test must fork, and no child may outlive it."""
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(tree_module, "_FORK_SCAN_CELLS", 0)
+    yield
+    assert pools and set(pools) == {2}
+    assert_no_child_left()
+
+
+def scan_columns(kinds, n, rng):
+    """An (n, len(kinds)) matrix: a "uniform" column, one of "runs" of
+    duplicate values, or a "one-hot" column of zeros and ones."""
+    make = {
+        "uniform": lambda: rng.uniform(-1, 1, n),
+        "runs": lambda: np.round(rng.uniform(-1, 1, n), 1),
+        "one-hot": lambda: (rng.uniform(size=n) < 0.5).astype(float),
+    }
+    return np.column_stack([make[kind]() for kind in kinds])
 
 
 class TestFindBestSplit:
@@ -263,6 +289,76 @@ class TestFindBestSplit:
 
         monkeypatch.setattr(tree_module, "levene_statistics_at_cuts", misleading_screen)
         assert find_best_split(X, residuals, cfg) == expected
+
+    @pytest.mark.parametrize("stride", [1, 16])
+    def test_same_split_as_the_loop_reference_pooled(self, pooled_scan, stride):
+        self.test_same_split_as_the_loop_reference(stride)
+
+    def test_degenerate_cut_is_never_chosen_pooled(self, pooled_scan, monkeypatch):
+        """The misleading screen runs in the children too: they inherit the
+        patched module by the fork."""
+        self.test_degenerate_cut_is_never_chosen(monkeypatch)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(min_value=4, max_value=160),
+        kinds=st.lists(st.sampled_from(["uniform", "runs", "one-hot"]), min_size=1, max_size=4),
+        stride=st.sampled_from([None, 1, 3, 16]),
+        n_min=st.integers(min_value=2, max_value=40),
+        constant=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_same_split_at_1_and_2_cpus(self, n, kinds, stride, n_min, constant, seed):
+        """With no size floor, a scan of 2 or more features with a feasible
+        cut forks one pool of 2 processes, and it chooses the candidate a
+        scan in one process chooses, None included. Constant residuals
+        degenerate every cut."""
+        rng = np.random.default_rng(seed)
+        X = scan_columns(kinds, n, rng)
+        residuals = np.full(n, 0.5) if constant else rng.standard_normal(n) * np.where(X[:, 0] > 0, 2.0, 1.0)
+        cfg = UsnrtConfig(n_min=n_min, split_stride=stride)
+        feasible = any(n_min <= size <= n - n_min for size in range(1, n + 1, stride or -(-n // 256)))
+        found, forked = [], []
+        started = parallel._forked
+
+        def counting(task, n_tasks, processes):
+            forked.append(processes)
+            return started(task, n_tasks, processes)
+
+        for cpus in (1, 2):
+            with (
+                mock.patch.object(tree_module, "_FORK_SCAN_CELLS", 0),
+                mock.patch.object(parallel, "usable_cpus", lambda: cpus),
+                mock.patch.object(parallel, "_forked", counting),
+            ):
+                found.append(find_best_split(X, residuals, cfg))
+        assert found[0] == found[1]
+        assert forked == ([2] if feasible and len(kinds) > 1 else [])
+        if constant or not feasible:
+            assert found[0] is None
+        assert_no_child_left()
+
+    def test_no_sort_and_no_screen_without_a_feasible_cut(self, monkeypatch):
+        """No cut leaves 20 rows on both sides of 30, and a zero-column X has
+        no feature: the scan returns None before it sorts or screens."""
+        calls = []
+        screen, argsort = tree_module.levene_statistics_at_cuts, np.argsort
+
+        def counting_screen(*args):
+            calls.append("screen")
+            return screen(*args)
+
+        def counting_sort(*args, **kwargs):
+            calls.append("sort")
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, "levene_statistics_at_cuts", counting_screen)
+        monkeypatch.setattr(np, "argsort", counting_sort)
+        rng = np.random.default_rng(0)
+        X, residuals = rng.uniform(-1, 1, (30, 4)), rng.standard_normal(30)
+        assert find_best_split(X, residuals, UsnrtConfig(n_min=20)) is None
+        assert find_best_split(X[:, :0], residuals, UsnrtConfig(n_min=5)) is None
+        assert calls == []
 
     def test_memory_is_linear_in_rows_at_stride_1(self):
         # About 20,000 cuts of one feature: one (cuts + 1) x cuts table would be
