@@ -124,47 +124,92 @@ def levene_statistics_at_cuts(ordered_residuals, left_sizes) -> np.ndarray:
 def _side_moments(e: np.ndarray, sizes: np.ndarray):
     """Sum of squared and of absolute deviations from the mean of e[:L],
     for each L in the ascending sizes."""
-    mean = np.cumsum(e)[sizes - 1] / sizes
-    squares = np.cumsum(e * e)[sizes - 1] - sizes * mean * mean
+    mean = _prefix_sums(e, sizes) / sizes
+    squares = _prefix_sums(e * e, sizes) - sizes * mean * mean
     above_sum, above_count = _sums_above(e, sizes, mean)
     return squares, 2.0 * (above_sum - above_count * mean)
 
 
+def _prefix_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """x[:L].sum() for each L in the ascending sizes: one sum per segment
+    between consecutive sizes, then a cumsum over the segments."""
+    starts = np.concatenate(([0], sizes[:-1]))
+    return np.add.reduceat(x[: sizes[-1]], starts, dtype=np.result_type(x, np.intp)).cumsum()
+
+
 # A dominance table is (cuts + 1) x cuts, so blocking the cuts bounds it
-# whatever the stride. Each block also re-reads its residuals; 128 cuts
-# balanced the two costs best at 2,000 to 8,000 rows.
+# whatever the stride. Each block also re-reads its residuals. In medians of
+# 11 interleaved serial scans, scan-wide-d16's root took 27.9, 19.9, 17.4,
+# 18.1 and 17.9 ms at 32, 64, 128, 256 and 512 cuts, and its children and
+# fit-hetero-d8's root within 4% from 128 cuts up. Larger blocks won
+# only where cuts are dense (stride 1 on 2,000 rows: 6.0 ms at 256 cuts
+# against 7.0) and lost where the table runs (on 90%-zero residuals 33.5
+# and 51.6 ms at 256 and 512 cuts against 21.1).
 _CUTS_PER_TABLE = 128
+# A block compares its band directly while the band holds at most this many
+# rows per cut: its two bool (cuts x rows) arrays then take no more memory
+# than the table. At 128 cuts the direct comparison cost less than the table
+# up to about 6 rows per cut.
+_DIRECT_ROWS_PER_CUT = 4
 
 
 def _sums_above(e: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray):
     """Sum and count of the entries of e[:sizes[c]] above thresholds[c], for
     every c, with no loop over single cuts.
 
-    Per block of cuts, one bincount tallies each entry e_j by its row (how
-    many of the block's thresholds are at or above it) and its segment (how
-    many of the block's cuts leave it on the right). After prefix cumsums
-    over rows and over segments, cell (threshold_row[c], c) holds the
-    sum over the entries left of cut c and above its threshold.
+    Per block of cuts, an entry above the block's highest threshold counts
+    for every cut that holds it, so one prefix sum gives those; an entry at
+    or below the lowest counts for none. Only the band of entries between
+    the two is compared with each cut's threshold: directly while it holds
+    at most _DIRECT_ROWS_PER_CUT entries per cut, else through
+    _dominance_table.
     """
     sums = np.empty(sizes.size)
     counts = np.empty(sizes.size)
     for start in range(0, sizes.size, _CUTS_PER_TABLE):
         block = slice(start, start + _CUTS_PER_TABLE)
         cut_sizes, cut_thresholds = sizes[block], thresholds[block]
-        q = cut_sizes.size
         head = e[: cut_sizes[-1]]
-        by_value = np.argsort(cut_thresholds, kind="stable")
-        rows = q - np.searchsorted(cut_thresholds[by_value], head, side="left")
-        segment = np.repeat(np.arange(q), np.diff(cut_sizes, prepend=0))
-        cell = rows * q + segment
-        threshold_row = np.empty(q, dtype=int)
-        threshold_row[by_value] = np.arange(q - 1, -1, -1)  # rows 0..threshold_row[c] lie above it
-        for out, weights in ((sums, head), (counts, None)):
-            table = np.bincount(cell, weights=weights, minlength=(q + 1) * q).reshape(q + 1, q)
-            table.cumsum(axis=0, out=table)
-            table.cumsum(axis=1, out=table)
-            out[block] = table[threshold_row, np.arange(q)]
+        above = head > cut_thresholds.max()
+        sums[block] = _prefix_sums(np.where(above, head, 0.0), cut_sizes)
+        counts[block] = _prefix_sums(above, cut_sizes)
+        band = np.flatnonzero((head > cut_thresholds.min()) & ~above)
+        values = head[band]
+        if band.size <= _DIRECT_ROWS_PER_CUT * cut_sizes.size:
+            inside = band < cut_sizes[:, None]
+            inside &= values > cut_thresholds[:, None]
+            band_sums, band_counts = np.einsum("cj,j->c", inside, values), np.count_nonzero(inside, axis=1)
+        else:
+            band_sums, band_counts = _dominance_table(values, band, cut_sizes, cut_thresholds)
+        sums[block] += band_sums
+        counts[block] += band_counts
     return sums, counts
+
+
+def _dominance_table(values, positions, cut_sizes, cut_thresholds):
+    """Sum and count of the values at positions below cut_sizes[c] and above
+    cut_thresholds[c], for every c of one block.
+
+    One bincount tallies each value by its row (how many thresholds are at
+    or above it) and its segment (how many cuts leave it on the right).
+    After prefix cumsums over rows and over segments, cell
+    (threshold_row[c], c) holds the sum over the values left of cut c and
+    above its threshold.
+    """
+    q = cut_sizes.size
+    by_value = np.argsort(cut_thresholds, kind="stable")
+    rows = q - np.searchsorted(cut_thresholds[by_value], values, side="left")
+    segment = np.searchsorted(cut_sizes, positions, side="right")
+    cell = rows * q + segment
+    threshold_row = np.empty(q, dtype=int)
+    threshold_row[by_value] = np.arange(q - 1, -1, -1)  # rows 0..threshold_row[c] lie above it
+    out = []
+    for weights in (values, None):
+        table = np.bincount(cell, weights=weights, minlength=(q + 1) * q).reshape(q + 1, q)
+        table.cumsum(axis=0, out=table)
+        table.cumsum(axis=1, out=table)
+        out.append(table[threshold_row, np.arange(q)])
+    return out
 
 
 def levene_test(e_left, e_right) -> LeveneResult:

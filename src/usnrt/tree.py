@@ -61,17 +61,21 @@ _ROLE_MEAN = 1
 _ROLE_SIGMA = 2
 
 _MAX_CANDIDATES_PER_FEATURE = 256
-_SCREEN_RTOL = 1e-6  # relative error allowed in a screened |T|; the largest measured is 1.4e-7
+# Relative error allowed in a screened |T|. The largest measured is 1.4e-7,
+# on residuals offset by 1e4 at scale 1e-3, where levene_statistic's own
+# group means round; centred, tied and two-point residuals stay below 3e-10.
+_SCREEN_RTOL = 1e-6
 # A split scan of at least this many cells (rows x features) screens its
 # features in fork_map's processes when a pool can run. On 2 CPUs at one BLAS
-# thread, in medians of 21 interleaved pairs, a 2,400 x 2 scan took 3.5 ms in
-# one process and 8.2 ms in two (the fork and its results), 5,000 x 8 took
-# 17.2 and 15.0 ms, 10,000 x 8 21.0 and 16.6 ms, 12,000 x 8 30.5 and 21.7 ms,
-# and 8,000 x 16 at stride 16 70.6 and 42.7 ms. While the second CPU was busy
-# with other work, the pooled scans of 40,000 to 96,000 cells were 3 to 4 ms
-# slower instead. A gain that small does not show in a train: at 80,000 cells
-# (perfbench's fit-hetero-d8 root) 8 paired runs read -0.1% on train_s, so
-# the floor sits above it.
+# thread, in medians of 21 interleaved pairs, a scan took in one process and
+# in two (the fork and its results): 2,400 x 2 0.9 and 5.4 ms, 5,000 x 8 9.7
+# and 18.0 ms, 10,000 x 8 (perfbench's fit-hetero-d8 root) 7.3 and 14.6 ms,
+# 12,000 x 8 12.3 and 21.2 ms, and 8,000 x 16 at stride 16 (scan-wide-d16's
+# root) 23.8 and 20.0 ms. Past the floor the default stride still loses:
+# 12,500 x 8 took 18.3 and 27.3 ms, 16,000 x 8 15.8 and 24.8 ms and
+# 10,000 x 16 25.9 and 33.4 ms, while 25,000 x 8 took 28.5 and 20.4 ms. A
+# cell count cannot tell those from scan-wide-d16's root, which has about
+# 1.5 times their cuts per feature, so the floor stays where it was.
 _FORK_SCAN_CELLS = 100_000
 
 
@@ -243,6 +247,18 @@ def _path_str(path: tuple[int, ...]) -> str:
     return "root" + "".join(".L" if step == 0 else ".R" for step in path)
 
 
+def _stable_order(column: np.ndarray) -> np.ndarray:
+    """The stable ascending order of column. Distinct values have exactly one
+    sorted order, which numpy's default argsort finds several times faster
+    than a stable sort; only when sorted neighbours are equal (rounded,
+    one-hot or +-0.0 values) does a stable sort fix the order of the ties."""
+    order = np.argsort(column)
+    values = column[order]
+    if np.any(values[1:] == values[:-1]):
+        order = np.argsort(column, kind="stable")
+    return order
+
+
 def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     """Scan every feature and threshold for the most significant variance split.
 
@@ -279,7 +295,7 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
         """(order, cuts, screened) of feature k: its stable sort order, its
         feasible cuts and their screened |T|, a NaN screen (pooled variance
         not positive) as inf so that it is re-scored first."""
-        order = np.argsort(X[:, k], kind="stable")
+        order = _stable_order(X[:, k])
         values = X[order, k]
         cuts = sizes[values[sizes] != values[sizes - 1]]  # no cut between duplicate values
         return order, cuts, np.nan_to_num(levene_statistics_at_cuts(residuals[order], cuts), nan=np.inf)
@@ -296,7 +312,7 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
                 break
             if ordered_residuals is None:
                 if order is None:  # a pooled screen sends no sort order back
-                    order = np.argsort(X[:, k], kind="stable")
+                    order = _stable_order(X[:, k])
                 ordered_residuals = residuals[order]
             left, right = ordered_residuals[: cuts[c]], ordered_residuals[cuts[c] :]
             try:
@@ -561,8 +577,8 @@ def root_split_scatter(model: UsnrtModel, X, y) -> RootSplitScatter | None:
     if companion is None:
         companion = 0 if k != 0 else min(1, X.shape[1] - 1)
 
-    ranks = np.argsort(np.argsort(squared, kind="stable"), kind="stable")
-    quantiles = (ranks + 0.5) / squared.size
+    quantiles = np.empty(squared.size)
+    quantiles[_stable_order(squared)] = (np.arange(squared.size) + 0.5) / squared.size  # by rank
     return RootSplitScatter(
         split_feature_index=k,
         companion_feature_index=companion,

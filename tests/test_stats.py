@@ -12,6 +12,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from usnrt import stats
 from usnrt.stats import (
     DegenerateVarianceError,
     levene_statistic,
@@ -193,6 +194,76 @@ class TestLeveneStatisticsAtCuts:
     def test_rejects_bad_input(self, residuals, sizes):
         with pytest.raises(ValueError):
             levene_statistics_at_cuts(residuals, sizes)
+
+
+def brute_sums_above(e, sizes, thresholds):
+    """Per cut, the sum and count of e[:L][e[:L] > m]."""
+    picked = [e[:size][e[:size] > m] for size, m in zip(sizes, thresholds)]
+    return np.array([p.sum() for p in picked]), np.array([p.size for p in picked])
+
+
+def residual_sample(kind, n, rng):
+    """n residuals: "normal", "tied" small integers, "quantized" (about 90%
+    exact zeros, the rest +-1) or "rounded" to one decimal."""
+    return {
+        "normal": lambda: rng.standard_normal(n),
+        "tied": lambda: rng.integers(-3, 4, n).astype(float),
+        "quantized": lambda: np.round(0.3 * rng.standard_normal(n)),
+        "rounded": lambda: np.round(rng.standard_normal(n), 1),
+    }[kind]()
+
+
+class TestSumsAbove:
+    def assert_matches_brute_force(self, e, sizes, thresholds):
+        sums, counts = stats._sums_above(e, sizes, thresholds)
+        expected_sums, expected_counts = brute_sums_above(e, sizes, thresholds)
+        assert np.array_equal(counts, expected_counts)
+        assert np.all(np.abs(sums - expected_sums) <= 1e-12 * np.abs(e).sum())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["normal", "tied", "quantized", "rounded"]),
+        n=st.integers(min_value=2, max_value=1500),
+        cut_share=st.floats(min_value=0.0, max_value=1.0),
+        thresholds_from=st.sampled_from(["entries", "prefix means", "uniform"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_brute_force(self, kind, n, cut_share, thresholds_from, seed):
+        """Thresholds taken from the entries test the strict comparison;
+        up to 1,500 cuts span up to 12 blocks of _CUTS_PER_TABLE."""
+        rng = np.random.default_rng(seed)
+        e = residual_sample(kind, n, rng)
+        sizes = np.flatnonzero(rng.uniform(size=n) < cut_share) + 1
+        if not sizes.size:
+            sizes = np.array([n])
+        thresholds = {
+            "entries": lambda: e[rng.integers(0, n, sizes.size)],
+            "prefix means": lambda: np.cumsum(e)[sizes - 1] / sizes,
+            "uniform": lambda: rng.uniform(e.min() - 0.5, e.max() + 0.5, sizes.size),
+        }[thresholds_from]()
+        self.assert_matches_brute_force(e, sizes, thresholds)
+
+    @pytest.mark.parametrize("kind", ["tied", "quantized"])
+    def test_both_band_paths_across_blocks(self, kind, monkeypatch):
+        """Tied entries as thresholds fill each block's band with far more
+        rows than it has cuts, so the dominance table runs; distinct
+        residuals against their prefix means keep the band narrow, so the
+        direct comparison runs. Each case spans 5 blocks of cuts."""
+        tables = []
+        table = stats._dominance_table
+        monkeypatch.setattr(stats, "_dominance_table", lambda *args: tables.append(args) or table(*args))
+        rng = np.random.default_rng(11)
+        n = 4000
+        e = residual_sample(kind, n, rng)
+        sizes = np.arange(2, n - 1, 6)
+        assert sizes.size > 4 * stats._CUTS_PER_TABLE
+        self.assert_matches_brute_force(e, sizes, e[rng.integers(0, n, sizes.size)])
+        assert len(tables) == -(-sizes.size // stats._CUTS_PER_TABLE)
+
+        tables.clear()
+        e = rng.standard_normal(n)
+        self.assert_matches_brute_force(e, sizes, np.cumsum(e)[sizes - 1] / sizes)
+        assert not tables
 
 
 class TestStudentTCdf:

@@ -13,6 +13,7 @@ from usnrt.data import SynthSpec, generate_synthetic
 from usnrt.metrics import coverage, sharpness, tce
 from usnrt.model_io import ModelFormatError, load_model, save_model
 from usnrt import parallel
+from usnrt import stats as stats_module
 from usnrt import tree as tree_module
 from usnrt.nn_core import (
     SIGMA_FLOOR,
@@ -167,6 +168,24 @@ def scan_columns(kinds, n, rng):
     return np.column_stack([make[kind]() for kind in kinds])
 
 
+class TestStableOrder:
+    @pytest.mark.parametrize("n", [0, 1, 2, 17, 5000])
+    @pytest.mark.parametrize("kind", ["distinct", "rounded", "one-hot", "signed zeros"])
+    def test_is_the_stable_order(self, kind, n):
+        """The same permutation as a stable sort, ties in row order, where
+        -0.0 and 0.0 are ties too; the column is a strided view, as in the
+        scan."""
+        rng = np.random.default_rng(29)
+        column = {
+            "distinct": lambda: rng.uniform(-1, 1, n),
+            "rounded": lambda: np.round(rng.uniform(-1, 1, n), 1),
+            "one-hot": lambda: (rng.uniform(size=n) < 0.5).astype(float),
+            "signed zeros": lambda: rng.choice([-0.0, 0.0, 0.5, -1.0], n),
+        }[kind]()
+        X = np.column_stack([rng.uniform(size=n), column])
+        assert np.array_equal(tree_module._stable_order(X[:, 1]), np.argsort(column, kind="stable"))
+
+
 class TestFindBestSplit:
     def test_exhaustive_oracle_agreement(self):
         rng = np.random.default_rng(17)
@@ -261,6 +280,24 @@ class TestFindBestSplit:
             if stride == 1:
                 assert (found.feature_index, found.threshold, found.p_value) == brute_force_best(X, residuals, 100)
 
+    def test_same_split_as_the_loop_reference_on_quantized_residuals(self, monkeypatch, pooled=False):
+        """About 90% of the residuals are exact zeros and the rest +-1, so
+        the band between a block's lowest and highest mean holds most rows
+        and the dominance table runs, which the serial scan checks; stride 4
+        gives each feature about 450 cuts, 4 blocks."""
+        tables = []
+        table = stats_module._dominance_table
+        monkeypatch.setattr(stats_module, "_dominance_table", lambda *args: tables.append(args) or table(*args))
+        rng = np.random.default_rng(31)
+        n = 2000
+        X = scan_columns(["uniform", "runs", "one-hot"], n, rng)
+        residuals = np.round(0.3 * rng.standard_normal(n) * np.where(X[:, 0] > 0.1, 1.6, 1.0))
+        assert np.mean(residuals == 0.0) > 0.8
+        cfg = UsnrtConfig(n_min=100, split_stride=4)
+        found = find_best_split(X, residuals, cfg)
+        assert found is not None and found == loop_best_split(X, residuals, cfg)
+        assert pooled or tables
+
     def test_degenerate_cut_is_never_chosen(self, monkeypatch):
         # Pairs (-1, 1), then pairs (-2, 2), in x order: the cut between the
         # halves has |e - m| constant on each side, so its test degenerates,
@@ -293,6 +330,9 @@ class TestFindBestSplit:
     @pytest.mark.parametrize("stride", [1, 16])
     def test_same_split_as_the_loop_reference_pooled(self, pooled_scan, stride):
         self.test_same_split_as_the_loop_reference(stride)
+
+    def test_same_split_as_the_loop_reference_on_quantized_residuals_pooled(self, pooled_scan, monkeypatch):
+        self.test_same_split_as_the_loop_reference_on_quantized_residuals(monkeypatch, pooled=True)
 
     def test_degenerate_cut_is_never_chosen_pooled(self, pooled_scan, monkeypatch):
         """The misleading screen runs in the children too: they inherit the
@@ -749,6 +789,8 @@ class TestRootSplitScatter:
         assert scatter.split_feature_index == model.root.feature_index
         assert scatter.split_values.shape == (X.shape[0],)
         assert np.all((scatter.residual_quantiles > 0) & (scatter.residual_quantiles < 1))
+        ranks = np.argsort(np.argsort(scatter.squared_residuals, kind="stable"), kind="stable")
+        assert np.array_equal(scatter.residual_quantiles, (ranks + 0.5) / X.shape[0])
         left = scatter.squared_residuals[scatter.split_values <= scatter.threshold]
         right = scatter.squared_residuals[scatter.split_values > scatter.threshold]
         ratio = max(left.mean(), right.mean()) / min(left.mean(), right.mean())
