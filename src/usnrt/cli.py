@@ -51,11 +51,6 @@ class _UsageError(Exception):
     pass
 
 
-class _LostWorker(Exception):
-    """A worker process that read or wrote a file and ended abruptly: exit
-    3, though no model was training."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit code 1 instead of argparse's default 2
         raise _UsageError(f"{self.prog}: {message}")
@@ -146,7 +141,7 @@ def _write_columns(path: Path, columns: dict) -> None:
                 part.writelines(rows)
 
         try:
-            _io_map(write_range, processes)
+            fork_map(write_range, processes)
             for name in temporary:
                 with open(name, encoding="utf-8", newline="") as part:
                     shutil.copyfileobj(part, fh)
@@ -265,42 +260,20 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-def _io_map(task, n_tasks: int) -> list:
-    """fork_map(task, n_tasks) for tasks that read or write a file: a lost
-    worker is a _LostWorker, since no model was training."""
-    try:
-        return fork_map(task, n_tasks)
-    except WorkerLost as exc:
-        raise _LostWorker(str(exc)) from exc
-
-
-# A file of at least this many bytes is read in parts by fork_map's
-# processes, this one among them, when a pool can run. Below it a fork stops
-# paying for evaluate: on 2 CPUs, a 516 KB file (8,700 rows, d 2, a usnrt
-# model) took 10.6 ms to evaluate in one process and 10.8 ms in two, though
-# predict, which also formats its rows, went from 17.7 to 13.8 ms; a 1.8 MB
-# training file (10,000 rows, d 8) loaded in 34-36 ms in two against 47-49 ms
-# in one. A smaller file is parsed whole in this process, as is any file
-# where no pool runs: one process streaming parts was 3-5% slower than one
-# whole-file parse (np.loadtxt reads a path in chunks and a byte stream line
-# by line).
-_FORK_BYTES = 1 << 19
-
-
 def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda result: result) -> list:
     """task(dataset) over the rows of the CSV at path, read against schema
-    as load_csv reads them, in order. A file that NumericCsv takes, of at
-    least _FORK_BYTES bytes, is cut into NumericCsv.parts, as many for each
-    of fork_map's processes, when it can run a pool: each part is one
-    fork_map task, which parses the part and runs task on it, so that a
-    process holds one part at a time and only pack(task's result), which
-    must pickle, comes back, one per part. Every other file is parsed whole
-    and task runs once; one that the one-pass parse refuses, in any part or
-    whole, goes straight to load_csv_blocks, which names the first fault in
-    its usual order. task may empty its dataset's columns once it is done
-    with them."""
+    as load_csv reads them, in order. A file that NumericCsv takes, of two
+    NumericCsv.parts(1) parts or more, is cut into NumericCsv.parts, as
+    many for each of fork_map's processes, when it can run a pool of at most
+    one process per such part: each part is one fork_map task, which parses
+    the part and runs task on it, so that a process holds one part at a
+    time and only pack(task's result), which must pickle, comes back, one
+    per part. Every other file is parsed whole and task runs once; one that
+    the one-pass parse refuses, in any part or whole, goes straight to
+    load_csv_blocks, which names the first fault in its usual order. task
+    may empty its dataset's columns once it is done with them."""
     plain = NumericCsv.scan(path, schema, require_label)
-    processes = pool_size(plain.n_rows) if plain is not None and plain.size >= _FORK_BYTES else 1
+    processes = pool_size(len(plain.parts(1))) if plain is not None else 1
     if processes > 1:
         parts = plain.parts(processes)
 
@@ -314,7 +287,7 @@ def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda resul
             except DataError:
                 return None
 
-        results = _io_map(part_task, len(parts))
+        results = fork_map(part_task, len(parts))
         if all(result is not None for result in results):
             return results
         plain = None
@@ -678,11 +651,11 @@ def main(argv=None) -> int:
     except (DataError, ModelFormatError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except WorkerLost as exc:  # a TrainingError, given one message in every command
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
     except TrainingError as exc:
         print(f"training error: {exc}", file=sys.stderr)
-        return EXIT_TRAINING
-    except _LostWorker as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ import csv
 import io
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -118,10 +119,16 @@ class Dataset:
 _BLOCK_ROWS = BLOCK_ROWS
 # Bytes that _plain_rows reads at a time.
 _SCAN_BYTES = 1 << 20
-# Row offsets that _plain_rows keeps at most (more only once they are
-# _BLOCK_ROWS rows apart): each time it would pass this, it keeps every
-# other offset and records one every twice as many rows.
-_MAX_STARTS = 1024
+# The most data bytes in one part of NumericCsv.parts. cli._read_csv reads
+# a file of two parts or more in parts, with at most one process per part.
+# Below that a fork stops paying for evaluate: on 2 CPUs, a 516 KB file
+# (8,700 rows, d 2, a usnrt model) took 10.6 ms to evaluate in one process
+# and 10.8 ms in two, though predict, which also formats its rows, went from
+# 17.7 to 13.8 ms; a 1.8 MB training file (10,000 rows, d 8) loaded in 34-36
+# ms in two against 47-49 ms in one. A file read in one process is parsed
+# whole: one process streaming parts was 3-5% slower than one whole-file
+# parse (np.loadtxt reads a path in chunks and a byte stream line by line).
+_PART_BYTES = 1 << 19
 
 
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
@@ -178,9 +185,9 @@ def load_csv_blocks(path, schema: Schema, require_label: bool = True) -> Dataset
 
 class NumericCsv:
     """A CSV file whose rows np.loadtxt reads as load_csv_blocks would,
-    found by scan: its data row count, the byte offset of every step-th
-    data row from the first, then the file's size, so that the whole file
-    or any part of it cut at those offsets can be parsed on its own.
+    found by scan: the byte offset of its first data row and its size, so
+    that the whole file, or any part of its data bytes cut by parts, can be
+    checked and parsed on its own.
 
     Both paths strip the str.isspace characters of a cell and parse the
     rest with CPython's own string-to-double conversion, so the numbers are
@@ -195,24 +202,23 @@ class NumericCsv:
     0.6 MiB.
     """
 
-    def __init__(
-        self, path: str, schema: Schema, header: list[str], optional: frozenset[str], n_rows: int, step: int, starts
-    ):
+    def __init__(self, path: str, schema: Schema, header: list[str], optional: frozenset[str], start: int, size: int):
         self.path = path
         self.schema = schema
         self.header = header
         self.optional = optional
-        self.n_rows = n_rows
-        self.step = step
-        self.starts = starts
+        self.start = start
+        self.size = size
 
     @classmethod
     def scan(cls, path, schema: Schema, require_label: bool = True) -> "NumericCsv | None":
         """The file at path, when it is a regular file (a pipe cannot be
         read twice), the schema has no categorical column, the file has a
         header that names each of its columns once and only schema columns,
-        and every schema column but an optional label, and _plain_rows
-        counts at least one data row; otherwise None."""
+        and every schema column but an optional label, and the header's line
+        ends in a line feed that some data byte follows and keeps the rules
+        of _plain_rows; otherwise None. Only the header line is read here:
+        each part checks its own bytes, and a part starts after that line."""
         if not os.path.isfile(path) or any(c.kind == "categorical" for c in schema.columns):
             return None
         blocks = _blocks(path)
@@ -225,54 +231,66 @@ class NumericCsv:
         optional = frozenset() if require_label else frozenset({schema.label_name})
         if header is None or len(set(header)) < len(header) or not names - optional <= set(header) <= names:
             return None
-        scanned = _plain_rows(path)
-        if scanned is None or not scanned[0]:
+        try:
+            with open(path, "rb") as fh:
+                start = _line_start(fh, 1)
+                fh.seek(0)
+                line = fh.read(start)
+                size = fh.seek(0, os.SEEK_END)
+        except OSError:
             return None
-        return cls(os.fspath(path), schema, header, optional, *scanned)
-
-    @property
-    def size(self) -> int:
-        """The file's size in bytes."""
-        return self.starts[-1]
+        if not line.endswith(b"\n") or _plain_rows(io.BytesIO(line)) is None or size == start:
+            return None
+        return cls(os.fspath(path), schema, header, optional, start, size)
 
     def parts(self, multiple: int) -> list[tuple[int, int]]:
-        """The data rows cut at recorded offsets into near-equal parts of at
-        most _BLOCK_ROWS rows, as (first, stop) indices into starts: as few
-        parts as that allows, rounded up to a multiple of multiple, but never
-        more parts than offsets."""
-        units = len(self.starts) - 1
-        count = multiple * -(-units // (multiple * (_BLOCK_ROWS // self.step)))
-        count = min(count, units)
-        cuts = [k * units // count for k in range(count + 1)]
+        """The data bytes cut into near-equal parts of at most _PART_BYTES,
+        as (begin, end) byte offsets: as few parts as that allows, rounded
+        up to a multiple of multiple."""
+        n_bytes = self.size - self.start
+        count = multiple * -(-n_bytes // (multiple * _PART_BYTES))
+        cuts = [self.start + k * n_bytes // count for k in range(count + 1)]
         return list(zip(cuts, cuts[1:]))
 
     def dataset(self, part: tuple[int, int] | None = None) -> Dataset | None:
         """The rows of one part (of every row when part is None) in one
         np.loadtxt call, or None when it does not read them as the block path
-        would: it raises or warns, gives another row count, or a column but
-        an optional label holds a value that is not finite. A part is read
-        from its own bytes alone."""
-        if part is None:
-            # max_rows sizes the array once; one row more shows a row the count missed.
-            source, n_rows = self.path, self.n_rows
-            options = {"skiprows": 1, "encoding": "utf-8-sig", "max_rows": n_rows + 1}
-        else:
-            first, stop = part
-            try:
-                with open(self.path, "rb") as fh:
-                    fh.seek(self.starts[first])
-                    source = io.BytesIO(fh.read(self.starts[stop] - self.starts[first]))
-            except OSError:
-                return None
-            n_rows, options = min(stop * self.step, self.n_rows) - first * self.step, {"encoding": "utf-8"}
+        would: _plain_rows declines their bytes, or the parse raises or
+        warns, gives another row count than _plain_rows, or a column but an
+        optional label holds a value that is not finite. A part's two cuts
+        are each moved on to the next line start, so that a line belongs to
+        the part that it starts in; the part is then read from its own bytes
+        alone, and one that no line starts in has no rows."""
+        try:
+            with open(self.path, "rb") as fh:
+                if part is None:
+                    fh.seek(self.start)
+                    source, n_rows = self.path, _plain_rows(fh)
+                else:
+                    begin, end = (_line_start(fh, cut) for cut in part)
+                    fh.seek(begin)
+                    source = io.BytesIO(fh.read(end - begin))
+                    n_rows = _plain_rows(source)
+                    source.seek(0)
+        except OSError:
+            return None
+        if n_rows is None:
+            return None
+        # max_rows sizes the array once; one row more shows a row the count missed.
+        options = (
+            {"skiprows": 1, "encoding": "utf-8-sig", "max_rows": n_rows + 1} if part is None else {"encoding": "utf-8"}
+        )
         header = self.header
         converters = {header.index(name): _optional_cell for name in self.optional & set(header)}
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                table = np.loadtxt(
-                    source, delimiter=",", comments=None, quotechar=None, ndmin=2, converters=converters, **options
-                )
+                if n_rows or part is None:
+                    table = np.loadtxt(
+                        source, delimiter=",", comments=None, quotechar=None, ndmin=2, converters=converters, **options
+                    )
+                else:
+                    table = np.empty((0, len(header)))
         except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None
         if caught or table.shape != (n_rows, len(header)):
@@ -295,48 +313,45 @@ def _optional_cell(cell: str) -> float:
         return math.nan
 
 
-def _plain_rows(path) -> tuple[int, int, list[int]] | None:
-    """(the number of lines after the first in the file at path, a step,
-    the byte offset of every step-th of those lines from the first, then the
-    file's size), read _SCAN_BYTES at a time; or None when csv and
-    np.loadtxt could split it differently: it holds a quote, or a carriage
-    return that is not followed by a line feed (csv ends a row there and
-    loadtxt may skip the blank line that follows), or a line longer than
-    csv's field limit, which csv rejects as a cell. The step is 1, doubled
-    while more than _MAX_STARTS offsets would be kept and it stays at most
-    _BLOCK_ROWS. A line is counted in bytes, at least its length in
-    characters. Only a chunk that holds a carriage return has its carriage
-    returns and CRLFs counted."""
+def _line_start(fh, offset: int) -> int:
+    """The first line start at or after offset, which is at least 1, in the
+    binary file fh: offset itself when the byte before it is a line feed.
+    The search gives up 2 bytes past csv's field limit, which shows a line
+    too long for csv: _plain_rows declines it in the part that it starts in
+    (or in the header line)."""
+    fh.seek(offset - 1)
+    fh.readline(min(csv.field_size_limit() + 2, sys.maxsize))
+    return fh.tell()
+
+
+def _plain_rows(stream) -> int | None:
+    """The number of lines in the binary stream from where it stands, the
+    first starting there, a last line without a line feed counted too,
+    read _SCAN_BYTES at a time; or None when csv and np.loadtxt could split
+    them differently: they hold a quote, or a carriage return that is not
+    followed by a line feed (csv ends a row there and loadtxt may skip the
+    blank line that follows), or a line longer than csv's field limit,
+    which csv rejects as a cell. A line is counted in bytes, at least its
+    length in characters. Only a chunk that holds a carriage return has its
+    carriage returns and CRLFs counted."""
     limit = csv.field_size_limit()
     lines = size = 0
-    last_end = -1  # file offset of the last line feed seen
-    step = 1
-    starts = []  # the offset after line feed 0 (the header's), step, 2 * step, ...
-    try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(_SCAN_BYTES):
-                if chunk.endswith(b"\r"):
-                    chunk += fh.read(1)  # a CRLF stays in one chunk
-                if b'"' in chunk or b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-                    return None
-                ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + size
-                if len(ends):
-                    if (np.diff(ends, prepend=last_end) > limit + 1).any():
-                        return None
-                    last_end = int(ends[-1])
-                    kept = ends[-lines % step :: step]
-                    while len(starts) + len(kept) > _MAX_STARTS and 2 * step <= _BLOCK_ROWS:
-                        starts, step = starts[::2], 2 * step
-                        kept = ends[-lines % step :: step]
-                    starts += (kept + 1).tolist()
-                lines += len(ends)
-                size += len(chunk)
-    except OSError:
-        return None
+    last_end = -1  # stream offset of the last line feed seen
+    while chunk := stream.read(_SCAN_BYTES):
+        if chunk.endswith(b"\r"):
+            chunk += stream.read(1)  # a CRLF stays in one chunk
+        if b'"' in chunk or b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+            return None
+        ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n")) + size
+        if len(ends):
+            if (np.diff(ends, prepend=last_end) > limit + 1).any():
+                return None
+            last_end = int(ends[-1])
+        lines += len(ends)
+        size += len(chunk)
     if size - last_end - 1 > limit:
         return None
-    n_rows = lines - (size == last_end + 1)
-    return n_rows, step, starts[: -(-n_rows // step)] + [size]
+    return lines + (size > last_end + 1)
 
 
 def _blocks(path):

@@ -31,7 +31,7 @@ from usnrt.cli import (
     run_benchmark,
 )
 from usnrt import baselines, cli, data, parallel, tree
-from usnrt.data import NumericCsv, Schema, fit_transform, generate_synthetic, load_csv
+from usnrt.data import NumericCsv, Schema, fit_transform, generate_synthetic, load_csv, load_csv_blocks
 from usnrt.metrics import MetricsReport
 from usnrt.model_io import ModelFormatError, decode_array, encode_array, encode_mlp, load_model
 from usnrt.nn_core import BLOCK_ROWS, Mlp, TrainConfig
@@ -403,8 +403,8 @@ def _faulty_read_back(monkeypatch, capsys, trained_dir, pooled_data, tmp_path, c
 
 
 class TestPooledReadBack:
-    """predict and evaluate read a plain numeric file of at least
-    cli._FORK_BYTES in parts, in fork_map's processes, where a pool can run."""
+    """predict and evaluate read a plain numeric file of more than
+    data._PART_BYTES in parts, in fork_map's processes, where a pool can run."""
 
     @pytest.mark.parametrize("kind", ["usnrt", "hnn", "ensemble"])
     def test_pooled_outputs_are_the_in_process_bytes(
@@ -490,12 +490,13 @@ class TestPooledReadBack:
     def test_parts_cut_off_the_4_row_grid_give_the_in_process_bytes(
         self, monkeypatch, pools, trained_dir, pooled_data, tmp_path
     ):
-        """With an offset kept for every row, the file is cut at rows 3,073,
-        6,146 and 9,219, none a multiple of 4; each part's last 4-row group
-        runs padded, and the outputs are still one process's bytes."""
-        monkeypatch.setattr("usnrt.data._MAX_STARTS", POOLED_ROWS + 1)
+        """With parts of at most 100,000 bytes, the file is cut into 8 parts
+        whose row counts are not all multiples of 4; each part's last 4-row
+        group runs padded, and the outputs are still one process's bytes."""
+        monkeypatch.setattr(data, "_PART_BYTES", 100_000)
         plain = NumericCsv.scan(pooled_data, Schema.from_file(pooled_data.parent / "schema.json"))
-        assert plain.step == 1 and plain.parts(2) == [(0, 3073), (3073, 6146), (6146, 9219), (9219, POOLED_ROWS)]
+        rows = [plain.dataset(part).n_rows for part in plain.parts(2)]
+        assert rows == [1536, 1538, 1537, 1536, 1537, 1537, 1536, 1536]
         outputs = []
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
@@ -509,6 +510,24 @@ class TestPooledReadBack:
         assert outputs[0] == outputs[1]
         assert pools == [2, 2]
         assert_no_child_left()
+
+    @pytest.mark.parametrize("header", ["x1,x2,y\r", '"x1",x2,y\n'], ids=["lone-return", "quote"])
+    def test_header_line_that_only_csv_splits_reads_as_the_block_reader(self, monkeypatch, pools, tmp_path, header):
+        """A file past the part size whose header ends in a lone CR, so that
+        its first line feed ends the first data row, or holds a quote, gives
+        load_csv_blocks's columns at 1 CPU and at 2. The cuts start after the
+        first line feed, so only scan's check of the header line keeps that
+        row: the file is declined there and read whole by the block reader."""
+        path = tmp_path / "d.csv"
+        path.write_text(header + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(200)))
+        schema = Schema.from_mapping({"x1": "continuous", "x2": "continuous", "y": "label"})
+        monkeypatch.setattr(data, "_PART_BYTES", 256)
+        expected = {name: values.tobytes() for name, values in load_csv_blocks(path, schema).columns.items()}
+        assert len(expected["y"]) == 200 * 8
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            assert {name: values.tobytes() for name, values in cli.load_csv(path, schema).columns.items()} == expected
+        assert pools == []
 
     def test_killed_worker_exits_3_and_is_no_training_error(
         self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path
@@ -537,7 +556,7 @@ class TestPooledReadBack:
     def test_train_benchmark_and_inspect_read_in_parts_give_the_in_process_bytes(
         self, monkeypatch, pools, trained_dir, pooled_data, tmp_path
     ):
-        """train, benchmark and inspect read a file past cli._FORK_BYTES in
+        """train, benchmark and inspect read a file past data._PART_BYTES in
         parts at 2 CPUs, each part's columns joined in order, and write the
         bytes of one process."""
         config = tmp_path / "tiny.json"
@@ -601,8 +620,8 @@ class TestPooledReadBack:
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         monkeypatch.setattr(data, "_blocks", counting_blocks)
         # The scan reads the header through _blocks; at 2 CPUs this process
-        # parses its two of the 4 parts; then the block reader reads the file.
-        expected = {1: ["blocks", "whole", "blocks"], 2: ["blocks", "part", "part", "blocks"]}
+        # parses its one of the 2 parts; then the block reader reads the file.
+        expected = {1: ["blocks", "whole", "blocks"], 2: ["blocks", "part", "blocks"]}
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
             outputs = []
@@ -648,8 +667,8 @@ class TestPooledScan:
         self, monkeypatch, pools, capsys, synth_dir, fast_config, tmp_path
     ):
         """A child killed while it screens a feature, as the out-of-memory
-        killer would kill it, is a training error: train exits 3 with one
-        line of message and writes no model file."""
+        killer would kill it, is a lost worker: train exits 3 with the one
+        line of message that a lost reader gives, and writes no model file."""
         screen, test_pid = tree.levene_statistics_at_cuts, os.getpid()
 
         def killing_screen(ordered_residuals, sizes):
@@ -664,7 +683,7 @@ class TestPooledScan:
         argv = ["train", "--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]
         assert main([*argv, "--config", str(fast_config), "--out", str(out)]) == EXIT_TRAINING
         err = capsys.readouterr().err
-        assert err == "training error: a worker process ended abruptly, as when killed for lack of memory\n"
+        assert err == "error: a worker process ended abruptly, as when killed for lack of memory\n"
         assert pools == [2]
         assert_no_child_left()
         assert not (out / "model.json").exists()

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import re
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from usnrt import data
@@ -343,6 +344,11 @@ _ODD_CELL = st.sampled_from(
 _ODD_LINE = st.sampled_from(["", "  ", "\t", "#1,2,3"])
 
 
+# (text, header) with CRLF and LF line ends and a last line without one: in
+# parts of one byte, a cut falls at every data byte of each.
+_EVERY_CUT = ("y,x1,x2\r\n-1,2.5,3\r\n4,5,6\n7e-3, 8 ,9", ["y", "x1", "x2"])
+
+
 @st.composite
 def _raw_csv(draw):
     """(text, header) of a CSV for SCHEMA, mostly plain rows of numbers; one
@@ -394,32 +400,50 @@ class TestLoadCsvOnePass:
         ],
         ids=["quote", "lone-return", "last-return", "long-line", "long-last-line"],
     )
-    def test_row_count_declines_what_csv_may_split_otherwise(self, tmp_path, text):
-        assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
+    def test_row_count_declines_what_csv_may_split_otherwise(self, text):
+        assert data._plain_rows(io.BytesIO(text.encode())) is None
 
-    def test_row_count_spans_chunks(self, tmp_path, monkeypatch):
-        """The row count, the step, and the byte offsets of every step-th
-        row then the file's size: the step doubles while more than 2 offsets
-        would be kept, but stays at most the 4 rows of a block here."""
+    def test_row_count_spans_chunks(self, monkeypatch):
+        """The lines of a stream from where it stands, read 3 bytes at a
+        time: counted from the header, and from the data row after it (as
+        NumericCsv.dataset counts the whole file), so that CRLF pairs fall
+        both inside the chunks and across their edges."""
         monkeypatch.setattr(data, "_SCAN_BYTES", 3)
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
-        monkeypatch.setattr(data, "_MAX_STARTS", 2)
-        for text, scanned in [
-            ("x1,x2,y\r\n1,2,3\r\n4,5,6", (2, 1, [9, 16, 21])),
-            ("x1,x2,y\n1,2,3\n", (1, 1, [8, 14])),
-            ("x1,x2,y\n", (0, 1, [8])),
-            ("x1,x2,y\n" + "4" * 131_072 + "\n", (1, 1, [8, 131_081])),  # as long as a csv cell may be
-            ("x1,x2,y\n" + "4" * 131_072, (1, 1, [8, 131_080])),
+        for text, n_rows in [
+            ("x1,x2,y\r\n1,2,3\r\n4,5,6", 2),
+            ("x1,x2,y\n1,2,3\n", 1),
+            ("x1,x2,y\n", 0),
+            ("x1,x2,y\n" + "4" * 131_072 + "\n", 1),  # as long as a csv cell may be
+            ("x1,x2,y\n" + "4" * 131_072, 1),
             # CRLF only, with pairs both inside 3-byte chunks and across their edges
-            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", (3, 2, [9, 26, 39])),
-            ("x1,x2,y\n1\n2\n3\n4\n5", (5, 4, [8, 16, 17])),
-            ("x1,x2,y\n" + "1\n" * 10, (10, 4, [8, 16, 24, 28])),
+            ("x1,x2,y\r\n1,2,3\r\n10,20,30\r\n100,200,300\r\n", 3),
+            ("x1,x2,y\r\n1\r\n22\r\n4\r\n", 3),
+            ("x1,x2,y\n1\n2\n3\n4\n5", 5),
+            ("x1,x2,y\n" + "1\n" * 10, 10),
         ]:
-            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) == scanned
-        assert data._plain_rows(write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,\r\r\n")) is None
+            stream = io.BytesIO(text.encode())
+            assert data._plain_rows(stream) == n_rows + 1
+            stream.seek(0)
+            stream.readline()
+            assert data._plain_rows(stream) == n_rows
+        assert data._plain_rows(io.BytesIO(b"x1,x2,y\n1,2,\r\r\n")) is None
         # a lone carriage return first met in a later chunk, inside it or at its end
         for text in ["x1,x2,y\n1,2,3\n4,\r5,6\n", "x1,x2,y\n1,2,3\n4,5\r6\n"]:
-            assert data._plain_rows(write_csv(tmp_path / "d.csv", text)) is None
+            assert data._plain_rows(io.BytesIO(text.encode())) is None
+
+    def test_field_limit_raised_to_the_largest_size_still_cuts(self, tmp_path, monkeypatch):
+        """csv.field_size_limit(sys.maxsize), a common setting, leaves the
+        header's check and the search for each cut's line start unbounded,
+        and overflows nothing."""
+        path = write_csv(tmp_path / "d.csv", "x1,x2,y\n" + "".join(f"{i},{i},{i}\n" for i in range(50)))
+        monkeypatch.setattr(data, "_PART_BYTES", 64)
+        previous = csv.field_size_limit(sys.maxsize)
+        try:
+            plain = data.NumericCsv.scan(path, SCHEMA)
+            blocks = [plain.dataset(part) for part in plain.parts(2)]
+        finally:
+            csv.field_size_limit(previous)
+        assert len(blocks) == 8 and np.concatenate([block.labels for block in blocks]).tolist() == list(range(50))
 
     def test_numeric_cells_of_a_categorical_column_stay_str(self, tmp_path):
         ds = load_csv(write_csv(tmp_path / "d.csv", "x1,color,y\n1,2,3\n4,5,6\n"), CAT_SCHEMA)
@@ -428,9 +452,10 @@ class TestLoadCsvOnePass:
 
     def test_row_count_that_misses_a_row_takes_the_block_path(self, tmp_path, monkeypatch):
         path = write_csv(tmp_path / "d.csv", "x1,x2,y\n1,2,3\n4,5,6\n")
-        monkeypatch.setattr(data, "_plain_rows", lambda path: (1, 1, [8, 20]))
-        assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
-        assert data.NumericCsv.scan(path, SCHEMA).dataset((0, 1)) is None
+        monkeypatch.setattr(data, "_plain_rows", lambda stream: 1)
+        plain = data.NumericCsv.scan(path, SCHEMA)
+        assert plain.dataset() is None
+        assert plain.parts(1) == [(8, 20)] and plain.dataset((8, 20)) is None
         assert load_csv(path, SCHEMA).labels.tolist() == [3.0, 6.0]
 
     def test_loadtxt_warning_takes_the_block_path_and_is_not_shown(self, tmp_path, monkeypatch):
@@ -445,7 +470,7 @@ class TestLoadCsvOnePass:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert data.NumericCsv.scan(path, SCHEMA).dataset() is None
-            assert data.NumericCsv.scan(path, SCHEMA).dataset((0, 1)) is None
+            assert data.NumericCsv.scan(path, SCHEMA).dataset((8, 14)) is None
             assert load_csv(path, SCHEMA).labels.tolist() == [3.0]
 
     @pytest.mark.parametrize(
@@ -527,24 +552,28 @@ class TestLoadCsvOnePass:
         raw=_raw_csv(),
         byte_order_mark=st.booleans(),
         require_label=st.booleans(),
-        block_rows=st.integers(min_value=1, max_value=3),
-        max_starts=st.integers(min_value=1, max_value=4),
+        part_bytes=st.integers(min_value=1, max_value=8),
         multiple=st.integers(min_value=1, max_value=3),
     )
+    # A cut at every data byte; at multiple 3 one part also has no bytes.
+    @example(raw=_EVERY_CUT, byte_order_mark=False, require_label=True, part_bytes=1, multiple=1)
+    @example(raw=_EVERY_CUT, byte_order_mark=True, require_label=False, part_bytes=1, multiple=3)
     def test_blocks_parse_as_the_whole_file(
-        self, tmp_path_factory, raw, byte_order_mark, require_label, block_rows, max_starts, multiple
+        self, tmp_path_factory, raw, byte_order_mark, require_label, part_bytes, multiple
     ):
-        """Each part, parsed from its own bytes, passes the one-pass checks
-        exactly when the whole file does, and the parts' columns are the
-        whole file's, bit for bit. The parts cover the rows in order, hold
-        near-equal numbers of recorded offsets and at most _BLOCK_ROWS rows
-        each, and come in a multiple of multiple, unless there are fewer
-        offsets than that. An optional label is left out per part, so a part
-        may keep one that the whole file leaves out."""
+        """Parts of a few bytes, whose cuts land anywhere: inside a CRLF
+        pair, mid-line, right after the header's line feed, in a last line
+        with no line feed. Each part, parsed from its own bytes, passes the
+        one-pass checks exactly when the whole file does, and the parts'
+        columns are the whole file's, bit for bit, so they hold every row
+        once, in order. The cuts cover the data bytes in near-equal ranges of
+        at most _PART_BYTES, in a multiple of multiple, as few as that
+        allows. An optional label is left out per part, so a part may keep
+        one that the whole file leaves out."""
         text, header = raw
         path = tmp_path_factory.mktemp("raw") / "d.csv"
         path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
-        with mock.patch.object(data, "_BLOCK_ROWS", block_rows), mock.patch.object(data, "_MAX_STARTS", max_starts):
+        with mock.patch.object(data, "_PART_BYTES", part_bytes):
             plain = data.NumericCsv.scan(path, SCHEMA, require_label)
             if plain is None:
                 return
@@ -552,14 +581,12 @@ class TestLoadCsvOnePass:
             parts = plain.parts(multiple)
             blocks = [plain.dataset(part) for part in parts]
         event("whole file taken" if whole is not None else "whole file declined")
-        step, units = plain.step, len(plain.starts) - 1
-        assert step <= block_rows and units == -(-plain.n_rows // step)
-        assert units <= max_starts or 2 * step > block_rows
-        assert [first for first, _ in parts] == [0] + [stop for _, stop in parts[:-1]] and parts[-1][1] == units
-        sizes = [stop - first for first, stop in parts]
-        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
-        assert max(min(stop * step, plain.n_rows) - first * step for first, stop in parts) <= block_rows
-        assert len(parts) % multiple == 0 or len(parts) == units
+        cuts = [begin for begin, _ in parts] + [parts[-1][1]]
+        assert [end for _, end in parts] == cuts[1:]
+        assert cuts[0] == plain.start and cuts[-1] == plain.size == path.stat().st_size
+        sizes = [end - begin for begin, end in parts]
+        assert max(sizes) <= part_bytes and max(sizes) - min(sizes) <= 1
+        assert len(parts) % multiple == 0 and len(parts) - multiple < -(-sum(sizes) // part_bytes) <= len(parts)
         assert (whole is None) == any(block is None for block in blocks)
         if whole is None:
             return
