@@ -260,10 +260,12 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda result: result) -> list:
+def _read_csv(path, schema: Schema, labelled: bool, task, pack=lambda result: result) -> list:
     """task(dataset) over the rows of the CSV at path, read against schema
-    as load_csv reads them, in order. A file that NumericCsv takes, of two
-    NumericCsv.parts(1) parts or more, is cut into NumericCsv.parts, as
+    as load_csv(path, schema, labelled) reads them, in order; when labelled
+    is False the one-pass parse leaves the label unparsed, so a dataset may
+    lack it though its cells are numbers. A file that NumericCsv takes, of
+    two NumericCsv.parts(1) parts or more, is cut into NumericCsv.parts, as
     many for each of fork_map's processes, when it can run a pool of at most
     one process per such part: each part is one fork_map task, which parses
     the part and runs task on it, so that a process holds one part at a
@@ -272,7 +274,7 @@ def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda resul
     the one-pass parse refuses, in any part or whole, goes straight to
     load_csv_blocks, which names the first fault in its usual order. task
     may empty its dataset's columns once it is done with them."""
-    plain = NumericCsv.scan(path, schema, require_label)
+    plain = NumericCsv.scan(path, schema, use_label=labelled)
     processes = pool_size(len(plain.parts(1))) if plain is not None else 1
     if processes > 1:
         parts = plain.parts(processes)
@@ -293,7 +295,7 @@ def _read_csv(path, schema: Schema, require_label: bool, task, pack=lambda resul
         plain = None
     dataset = plain.dataset() if plain is not None else None
     if dataset is None:
-        dataset = load_csv_blocks(path, schema, require_label)
+        dataset = load_csv_blocks(path, schema, labelled)
     return [task(dataset)]
 
 
@@ -310,15 +312,15 @@ def load_csv(path, schema: Schema) -> Dataset:
 def _read_back(args, model, task, pack=lambda result: result) -> list:
     """task(X, labels) over the rows of --data, encoded for model, read by
     _read_csv, with pack for each part's result; labels are None for
-    predict, which does not use them."""
-    require_label = args.command != "predict"
+    predict, which does not use them, nor parse them where it can help it."""
+    labelled = args.command != "predict"
 
     def encoded_task(dataset):
-        X, labels = _encoded(model, dataset, require_label)
+        X, labels = _encoded(model, dataset, labelled)
         dataset.columns.clear()  # the parsed table is not kept once it is encoded
         return task(X, labels)
 
-    return _read_csv(args.data, model.preprocess.schema, require_label, encoded_task, pack)
+    return _read_csv(args.data, model.preprocess.schema, labelled, encoded_task, pack)
 
 
 def _predict(model, X, source, denormalize: bool = True):

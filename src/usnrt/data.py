@@ -193,43 +193,50 @@ class NumericCsv:
     rest with CPython's own string-to-double conversion, so the numbers are
     bit-identical; a spelling that loadtxt does not take (1_0, non-ASCII
     digits) makes dataset return None, and load_csv_blocks reads the file.
-    An optional label is parsed by _optional_cell, as the block path
-    parses it, and left out unless every cell is finite, so a blank or NA
-    label never makes dataset return None.
+    The parse fills one record per row, a float64 field per column, so that
+    it still refuses a row with more or fewer cells than the header. A label
+    that the caller does not use (scan's use_label False) is a 2-character
+    text field instead, 8 bytes like the others: its cells are never
+    converted to numbers, whatever they hold (S8 would refuse a non-ASCII
+    cell). An optional label that is used is parsed by _optional_cell, as
+    the block path parses it, and left out unless every cell is finite, so
+    a blank or NA label never makes dataset return None.
 
     Not a dataclass: defined as one, it moved the peak RSS of a process that
     runs train, evaluate and predict (perfbench's fit-hetero-d8) up by about
     0.6 MiB.
     """
 
-    def __init__(self, path: str, schema: Schema, header: list[str], optional: frozenset[str], start: int, size: int):
+    def __init__(
+        self,
+        path: str,
+        schema: Schema,
+        header: list[str],
+        optional: frozenset[str],
+        unused: frozenset[str],
+        start: int,
+        size: int,
+    ):
         self.path = path
         self.schema = schema
         self.header = header
         self.optional = optional
+        self.unused = unused
         self.start = start
         self.size = size
 
     @classmethod
-    def scan(cls, path, schema: Schema, require_label: bool = True) -> "NumericCsv | None":
+    def scan(cls, path, schema: Schema, require_label: bool = True, use_label: bool = True) -> "NumericCsv | None":
         """The file at path, when it is a regular file (a pipe cannot be
         read twice), the schema has no categorical column, the file has a
         header that names each of its columns once and only schema columns,
         and every schema column but an optional label, and the header's line
         ends in a line feed that some data byte follows and keeps the rules
-        of _plain_rows; otherwise None. Only the header line is read here:
-        each part checks its own bytes, and a part starts after that line."""
+        of _plain_rows; otherwise None. Only the header line is read here,
+        once: each part checks its own bytes, and a part starts after that
+        line. With use_label False the label is optional and dataset never
+        parses or returns it."""
         if not os.path.isfile(path) or any(c.kind == "categorical" for c in schema.columns):
-            return None
-        blocks = _blocks(path)
-        try:
-            header = next(blocks)
-        except DataError:
-            return None
-        blocks.close()
-        names = {c.name for c in schema.columns}
-        optional = frozenset() if require_label else frozenset({schema.label_name})
-        if header is None or len(set(header)) < len(header) or not names - optional <= set(header) <= names:
             return None
         try:
             with open(path, "rb") as fh:
@@ -237,11 +244,21 @@ class NumericCsv:
                 fh.seek(0)
                 line = fh.read(start)
                 size = fh.seek(0, os.SEEK_END)
-        except OSError:
+            text = line.decode("utf-8-sig")
+        except (OSError, UnicodeDecodeError):
             return None
         if not line.endswith(b"\n") or _plain_rows(io.BytesIO(line)) is None or size == start:
             return None
-        return cls(os.fspath(path), schema, header, optional, start, size)
+        # With no quote and no lone carriage return, csv splits the line at
+        # its commas alone, and reads an empty line as no cells.
+        text = text.removesuffix("\n").removesuffix("\r")
+        header = text.split(",") if text else []
+        names = {c.name for c in schema.columns}
+        unused = frozenset() if use_label else frozenset({schema.label_name})
+        optional = frozenset() if require_label and use_label else frozenset({schema.label_name})
+        if len(set(header)) < len(header) or not names - optional <= set(header) <= names:
+            return None
+        return cls(os.fspath(path), schema, header, optional, unused, start, size)
 
     def parts(self, multiple: int) -> list[tuple[int, int]]:
         """The data bytes cut into near-equal parts of at most _PART_BYTES,
@@ -281,32 +298,41 @@ class NumericCsv:
             {"skiprows": 1, "encoding": "utf-8-sig", "max_rows": n_rows + 1} if part is None else {"encoding": "utf-8"}
         )
         header = self.header
-        converters = {header.index(name): _optional_cell for name in self.optional & set(header)}
+        # Fields by position: a header name need not be a valid field name.
+        record = np.dtype([(f"f{i}", "U2" if name in self.unused else "f8") for i, name in enumerate(header)])
+        converters = {header.index(name): _optional_cell for name in (self.optional - self.unused) & set(header)}
         try:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 if n_rows or part is None:
                     table = np.loadtxt(
-                        source, delimiter=",", comments=None, quotechar=None, ndmin=2, converters=converters, **options
+                        source,
+                        dtype=record,
+                        delimiter=",",
+                        comments=None,
+                        quotechar=None,
+                        ndmin=1,
+                        converters=converters,
+                        **options,
                     )
                 else:
-                    table = np.empty((0, len(header)))
+                    table = np.empty(0, record)
         except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
             return None
-        if caught or table.shape != (n_rows, len(header)):
+        if caught or table.shape != (n_rows,):
             return None
-        finite = dict(zip(header, np.isfinite(table).all(axis=0)))
+        columns = {name: table[f"f{i}"] for i, name in enumerate(header) if name not in self.unused}
+        finite = {name: np.isfinite(values).all() for name, values in columns.items()}
         if not all(ok or name in self.optional for name, ok in finite.items()):
             return None
-        return Dataset(
-            self.schema,
-            {c.name: table[:, header.index(c.name)] for c in self.schema.columns if finite.get(c.name, False)},
-        )
+        return Dataset(self.schema, {c.name: columns[c.name] for c in self.schema.columns if finite.get(c.name, False)})
 
 
 def _optional_cell(cell: str) -> float:
     """An optional label cell as _ColumnReader parses it: float() of the
-    stripped cell, NaN when that fails, so that the label is left out."""
+    stripped cell, NaN when that fails, so that the label is left out. Only
+    library callers (load_csv with require_label False) parse an optional
+    label; the CLI's predict leaves it unused."""
     try:
         return float(cell.strip())
     except ValueError:

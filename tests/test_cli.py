@@ -228,23 +228,38 @@ class TestPredict:
         sigma = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(sigma > 0)
 
-    @pytest.mark.parametrize("label", ["", "NA"])
-    def test_label_column_is_not_read(self, trained_dir, synth_dir, tmp_path, label):
-        """Label cells that are blank or not a number change nothing: the
-        predictions are those of the same rows without the label column."""
+    @pytest.mark.parametrize(
+        "label",
+        ["", "NA", "1e400", " € ", "123456789012345678", None],
+        ids=["", "NA", "1e400", "non-ascii", "18-digit", "number"],
+    )
+    def test_label_column_is_not_read(self, monkeypatch, pools, trained_dir, synth_dir, tmp_path, label):
+        """Label cells that are blank, not a number, not finite, not ASCII,
+        longer than the unused field, or the file's own numbers change
+        nothing: the predictions are the bytes of the same rows without the
+        label column, read whole at 1 CPU and in 2 processes at 2. No label
+        cell is converted, and no file goes to the block reader."""
         rows = list(csv.reader((synth_dir / "data.csv").read_text().splitlines()))
         files = {
             "unlabelled": [row[:-1] for row in rows],
-            "odd_label": [rows[0], *([*row[:-1], label] for row in rows[1:])],
+            "labelled": [rows[0], *([*row[:-1], row[-1] if label is None else label] for row in rows[1:])],
         }
-        outputs = []
-        for name, table in files.items():
-            data = tmp_path / f"{name}.csv"
-            data.write_text("".join(",".join(row) + "\n" for row in table))
-            argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", str(data)]
-            assert main([*argv, "--out", str(tmp_path / name)]) == EXIT_OK
-            outputs.append((tmp_path / name / "predictions.csv").read_bytes())
-        assert rows[0][-1] == "y" and outputs[0] == outputs[1]
+        monkeypatch.setattr(data, "_PART_BYTES", 16_000)
+        monkeypatch.setattr(data, "_optional_cell", mock.Mock(side_effect=AssertionError("label cell converted")))
+        monkeypatch.setattr(data._ColumnReader, "add", mock.Mock(side_effect=AssertionError("block reader")))
+        outputs = set()
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            for name, table in files.items():
+                path = tmp_path / f"{name}.csv"
+                path.write_text("".join(",".join(row) + "\n" for row in table), encoding="utf-8")
+                out = tmp_path / f"{name}-{cpus}"
+                argv = ["predict", "--model", str(trained_dir / "model.json"), "--data", str(path), "--out", str(out)]
+                assert main(argv) == EXIT_OK
+                outputs.add((out / "predictions.csv").read_bytes())
+            assert_no_child_left()
+        assert rows[0][-1] == "y" and len(outputs) == 1
+        assert pools == [2, 2]
 
     def test_write_holds_one_block_of_an_array_column(self, monkeypatch, tmp_path):
         """A 200,000-row table of two float columns is converted to Python
@@ -375,6 +390,8 @@ def _faulty_read_back(monkeypatch, capsys, trained_dir, pooled_data, tmp_path, c
     cells = lines[row].split(",")
     if fault == "short-row":
         cells.pop()
+    elif fault == "long-row":
+        cells.append("0.5")
     else:
         index, value = {
             "nan-feature": (1, "nan"),
@@ -441,6 +458,7 @@ class TestPooledReadBack:
         [
             ("predict", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
             ("predict", "short-row", "{data}: row {row} has 2 cells, header has 3"),
+            ("predict", "long-row", "{data}: row {row} has 4 cells, header has 3"),
             ("predict", "huge-feature", "column 'x1': a value is not finite once normalised"),
             ("evaluate", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
             ("evaluate", "short-row", "{data}: row {row} has 2 cells, header has 3"),
@@ -451,6 +469,7 @@ class TestPooledReadBack:
         ids=[
             "predict-nan-feature",
             "predict-short-row",
+            "predict-long-row",
             "predict-huge-feature",
             "evaluate-nan-feature",
             "evaluate-short-row",
@@ -474,10 +493,18 @@ class TestPooledReadBack:
         "command, fault, message",
         [
             ("predict", "nan-feature", "{data}: row {row}, column 'x2': non-finite value 'nan'"),
+            ("predict", "short-row", "{data}: row {row} has 2 cells, header has 3"),
+            ("predict", "long-row", "{data}: row {row} has 4 cells, header has 3"),
             ("evaluate", "short-row", "{data}: row {row} has 2 cells, header has 3"),
             ("evaluate", "blank-label", "{data}: row {row}, column 'y': missing value"),
         ],
-        ids=["predict-nan-feature", "evaluate-short-row", "evaluate-blank-label"],
+        ids=[
+            "predict-nan-feature",
+            "predict-short-row",
+            "predict-long-row",
+            "evaluate-short-row",
+            "evaluate-blank-label",
+        ],
     )
     def test_fault_in_the_first_part_reads_as_in_process(
         self, monkeypatch, pools, capsys, trained_dir, pooled_data, tmp_path, command, fault, message
@@ -619,9 +646,10 @@ class TestPooledReadBack:
 
         monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
         monkeypatch.setattr(data, "_blocks", counting_blocks)
-        # The scan reads the header through _blocks; at 2 CPUs this process
-        # parses its one of the 2 parts; then the block reader reads the file.
-        expected = {1: ["blocks", "whole", "blocks"], 2: ["blocks", "part", "blocks"]}
+        # The scan reads the header as bytes, not through _blocks; at 2 CPUs
+        # this process parses its one of the 2 parts; then the block reader
+        # reads the file.
+        expected = {1: ["whole", "blocks"], 2: ["part", "blocks"]}
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
             outputs = []

@@ -486,6 +486,59 @@ class TestLoadCsvOnePass:
         assert (None if ds.labels is None else ds.labels.tolist()) == labels
         assert {name: values.tolist() for name, values in ds.columns.items()} == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        line=st.lists(st.text(alphabet=' ,abc\t\x1c\x85é"\r', max_size=3), min_size=2, max_size=4).map(",".join),
+        end=st.sampled_from(["\n", "\r\n"]),
+        byte_order_mark=st.booleans(),
+    )
+    def test_scan_reads_the_header_as_csv_does(self, tmp_path_factory, line, end, byte_order_mark):
+        """scan splits the header line's bytes itself; where it takes the
+        file, its names are csv's."""
+        path = tmp_path_factory.mktemp("header") / "d.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + (line + end + "1\n").encode("utf-8"))
+        names = next(data._blocks(path))
+        if len(names) < 2 or len(set(names)) < len(names):
+            return
+        schema = Schema.from_mapping({**{name: "continuous" for name in names[:-1]}, names[-1]: "label"})
+        plain = data.NumericCsv.scan(path, schema)
+        event("taken" if plain is not None else "declined")
+        assert plain is None or plain.header == names
+
+    @pytest.mark.parametrize("cell", ["7.5", "", "NA"], ids=["finite", "blank", "na"])
+    def test_optional_label_of_the_library_is_still_parsed(self, tmp_path, cell):
+        """load_csv(require_label=False), through which perfbench's worker
+        reads its held-out labels, returns the label column when every cell
+        is finite and None when one is blank or NA. Only a scan with
+        use_label False, as the CLI's predict asks for, leaves it out."""
+        path = write_csv(tmp_path / "d.csv", f"x1,x2,y\n1,2,3\n4,5,{cell}\n")
+        labels = load_csv(path, SCHEMA, require_label=False).labels
+        assert (None if labels is None else labels.tolist()) == ([3.0, 7.5] if cell == "7.5" else None)
+        unused = data.NumericCsv.scan(path, SCHEMA, use_label=False).dataset()
+        features = {name: values.tolist() for name, values in unused.columns.items()}
+        assert features == {"x1": [1.0, 4.0], "x2": [2.0, 5.0]}
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=_raw_csv(), byte_order_mark=st.booleans(), part_bytes=st.integers(min_value=1, max_value=8))
+    def test_unused_label_reads_the_features_of_a_parsed_one(self, tmp_path_factory, raw, byte_order_mark, part_bytes):
+        """Leaving the label unparsed never declines a file, or a part of
+        one, that parsing it as an optional label takes, and reads the same
+        feature columns bit for bit and never the label."""
+        text, header = raw
+        path = tmp_path_factory.mktemp("raw") / "d.csv"
+        path.write_bytes((b"\xef\xbb\xbf" if byte_order_mark else b"") + text.encode("utf-8"))
+        with mock.patch.object(data, "_PART_BYTES", part_bytes):
+            parsed = data.NumericCsv.scan(path, SCHEMA, require_label=False)
+            unused = data.NumericCsv.scan(path, SCHEMA, use_label=False)
+            assert (parsed is None) == (unused is None)
+            parts = [None, *parsed.parts(1)] if parsed is not None else []
+            for part in parts:
+                taken, skipped = parsed.dataset(part), unused.dataset(part)
+                event("taken" if taken is not None else "declined")
+                if taken is not None:
+                    features = {name: values.tobytes() for name, values in taken.columns.items() if name != "y"}
+                    assert {name: values.tobytes() for name, values in skipped.columns.items()} == features
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_piped_input_is_read_once(self, tmp_path):
         # Far more than one read buffer: a second open of the pipe would find
