@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .nn_core import row_blocks
 from .stats import normal_inverse_cdf
 
 __all__ = [
@@ -37,6 +38,23 @@ QUANTILE_LEVELS = tuple(k / 100.0 for k in range(1, 100))
 TAIL_LEVELS = (0.05, 0.10, 0.15, 0.20)
 # Tail levels behind the probability-wise curve (expected coverage 0.9..0.1).
 _CURVE_TAIL_GRID = tuple(k for k in range(5, 50, 5))
+# PhiInv of each QUANTILE_LEVELS level, strictly increasing, between -inf
+# and +inf: level j in 1..99 at index j. As sigma > 0, mu + sigma * -inf and
+# mu + sigma * inf lie below and above every label. Every tail and curve
+# level k / 100 and its 1.0 - k / 100 are levels of the grid.
+_Z = np.array([-np.inf, *(normal_inverse_cdf(tau) for tau in QUANTILE_LEVELS), np.inf])
+# The number of values a level count takes, 0..99.
+_GRID = len(QUANTILE_LEVELS) + 1
+# A row's first guess at its level counts: the levels below the start of
+# the bin that holds its standardised label t = (y - mu) / sigma, in a
+# uniform grid of _GUESS_BINS bins over [-2.5, 2.5] (the levels lie within
+# +-2.33; t outside falls in an end bin). Each bin is narrower than the gap
+# between two levels, so the guess is the count in exact arithmetic or one
+# below it; rounding and ties can move the count further, and _count_levels
+# makes every count exact.
+_GUESS_BINS = 4096
+_GUESS_SCALE = _GUESS_BINS / 5.0
+_GUESS = np.searchsorted(_Z, np.linspace(-2.5, 2.5, _GUESS_BINS + 1)[:-1]) - 1
 
 
 @dataclass
@@ -89,9 +107,61 @@ def _validate(sigma, *vectors):
     return (sigma, *vectors)
 
 
-def _interval_error(mu, sigma, y, tau: float) -> float:
-    """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|."""
-    return 100.0 * abs(coverage(mu, sigma, y, tau) - (1.0 - 2.0 * tau))
+def _count_levels(mu, sigma, y, guess, holds):
+    """Per row, the number of levels j in 1..99 whose quantile q_j, computed
+    as predicted_quantile computes it, satisfies holds(q_j, y), given that it
+    holds on a prefix of the levels. guess (changed in place) starts each
+    count; a count moves one level wherever the comparisons at its boundary
+    disagree with it, until no count moves."""
+    count, rows = guess, np.arange(y.size)
+    while rows.size:
+        at, m, s, v = count[rows], mu[rows], sigma[rows], y[rows]
+        up = holds(m + s * _Z[at + 1], v)
+        down = ~holds(m + s * _Z[at], v)
+        count[rows] = at + up - down
+        rows = rows[up | down]
+    return count
+
+
+def _level_table(mu, sigma, y) -> np.ndarray:
+    """The 100 x 100 count table of (a, c): a the levels whose quantile q_j
+    lies strictly below y, c those whose q_j <= y. Since sigma > 0 and
+    rounding is monotone, q_j does not decrease in j, so y < q_j exactly when
+    j > c, and y lies strictly inside (q_j, q_{100-j}) exactly when j <= a
+    and c < 100 - j. Rows are counted one nn_core.row_blocks block at a
+    time."""
+    table = np.zeros(_GRID * _GRID, dtype=np.int64)
+    # (y - mu) / sigma and sigma * z may overflow to +-inf, which orders as
+    # any other bound would.
+    with np.errstate(over="ignore"):
+        for rows in row_blocks(y.size):
+            m, s, v = mu[rows], sigma[rows], y[rows]
+            t = (v - m) / s
+            guess = _GUESS[np.clip(t * _GUESS_SCALE + _GUESS_BINS / 2, 0, _GUESS_BINS - 1).astype(np.intp)]
+            below = _count_levels(m, s, v, guess.copy(), np.less)
+            at_or_below = _count_levels(m, s, v, guess, np.less_equal)
+            table += np.bincount(below * _GRID + at_or_below, minlength=_GRID * _GRID)
+    return table.reshape(_GRID, _GRID)
+
+
+def _ece(table: np.ndarray, n: int) -> float:
+    # Rows with y < q_k, for k = 1..99: those whose c is below k.
+    observed = np.cumsum(table.sum(axis=0))[:-1] / n
+    return 100.0 * float(np.mean(np.abs(observed - np.array(QUANTILE_LEVELS))))
+
+
+def _interval_error(table: np.ndarray, n: int, k: int) -> float:
+    """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)| at tau = k / 100."""
+    inside = int(table[k:, : _GRID - k].sum())
+    return 100.0 * abs(inside / n - (1.0 - 2.0 * (k / 100.0)))
+
+
+def _tce(table: np.ndarray, n: int) -> float:
+    return float(np.mean([_interval_error(table, n, round(100 * tau)) for tau in TAIL_LEVELS]))
+
+
+def _curve(table: np.ndarray, n: int) -> list[tuple[float, float]]:
+    return [((100 - 2 * k) / 100.0, _interval_error(table, n, k)) for k in reversed(_CURVE_TAIL_GRID)]
 
 
 def ece(mu, sigma, y) -> float:
@@ -101,15 +171,14 @@ def ece(mu, sigma, y) -> float:
     the result is 100 times the mean absolute gap.
     """
     sigma, mu, y = _validate(sigma, mu, y)
-    observed = [np.mean(y < predicted_quantile(mu, sigma, tau)) for tau in QUANTILE_LEVELS]
-    return 100.0 * float(np.mean(np.abs(np.array(observed) - np.array(QUANTILE_LEVELS))))
+    return _ece(_level_table(mu, sigma, y), y.size)
 
 
 def tce(mu, sigma, y) -> float:
     """Tail-interval calibration error: mean coverage gap of the central
     90/80/70/60% intervals."""
     sigma, mu, y = _validate(sigma, mu, y)
-    return float(np.mean([_interval_error(mu, sigma, y, tau) for tau in TAIL_LEVELS]))
+    return _tce(_level_table(mu, sigma, y), y.size)
 
 
 def sharpness(sigma) -> float:
@@ -125,18 +194,17 @@ def calibration_curve(mu, sigma, y) -> list[tuple[float, float]]:
     probability. The four entries at 0.6..0.9 average to the TCE.
     """
     sigma, mu, y = _validate(sigma, mu, y)
-    return [
-        ((100 - 2 * k) / 100.0, _interval_error(mu, sigma, y, k / 100.0))
-        for k in reversed(_CURVE_TAIL_GRID)
-    ]
+    return _curve(_level_table(mu, sigma, y), y.size)
 
 
 def compute_report(mu, sigma, y) -> MetricsReport:
-    """All four metrics, each from its public function, which validates."""
+    """All four metrics, from one validation and one level table."""
+    sigma, mu, y = _validate(sigma, mu, y)
+    table = _level_table(mu, sigma, y)
     return MetricsReport(
-        ece=ece(mu, sigma, y),
-        tce=tce(mu, sigma, y),
-        sharpness=sharpness(sigma),
-        curve=calibration_curve(mu, sigma, y),
-        n_test=len(y),
+        ece=_ece(table, y.size),
+        tce=_tce(table, y.size),
+        sharpness=100.0 * float(np.mean(sigma)),
+        curve=_curve(table, y.size),
+        n_test=y.size,
     )

@@ -20,6 +20,7 @@ import base64
 import contextlib
 import importlib
 import json
+import math
 import os
 
 import numpy as np
@@ -72,13 +73,13 @@ def decode_array(obj: dict) -> np.ndarray:
         shape = tuple(int(s) for s in obj["shape"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"malformed array block: {exc}") from exc
-    expected = int(np.prod(shape)) * 8 if shape else 8
+    expected = math.prod(shape) * 8
     if len(raw) != expected:
         raise ModelFormatError(
             f"array block truncated: expected {expected} bytes, got {len(raw)}"
         )
     array = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(float)
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ModelFormatError("array block holds a non-finite value")
     return array
 
@@ -109,15 +110,14 @@ def decode_mlp(obj: dict) -> Mlp:
     ):
         if [a.shape for a in arrays] != shapes:
             raise ModelFormatError(f"network {name} do not match the declared layer sizes")
-    net = Mlp(
+    return Mlp.from_arrays(
         sizes,
-        hidden_activation=Activation(obj["hidden_activation"]),
-        output_activation=Activation(obj["output_activation"]),
-        seed=int(obj["seed"]),
+        Activation(obj["hidden_activation"]),
+        Activation(obj["output_activation"]),
+        int(obj["seed"]),
+        weights,
+        biases,
     )
-    net.weights = weights
-    net.biases = biases
-    return net
 
 
 def check_networks(where: str, width: int, *nets: Mlp) -> None:

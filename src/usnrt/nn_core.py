@@ -187,7 +187,8 @@ class Mlp:
 
     Weights are Xavier-uniform at construction (limit sqrt(6 / (fan_in +
     fan_out)), suited to the Tanh hidden layers used throughout); biases
-    start at zero. Weight matrices have shape (fan_in, fan_out).
+    start at zero. Weight matrices have shape (fan_in, fan_out). from_arrays
+    builds a network around given parameters instead.
     """
 
     def __init__(
@@ -197,6 +198,33 @@ class Mlp:
         output_activation: Activation = Activation.LINEAR,
         seed: int = 0,
     ):
+        self._set_layout(layer_sizes, hidden_activation, output_activation, seed)
+        rng = np.random.default_rng(self.seed)
+        self.weights: list[np.ndarray] = []
+        self.biases: list[np.ndarray] = []
+        for n_in, n_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            limit = math.sqrt(6.0 / (n_in + n_out))
+            self.weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
+            self.biases.append(np.zeros(n_out))
+
+    @classmethod
+    def from_arrays(
+        cls,
+        layer_sizes: Sequence[int],
+        hidden_activation: Activation,
+        output_activation: Activation,
+        seed: int,
+        weights: list[np.ndarray],
+        biases: list[np.ndarray],
+    ) -> Mlp:
+        """A network holding the given weights and biases, which the caller
+        has checked against layer_sizes. No initial weights are drawn."""
+        net = cls.__new__(cls)
+        net._set_layout(layer_sizes, hidden_activation, output_activation, seed)
+        net.weights, net.biases = list(weights), list(biases)
+        return net
+
+    def _set_layout(self, layer_sizes, hidden_activation, output_activation, seed) -> None:
         sizes = [int(s) for s in layer_sizes]
         if len(sizes) < 2 or any(s < 1 for s in sizes):
             raise ValueError("layer_sizes needs input and output dims, all positive")
@@ -204,13 +232,8 @@ class Mlp:
         self.hidden_activation = hidden_activation
         self.output_activation = output_activation
         self.seed = int(seed)
-        rng = np.random.default_rng(self.seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            limit = math.sqrt(6.0 / (n_in + n_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} is negative")
 
     @property
     def input_dim(self) -> int:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from usnrt.data import SynthSpec, generate_synthetic
+from usnrt.data import PreprocessState, SynthSpec, generate_synthetic
 from usnrt.metrics import (
     QUANTILE_LEVELS,
     TAIL_LEVELS,
@@ -20,7 +20,9 @@ from usnrt.metrics import (
     sharpness,
     tce,
 )
+from usnrt.nn_core import Activation, Mlp
 from usnrt.stats import normal_inverse_cdf
+from usnrt.tree import InternalNode, LeafNode, UsnrtConfig, UsnrtModel, leaf_report, predict_arrays
 
 
 def preds_of(mu, sigma):
@@ -161,11 +163,37 @@ class TestOracle:
 
 def broadcast_ece(mu, sigma, y):
     """ECE by one (rows x 99) broadcast over every level at once: the
-    reference that ece, which goes level by level, matches bit for bit."""
+    reference that ece matches bit for bit."""
     z = np.vectorize(normal_inverse_cdf, otypes=[float])(QUANTILE_LEVELS)
     quantiles = mu[:, None] + sigma[:, None] * z
     observed = (y[:, None] < quantiles).mean(axis=0)
     return 100.0 * float(np.mean(np.abs(observed - np.array(QUANTILE_LEVELS))))
+
+
+def interval_error(mu, sigma, y, tau):
+    """100 * |coverage of (q_tau, q_{1-tau}) - (1 - 2 tau)|, one level at a time."""
+    inside = (predicted_quantile(mu, sigma, tau) < y) & (y < predicted_quantile(mu, sigma, 1.0 - tau))
+    return 100.0 * abs(float(np.mean(inside)) - (1.0 - 2.0 * tau))
+
+
+def per_level_reference(mu, sigma, y):
+    """(ECE, TCE, curve) by the literal level-by-level formulas: the
+    reference that the level-table scores match bit for bit."""
+    with np.errstate(over="ignore"):
+        tail = float(np.mean([interval_error(mu, sigma, y, tau) for tau in TAIL_LEVELS]))
+        curve = [((100 - 2 * k) / 100.0, interval_error(mu, sigma, y, k / 100.0)) for k in range(45, 0, -5)]
+        return broadcast_ece(mu, sigma, y), tail, curve
+
+
+def assert_matches_reference(mu, sigma, y):
+    want = per_level_reference(mu, sigma, y)
+    assert (ece(mu, sigma, y), tce(mu, sigma, y), calibration_curve(mu, sigma, y)) == want
+    # Sharpness, the mean of sigma, may overflow; the scores above may not warn.
+    with np.errstate(over="ignore"):
+        report = compute_report(mu, sigma, y)
+        assert report.sharpness == sharpness(sigma)
+    assert (report.ece, report.tce, report.curve) == want
+    assert report.n_test == y.size
 
 
 class TestBroadcastReference:
@@ -192,6 +220,127 @@ class TestBroadcastReference:
         y = mu + sigma * normal_inverse_cdf(tau)
         assert np.all(y == predicted_quantile(mu, sigma, tau))
         assert ece(mu, sigma, y) == broadcast_ece(mu, sigma, y)
+
+
+# Z_GRID[k - 1] is PhiInv(k / 100), the standard quantile of level k.
+Z_GRID = np.array([normal_inverse_cdf(tau) for tau in QUANTILE_LEVELS])
+# One row, the last row of a block, one row past it, and two blocks and one row.
+ROW_COUNTS = st.sampled_from([1, 4_096, 4_097, 8_193])
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+# Levels k that bound the TCE and curve intervals, tails and upper partners.
+TAIL_AND_CURVE_LEVELS = [k for j in range(5, 50, 5) for k in (j, 100 - j)]
+
+
+def labels_on_levels(rng, n):
+    """Every label is its row's quantile at a random level, computed as the
+    metrics compute it; a quarter sit on tail or curve levels."""
+    mu = rng.normal(scale=10.0, size=n)
+    sigma = np.exp(rng.uniform(-7.0, 7.0, size=n))
+    tails = rng.choice(TAIL_AND_CURVE_LEVELS, n)
+    levels = np.where(rng.random(n) < 0.25, tails, rng.integers(1, 100, n))
+    return mu, sigma, mu + sigma * Z_GRID[levels - 1]
+
+
+def equal_quantiles(rng, n):
+    """sigma so small against |mu| that all 99 quantiles of most rows round
+    to one value, with labels on it or a few spacings away."""
+    mu = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(3.0, 8.0, size=n)
+    sigma = np.abs(mu) * 10.0 ** rng.uniform(-22.0, -15.0, size=n)
+    return mu, sigma, mu + np.spacing(mu) * rng.integers(-2, 3, size=n)
+
+
+def overflowing_quantiles(rng, n):
+    """sigma * z beyond the largest float for most rows, so quantiles are
+    +-inf, and labels spread over the whole float range."""
+    mu = rng.uniform(-8e307, 8e307, size=n) * rng.choice([1.0, 2.0], n)
+    sigma = np.where(rng.random(n) < 0.8, rng.uniform(1e307, 1.7e308, size=n), 5e-324)
+    y = rng.choice([-1.7e308, -1e308, 0.0, 1e308, 1.7e308], n) * rng.uniform(0.5, 1.0, size=n)
+    return mu, sigma, y
+
+
+class TestLevelSearchMatchesPerLevelLoop:
+    def test_grid_invariants(self):
+        # The search relies on strictly increasing standard quantiles, and on
+        # every tail and curve level and its upper partner lying on the grid.
+        assert np.all(np.diff(Z_GRID) > 0.0)
+        assert TAIL_LEVELS == tuple(k / 100.0 for k in (5, 10, 15, 20))
+        for k in range(5, 50, 5):
+            assert k / 100.0 in QUANTILE_LEVELS
+            assert 1.0 - k / 100.0 in QUANTILE_LEVELS
+            assert predicted_quantile(0.0, 1.0, 1.0 - k / 100.0) == Z_GRID[99 - k]
+
+    @given(n=ROW_COUNTS, seed=SEEDS)
+    @settings(max_examples=12, deadline=None)
+    def test_random_inputs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        assert_matches_reference(rng.normal(size=n), rng.uniform(0.05, 4.0, size=n), rng.normal(scale=2.0, size=n))
+
+    @given(n=ROW_COUNTS, seed=SEEDS)
+    @settings(max_examples=12, deadline=None)
+    def test_labels_on_level_quantiles(self, n, seed):
+        assert_matches_reference(*labels_on_levels(np.random.default_rng(seed), n))
+
+    @given(n=ROW_COUNTS, seed=SEEDS)
+    @settings(max_examples=12, deadline=None)
+    def test_all_quantiles_equal(self, n, seed):
+        mu, sigma, y = equal_quantiles(np.random.default_rng(seed), n)
+        assert_matches_reference(mu, sigma, y)
+
+    @given(n=ROW_COUNTS, seed=SEEDS)
+    @settings(max_examples=12, deadline=None)
+    def test_overflowing_quantiles(self, n, seed):
+        assert_matches_reference(*overflowing_quantiles(np.random.default_rng(seed), n))
+
+    def test_strategies_reach_their_edge_cases(self):
+        rng = np.random.default_rng(0)
+        mu, sigma, y = labels_on_levels(rng, 1_000)
+        on_level = (mu[:, None] + sigma[:, None] * Z_GRID == y[:, None]).any(axis=1)
+        assert on_level.all()
+        mu, sigma, y = equal_quantiles(rng, 1_000)
+        lowest, highest = mu + sigma * Z_GRID[0], mu + sigma * Z_GRID[-1]
+        assert np.mean(lowest == highest) > 0.5 and np.mean(y == lowest) > 0.1
+        mu, sigma, y = overflowing_quantiles(rng, 1_000)
+        with np.errstate(over="ignore"):
+            assert np.mean(np.isinf(mu + sigma * Z_GRID[-1])) > 0.2
+
+
+def _leaf(region_id, seed):
+    mean_net = Mlp([2, 3, 1], seed=seed)
+    sigma_net = Mlp([2, 3, 1], output_activation=Activation.SOFTPLUS, seed=seed + 1)
+    return LeafNode(region_id, mean_net, sigma_net, train_count=10, residual_std=1.0)
+
+
+@pytest.fixture(scope="module")
+def three_leaf_model():
+    synth = generate_synthetic(SynthSpec(n=200, d=2, seed=3))
+    right = InternalNode(1, -0.3, 0.002, left=_leaf(2, 20), right=_leaf(3, 30))
+    root = InternalNode(0, 0.1, 0.001, left=_leaf(1, 10), right=right)
+    return UsnrtModel(root=root, config=UsnrtConfig(), preprocess=PreprocessState.fit(synth.dataset))
+
+
+class TestLeafReport:
+    @given(n=ROW_COUNTS, seed=SEEDS, on_levels=st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_leaf_scores_match_per_level_loop(self, three_leaf_model, n, seed, on_levels):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-2.0, 2.0, (n, 2))
+        mu, sigma = predict_arrays(three_leaf_model, X)
+        if on_levels:
+            y = mu + sigma * Z_GRID[rng.choice(TAIL_AND_CURVE_LEVELS, n) - 1]
+        else:
+            y = mu + sigma * rng.normal(size=n)
+        report = leaf_report(three_leaf_model, X, y)
+        left = X[:, 0] <= 0.1
+        sides = [left, ~left & (X[:, 1] <= -0.3), ~left & (X[:, 1] > -0.3)]
+        for i, rows in enumerate(sides):
+            assert report["count"][i] == rows.sum()
+            if not rows.any():
+                assert report["tce"][i] is None
+                continue
+            leaf = mu[rows], sigma[rows], y[rows]
+            assert report["tce"][i] == per_level_reference(*leaf)[1]
+            lower, upper = predicted_quantile(*leaf[:2], 0.05), predicted_quantile(*leaf[:2], 0.95)
+            assert report["coverage_90"][i] == float(np.mean((lower < leaf[2]) & (leaf[2] < upper)))
 
 
 class TestInvariance:

@@ -20,6 +20,7 @@ from usnrt.model_io import (
     MODEL_KINDS,
     ModelFormatError,
     decode_array,
+    decode_mlp,
     encode_array,
     encode_mlp,
     load_model,
@@ -246,6 +247,53 @@ def test_round_trip_keeps_structure(usnrt_model, X, tmp_path):
     assert (clone.depth, clone.leaf_count) == (2, 3)
     for got, want in zip(predict_arrays(clone, X), predict_arrays(usnrt_model, X)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "sizes, hidden, output, seed",
+    [
+        ([WIDTH, 3, 1], Activation.TANH, Activation.LINEAR, 0),
+        ([WIDTH, 5, 4, 1], Activation.RELU, Activation.SOFTPLUS, 2**40 + 7),
+        ([WIDTH, 1], Activation.TANH, Activation.SOFTPLUS, 11),
+    ],
+)
+def test_decoded_network_is_the_encoded_one(X, sizes, hidden, output, seed):
+    net = Mlp(sizes, hidden, output, seed=seed)
+    net.biases = [np.random.default_rng(seed + i).normal(size=b.shape) for i, b in enumerate(net.biases)]
+    clone = decode_mlp(json.loads(json.dumps(encode_mlp(net))))
+    assert (clone.layer_sizes, clone.hidden_activation, clone.output_activation, clone.seed) == (
+        sizes, hidden, output, seed
+    )
+    for got, want in zip([*clone.weights, *clone.biases], [*net.weights, *net.biases], strict=True):
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert np.array_equal(got, want)
+    assert np.array_equal(clone.forward(X), net.forward(X))
+
+
+def test_load_model_draws_no_random_numbers(usnrt_model, hnn_model, state, X, tmp_path, monkeypatch):
+    """Decoded networks take their stored weights; none are drawn first."""
+    models = [usnrt_model, hnn_model, EnsembleModel(members=[hnn_model, hnn_model], preprocess=state)]
+    for model in models:
+        save_model(model, tmp_path / f"{model.model_kind}.json")
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("load_model drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_rng)
+    for model in models:
+        clone = load_model(tmp_path / f"{model.model_kind}.json")
+        for got, want in zip(clone.predict_arrays(X), model.predict_arrays(X)):
+            assert np.array_equal(got, want)
+
+
+def test_negative_network_seed_rejected(hnn_model, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(hnn_model, path)
+    payload = json.loads(path.read_text())
+    payload["mean_net"]["seed"] = -1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ModelFormatError, match="seed -1 is negative"):
+        load_model(path)
 
 
 def test_save_makes_missing_directories(hnn_model, X, tmp_path):
