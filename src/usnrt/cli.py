@@ -34,7 +34,7 @@ from .data import (
     load_csv_blocks,
     train_test_split,
 )
-from .metrics import compute_report
+from .metrics import compute_report, sharpness
 from .model_io import MODEL_KINDS, ModelFormatError, atomic_write, load_model, read_json, save_model, write_json
 from .nn_core import TrainConfig, TrainingError, coerce_value, row_blocks
 from .parallel import WorkerLost, fork_map, one_blas_thread, pool_size
@@ -410,9 +410,7 @@ def cmd_evaluate(args) -> int:
     payload = report.to_dict()
     del payload["curve"]
     if args.original_units:
-        payload["sharpness_original_units"] = 100.0 * float(
-            np.mean(model.preprocess.denormalize_sigma(sigma_norm))
-        )
+        payload["sharpness_original_units"] = sharpness(model.preprocess.denormalize_sigma(sigma_norm))
     _write_json(out / "metrics.json", payload)
     expected, error = zip(*report.curve)
     _write_columns(out / "curve.csv", {"expected_probability": expected, "calibration_error": error})

@@ -27,6 +27,7 @@ __all__ = [
     "compute_report",
     "coverage",
     "ece",
+    "mean_sigma",
     "predicted_quantile",
     "sharpness",
     "tce",
@@ -181,10 +182,30 @@ def tce(mu, sigma, y) -> float:
     return _tce(_level_table(mu, sigma, y), y.size)
 
 
+def mean_sigma(sigma) -> float:
+    """The mean of a finite, positive vector sigma, finite however close its
+    entries come to the float maximum: np.mean(sigma) while that sum stays
+    finite, else the mean of sigma over its largest entry, times that entry."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(sigma)
+    if not np.isfinite(mean):
+        top = np.max(sigma)
+        mean = top * np.mean(sigma / top)
+    return float(mean)
+
+
+def _sharpness(sigma: np.ndarray) -> float:
+    mean = mean_sigma(sigma)
+    if not np.isfinite(100.0 * mean):
+        raise ValueError(f"sharpness exceeds the float range: mean sigma is {mean!r}")
+    return 100.0 * mean
+
+
 def sharpness(sigma) -> float:
-    """100 times the mean predicted standard deviation (smaller is sharper)."""
+    """100 times the mean predicted standard deviation (smaller is sharper).
+    A ValueError where that exceeds the float range."""
     (sigma,) = _validate(sigma)
-    return 100.0 * float(np.mean(sigma))
+    return _sharpness(sigma)
 
 
 def calibration_curve(mu, sigma, y) -> list[tuple[float, float]]:
@@ -204,7 +225,7 @@ def compute_report(mu, sigma, y) -> MetricsReport:
     return MetricsReport(
         ece=_ece(table, y.size),
         tce=_tce(table, y.size),
-        sharpness=100.0 * float(np.mean(sigma)),
+        sharpness=_sharpness(sigma),
         curve=_curve(table, y.size),
         n_test=y.size,
     )

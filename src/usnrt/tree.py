@@ -32,7 +32,7 @@ from .nn_core import (
     train_nll_fixed_mean,
     validation_split,
 )
-from .parallel import fork_map, pool_size
+from .parallel import fork_map
 from .stats import DegenerateVarianceError, levene_statistic, levene_statistics_at_cuts, levene_test
 
 __all__ = [
@@ -65,19 +65,6 @@ _MAX_CANDIDATES_PER_FEATURE = 256
 # on residuals offset by 1e4 at scale 1e-3, where levene_statistic's own
 # group means round; centred, tied and two-point residuals stay below 3e-10.
 _SCREEN_RTOL = 1e-6
-# A split scan of at least this many cells (rows x features) screens its
-# features in fork_map's processes when a pool can run. On 2 CPUs at one BLAS
-# thread, in medians of 21 interleaved pairs, a scan took in one process and
-# in two (the fork and its results): 2,400 x 2 0.9 and 5.4 ms, 5,000 x 8 9.7
-# and 18.0 ms, 10,000 x 8 (perfbench's fit-hetero-d8 root) 7.3 and 14.6 ms,
-# 12,000 x 8 12.3 and 21.2 ms, and 8,000 x 16 at stride 16 (scan-wide-d16's
-# root) 23.8 and 20.0 ms. Past the floor the default stride still loses:
-# 12,500 x 8 took 18.3 and 27.3 ms, 16,000 x 8 15.8 and 24.8 ms and
-# 10,000 x 16 25.9 and 33.4 ms, while 25,000 x 8 took 28.5 and 20.4 ms. A
-# cell count cannot tell those from scan-wide-d16's root, which has about
-# 1.5 times their cuts per feature, so the floor stays where it was.
-_FORK_SCAN_CELLS = 100_000
-
 
 class TreeBuildError(TrainingError):
     """Training failed somewhere in the tree; message carries the node path."""
@@ -272,12 +259,7 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
 
     All cuts of a feature are screened in one array pass
     (levene_statistics_at_cuts); cuts are then re-scored exactly, feature by
-    feature and in falling screened order, until no later one can win. A
-    scan of at least _FORK_SCAN_CELLS rows x features screens its features
-    as fork_map tasks, where a pool can run; only each feature's cuts and
-    screened |T| come back, and this process re-scores them as a serial scan
-    does, sorting a feature again when it re-scores one of its cuts. So the
-    same cuts are re-scored in the same order on any CPU count.
+    feature and in falling screened order, until no later one can win.
 
     When called standalone (cfg.n_min is None), n_min resolves against the
     rows given here.
@@ -291,36 +273,23 @@ def find_best_split(X, residuals, cfg: UsnrtConfig) -> SplitCandidate | None:
     if not sizes.size:
         return None
 
-    def screen(k: int):
-        """(order, cuts, screened) of feature k: its stable sort order, its
-        feasible cuts and their screened |T|, a NaN screen (pooled variance
-        not positive) as inf so that it is re-scored first."""
-        order = _stable_order(X[:, k])
-        values = X[order, k]
-        cuts = sizes[values[sizes] != values[sizes - 1]]  # no cut between duplicate values
-        return order, cuts, np.nan_to_num(levene_statistics_at_cuts(residuals[order], cuts), nan=np.inf)
-
-    if n * d >= _FORK_SCAN_CELLS and pool_size(d) > 1:
-        screens = fork_map(lambda k: (None, *screen(k)[1:]), d)
-    else:
-        screens = map(screen, range(d))  # one feature's order held at a time
     best, best_key = None, (-1.0,)
-    for k, (order, cuts, screened) in enumerate(screens):
-        ordered_residuals = None
+    for k in range(d):
+        order = _stable_order(X[:, k])
+        values, ordered_residuals = X[order, k], residuals[order]
+        cuts = sizes[values[sizes] != values[sizes - 1]]  # no cut between duplicate values
+        # A NaN screen (pooled variance not positive) reads inf, so that it is re-scored first.
+        screened = np.nan_to_num(levene_statistics_at_cuts(ordered_residuals, cuts), nan=np.inf)
         for c in np.argsort(-screened, kind="stable"):
             if screened[c] < (1.0 - _SCREEN_RTOL) * best_key[0]:
                 break
-            if ordered_residuals is None:
-                if order is None:  # a pooled screen sends no sort order back
-                    order = _stable_order(X[:, k])
-                ordered_residuals = residuals[order]
             left, right = ordered_residuals[: cuts[c]], ordered_residuals[cuts[c] :]
             try:
                 key = (abs(levene_statistic(left, right)), -k, -cuts[c])
             except DegenerateVarianceError:
                 continue
             if key > best_key:
-                best_key, best = key, (k, float(X[order[cuts[c] - 1], k]), left, right)
+                best_key, best = key, (k, float(values[cuts[c] - 1]), left, right)
     if best is None:
         return None
     k, threshold, left, right = best
@@ -527,7 +496,7 @@ def leaf_assignments(model: UsnrtModel, X) -> np.ndarray:
 # inside the central 90% interval, and the TCE.
 _LEAF_STATS = {
     "residual_std": lambda mu, sigma, y: float(np.sqrt(np.mean((y - mu) * (y - mu)))),
-    "sigma_mean": lambda mu, sigma, y: float(np.mean(sigma)),
+    "sigma_mean": lambda mu, sigma, y: metrics.mean_sigma(sigma),
     "z_std": lambda mu, sigma, y: float(np.std((y - mu) / sigma)),
     "coverage_90": metrics.coverage,
     "tce": metrics.tce,

@@ -688,24 +688,23 @@ class TestPooledReadBack:
 
 
 class TestPooledScan:
-    """train's root scan screens its features as fork_map tasks where a pool
-    can run and the scan passes tree._FORK_SCAN_CELLS."""
+    """train scans the root's split in its own process, then grows the two
+    subtrees as fork_map tasks where a pool can run."""
 
     def test_killed_screen_worker_exits_3_and_writes_no_model(
         self, monkeypatch, pools, capsys, synth_dir, fast_config, tmp_path
     ):
-        """A child killed while it screens a feature, as the out-of-memory
-        killer would kill it, is a lost worker: train exits 3 with the one
+        """A child killed after the root's scan, while it trains a leaf, as
+        the out-of-memory killer would kill it, is a lost worker: train exits 3 with the one
         line of message that a lost reader gives, and writes no model file."""
-        screen, test_pid = tree.levene_statistics_at_cuts, os.getpid()
+        train_leaf_nets, test_pid = tree._train_leaf_nets, os.getpid()
 
-        def killing_screen(ordered_residuals, sizes):
+        def killing(*args):
             if os.getpid() != test_pid:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return screen(ordered_residuals, sizes)
+            return train_leaf_nets(*args)
 
-        monkeypatch.setattr(tree, "levene_statistics_at_cuts", killing_screen)
-        monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
+        monkeypatch.setattr(tree, "_train_leaf_nets", killing)
         set_cpus(monkeypatch, 2)
         out = tmp_path / "out"
         argv = ["train", "--data", str(synth_dir / "data.csv"), "--schema", str(synth_dir / "schema.json")]

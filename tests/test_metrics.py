@@ -16,6 +16,7 @@ from usnrt.metrics import (
     calibration_curve,
     compute_report,
     ece,
+    mean_sigma,
     predicted_quantile,
     sharpness,
     tce,
@@ -188,10 +189,16 @@ def per_level_reference(mu, sigma, y):
 def assert_matches_reference(mu, sigma, y):
     want = per_level_reference(mu, sigma, y)
     assert (ece(mu, sigma, y), tce(mu, sigma, y), calibration_curve(mu, sigma, y)) == want
-    # Sharpness, the mean of sigma, may overflow; the scores above may not warn.
-    with np.errstate(over="ignore"):
-        report = compute_report(mu, sigma, y)
-        assert report.sharpness == sharpness(sigma)
+    try:
+        sharp = sharpness(sigma)
+    except ValueError:
+        # A mean sigma past 1.8e306 makes a sharpness beyond the float
+        # range, which compute_report rejects as sharpness does.
+        with pytest.raises(ValueError, match="float range"):
+            compute_report(mu, sigma, y)
+        return
+    report = compute_report(mu, sigma, y)
+    assert report.sharpness == sharp
     assert (report.ece, report.tce, report.curve) == want
     assert report.n_test == y.size
 
@@ -451,3 +458,22 @@ class TestConsistency:
     def test_sharpness_rejects_infinite_sigma(self):
         with pytest.raises(ValueError, match="finite"):
             sharpness([1.0, np.inf])
+
+    def test_sharpness_near_the_float_maximum(self):
+        """200 sigmas of 1e306 sum past the float maximum, but their mean,
+        and 100 times it, are finite; a mean sigma of 1e308 makes a
+        sharpness beyond the float range, an error rather than inf."""
+        zeros = np.zeros(200)
+        for sigma in (np.full(200, 1e306), np.linspace(1e305, 3e306, 200)):
+            expected = 100.0 * float(np.mean(sigma / 1e306)) * 1e306
+            assert sharpness(sigma) == pytest.approx(expected, rel=1e-14)
+            assert compute_report(zeros, sigma, zeros).sharpness == sharpness(sigma)
+        assert sharpness(np.full(200, 1e306)) == pytest.approx(1e308, rel=1e-14)
+        for score in (sharpness, lambda sigma: compute_report(zeros[:2], sigma, zeros[:2])):
+            with pytest.raises(ValueError, match="float range"):
+                score(np.full(2, 1e308))
+
+    def test_mean_sigma_is_np_mean_while_the_sum_is_finite(self):
+        sigma = np.random.default_rng(5).uniform(1e-3, 1e3, 1001)
+        assert mean_sigma(sigma) == float(np.mean(sigma))
+        assert mean_sigma(np.full(3, 1.7e308)) == 1.7e308

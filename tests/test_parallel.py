@@ -55,15 +55,13 @@ def single_leaf_tree():
 
 @pytest.mark.parametrize(
     "train, pools_at_2_cpus",
-    [(deep_tree, [2, 2]), (ensemble, [2]), (single_leaf_tree, [])],
+    [(deep_tree, [2]), (ensemble, [2]), (single_leaf_tree, [])],
     ids=["usnrt-depth-2", "ensemble", "single-leaf"],
 )
 def test_same_model_and_log_for_1_and_2_cpus(monkeypatch, pools, train, pools_at_2_cpus):
     """Only the 2-CPU build forks: one pool of 2 workers for the root's
-    feature screens (with the scan's size floor lifted), then one for the
-    root's subtrees, or one for the members; workers scan and grow deeper
-    subtrees serially."""
-    monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
+    subtrees, or one for the members; workers grow deeper subtrees
+    serially."""
     models = []
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)
@@ -279,30 +277,25 @@ def test_dead_worker_is_a_training_error(monkeypatch, pools):
 
 
 def test_killed_screen_task_is_a_worker_lost(monkeypatch, pools):
-    """A child killed while it screens a feature of the root's scan, as the
-    out-of-memory killer would kill it, makes tree.build raise WorkerLost
-    once every child has been reaped; no subtree has started."""
-    screen, split_nets = tree.levene_statistics_at_cuts, []
-    train_split_net = tree._train_split_net
+    """Once the root's scan has run here, a child killed while it trains a
+    leaf of the root's right subtree, as the out-of-memory killer would kill
+    it, makes tree.build raise WorkerLost once every child has been reaped;
+    the left subtree has grown in this process."""
+    train_leaf_nets, leaves = tree._train_leaf_nets, []
 
-    def killing_screen(ordered_residuals, sizes):
+    def killing(X, y, cfg, hidden, path):
         if os.getpid() != TEST_PID:
             os.kill(os.getpid(), signal.SIGKILL)
-        return screen(ordered_residuals, sizes)
+        leaves.append(path)
+        return train_leaf_nets(X, y, cfg, hidden, path)
 
-    def counting(X, y, cfg, hidden, path):
-        split_nets.append(path)
-        return train_split_net(X, y, cfg, hidden, path)
-
-    monkeypatch.setattr(tree, "levene_statistics_at_cuts", killing_screen)
-    monkeypatch.setattr(tree, "_train_split_net", counting)
-    monkeypatch.setattr(tree, "_FORK_SCAN_CELLS", 0)
+    monkeypatch.setattr(tree, "_train_leaf_nets", killing)
     set_cpus(monkeypatch, 2)
     X, y = two_level_data()
     with pytest.raises(parallel.WorkerLost, match="^a worker process ended abruptly"):
         tree.build(X, y, small_tree_cfg())
     assert pools == [2]
-    assert split_nets == [()]
+    assert leaves and all(path[0] == 0 for path in leaves)
     assert_no_child_left()
 
 

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from usnrt.data import SynthSpec, generate_synthetic
@@ -41,7 +41,7 @@ from usnrt.tree import (
     root_split_scatter,
 )
 
-from conftest import assert_no_child_left, fast_train_cfg, feature_matrix, set_cpus
+from conftest import assert_no_child_left, fast_train_cfg, feature_matrix
 
 
 def small_cfg(seed=0, **kwargs):
@@ -144,17 +144,6 @@ def cut_p_values(X, residuals, n_min):
                 yield levene_test(res[: i + 1], res[i + 1 :]).p_value
             except DegenerateVarianceError:
                 continue
-
-
-@pytest.fixture
-def pooled_scan(monkeypatch, pools):
-    """Every scan screens its features as fork_map tasks on 2 CPUs, however
-    small it is; the test must fork, and no child may outlive it."""
-    set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(tree_module, "_FORK_SCAN_CELLS", 0)
-    yield
-    assert pools and set(pools) == {2}
-    assert_no_child_left()
 
 
 def scan_columns(kinds, n, rng):
@@ -280,11 +269,11 @@ class TestFindBestSplit:
             if stride == 1:
                 assert (found.feature_index, found.threshold, found.p_value) == brute_force_best(X, residuals, 100)
 
-    def test_same_split_as_the_loop_reference_on_quantized_residuals(self, monkeypatch, pooled=False):
+    def test_same_split_as_the_loop_reference_on_quantized_residuals(self, monkeypatch):
         """About 90% of the residuals are exact zeros and the rest +-1, so
         the band between a block's lowest and highest mean holds most rows
-        and the dominance table runs, which the serial scan checks; stride 4
-        gives each feature about 450 cuts, 4 blocks."""
+        and the dominance table runs; stride 4 gives each feature about 450
+        cuts, 4 blocks."""
         tables = []
         table = stats_module._dominance_table
         monkeypatch.setattr(stats_module, "_dominance_table", lambda *args: tables.append(args) or table(*args))
@@ -296,7 +285,7 @@ class TestFindBestSplit:
         cfg = UsnrtConfig(n_min=100, split_stride=4)
         found = find_best_split(X, residuals, cfg)
         assert found is not None and found == loop_best_split(X, residuals, cfg)
-        assert pooled or tables
+        assert tables
 
     def test_degenerate_cut_is_never_chosen(self, monkeypatch):
         # Pairs (-1, 1), then pairs (-2, 2), in x order: the cut between the
@@ -327,18 +316,6 @@ class TestFindBestSplit:
         monkeypatch.setattr(tree_module, "levene_statistics_at_cuts", misleading_screen)
         assert find_best_split(X, residuals, cfg) == expected
 
-    @pytest.mark.parametrize("stride", [1, 16])
-    def test_same_split_as_the_loop_reference_pooled(self, pooled_scan, stride):
-        self.test_same_split_as_the_loop_reference(stride)
-
-    def test_same_split_as_the_loop_reference_on_quantized_residuals_pooled(self, pooled_scan, monkeypatch):
-        self.test_same_split_as_the_loop_reference_on_quantized_residuals(monkeypatch, pooled=True)
-
-    def test_degenerate_cut_is_never_chosen_pooled(self, pooled_scan, monkeypatch):
-        """The misleading screen runs in the children too: they inherit the
-        patched module by the fork."""
-        self.test_degenerate_cut_is_never_chosen(monkeypatch)
-
     @settings(max_examples=25, deadline=None)
     @given(
         n=st.integers(min_value=4, max_value=160),
@@ -348,11 +325,13 @@ class TestFindBestSplit:
         constant=st.booleans(),
         seed=st.integers(min_value=0, max_value=2**32 - 1),
     )
+    # scan-wide-d16's root scan, 8,000 rows x 16 features at stride 16: the
+    # largest scan the benchmark runs.
+    @example(n=8000, kinds=["uniform"] * 16, stride=16, n_min=1600, constant=False, seed=53)
     def test_same_split_at_1_and_2_cpus(self, n, kinds, stride, n_min, constant, seed):
-        """With no size floor, a scan of 2 or more features with a feasible
-        cut forks one pool of 2 processes, and it chooses the candidate a
-        scan in one process chooses, None included. Constant residuals
-        degenerate every cut."""
+        """A scan runs in the calling process on 2 CPUs too, forking no
+        pool, and chooses the candidate that it chooses on 1 CPU, None
+        included. Constant residuals degenerate every cut."""
         rng = np.random.default_rng(seed)
         X = scan_columns(kinds, n, rng)
         residuals = np.full(n, 0.5) if constant else rng.standard_normal(n) * np.where(X[:, 0] > 0, 2.0, 1.0)
@@ -367,13 +346,12 @@ class TestFindBestSplit:
 
         for cpus in (1, 2):
             with (
-                mock.patch.object(tree_module, "_FORK_SCAN_CELLS", 0),
                 mock.patch.object(parallel, "usable_cpus", lambda: cpus),
                 mock.patch.object(parallel, "_forked", counting),
             ):
                 found.append(find_best_split(X, residuals, cfg))
         assert found[0] == found[1]
-        assert forked == ([2] if feasible and len(kinds) > 1 else [])
+        assert forked == []
         if constant or not feasible:
             assert found[0] is None
         assert_no_child_left()
