@@ -26,12 +26,12 @@ from . import baselines, tree
 from .data import (
     DataError,
     Dataset,
-    NumericCsv,
     Schema,
     SynthSpec,
     fit_transform,
     generate_synthetic,
-    load_csv_blocks,
+    load_csv,
+    map_csv,
     train_test_split,
 )
 from .metrics import compute_report, sharpness
@@ -260,58 +260,9 @@ def _encoded(model, dataset: Dataset, labelled: bool = True):
     return model.preprocess.transform(dataset), dataset.labels.copy() if labelled else None
 
 
-def _read_csv(path, schema: Schema, labelled: bool, task, pack=lambda result: result) -> list:
-    """task(dataset) over the rows of the CSV at path, read against schema
-    as load_csv(path, schema, labelled) reads them, in order; when labelled
-    is False the one-pass parse leaves the label unparsed, so a dataset may
-    lack it though its cells are numbers. A file that NumericCsv takes, of
-    two NumericCsv.parts(1) parts or more, is cut into NumericCsv.parts, as
-    many for each of fork_map's processes, when it can run a pool of at most
-    one process per such part: each part is one fork_map task, which parses
-    the part and runs task on it, so that a process holds one part at a
-    time and only pack(task's result), which must pickle, comes back, one
-    per part. Every other file is parsed whole and task runs once; one that
-    the one-pass parse refuses, in any part or whole, goes straight to
-    load_csv_blocks, which names the first fault in its usual order. task
-    may empty its dataset's columns once it is done with them."""
-    plain = NumericCsv.scan(path, schema, use_label=labelled)
-    processes = pool_size(len(plain.parts(1))) if plain is not None else 1
-    if processes > 1:
-        parts = plain.parts(processes)
-
-        def part_task(i: int):
-            """task's result for one part, or None where the part has a fault."""
-            dataset = plain.dataset(parts[i])
-            if dataset is None:
-                return None
-            try:
-                return pack(task(dataset))
-            except DataError:
-                return None
-
-        results = fork_map(part_task, len(parts))
-        if all(result is not None for result in results):
-            return results
-        plain = None
-    dataset = plain.dataset() if plain is not None else None
-    if dataset is None:
-        dataset = load_csv_blocks(path, schema, labelled)
-    return [task(dataset)]
-
-
-def load_csv(path, schema: Schema) -> Dataset:
-    """data.load_csv(path, schema), read by _read_csv: a file read in parts
-    comes back as each part's columns, joined in order."""
-    parts = _read_csv(path, schema, True, lambda dataset: dataset.columns)
-    if len(parts) == 1:
-        return Dataset(schema, parts[0])
-    # Each part's column is dropped once it is joined.
-    return Dataset(schema, {name: np.concatenate([part.pop(name) for part in parts]) for name in list(parts[0])})
-
-
 def _read_back(args, model, task, pack=lambda result: result) -> list:
     """task(X, labels) over the rows of --data, encoded for model, read by
-    _read_csv, with pack for each part's result; labels are None for
+    map_csv, with pack for each part's result; labels are None for
     predict, which does not use them, nor parse them where it can help it."""
     labelled = args.command != "predict"
 
@@ -320,7 +271,7 @@ def _read_back(args, model, task, pack=lambda result: result) -> list:
         dataset.columns.clear()  # the parsed table is not kept once it is encoded
         return task(X, labels)
 
-    return _read_csv(args.data, model.preprocess.schema, labelled, encoded_task, pack)
+    return map_csv(args.data, model.preprocess.schema, encoded_task, labelled, use_label=labelled, pack=pack)
 
 
 def _predict(model, X, source, denormalize: bool = True):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .model_io import read_json, write_json
 from .nn_core import BLOCK_ROWS, coerce_fields
+from .parallel import fork_map, pool_size
 
 __all__ = [
     "Column",
@@ -32,6 +33,7 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "load_csv_blocks",
+    "map_csv",
     "synthetic_schema",
     "train_test_split",
 ]
@@ -119,8 +121,8 @@ class Dataset:
 _BLOCK_ROWS = BLOCK_ROWS
 # Bytes that _plain_rows reads at a time.
 _SCAN_BYTES = 1 << 20
-# The most data bytes in one part of NumericCsv.parts. cli._read_csv reads
-# a file of two parts or more in parts, with at most one process per part.
+# The most data bytes in one part of NumericCsv.parts. map_csv reads a
+# file of two parts or more in parts, with at most one process per part.
 # Below that a fork stops paying for evaluate: on 2 CPUs, a 516 KB file
 # (8,700 rows, d 2, a usnrt model) took 10.6 ms to evaluate in one process
 # and 10.8 ms in two, though predict, which also formats its rows, went from
@@ -132,18 +134,63 @@ _PART_BYTES = 1 << 19
 
 
 def load_csv(path, schema: Schema, require_label: bool = True) -> Dataset:
-    """Parse a headered CSV against the schema.
+    """Parse a headered CSV against the schema, read by map_csv: a file read
+    in parts comes back as each part's columns, joined in order.
 
-    Continuous and label cells must be finite numbers. A file that
-    NumericCsv.scan takes is parsed in one np.loadtxt call. Any other file,
-    and one that the parse refuses, is read by load_csv_blocks, which names
-    the first fault. When require_label is False (prediction-only inputs)
+    Continuous and label cells must be finite numbers; a fault is named by
+    load_csv_blocks. When require_label is False (prediction-only inputs)
     the label column is optional: it is read when the header has it and its
     cells are finite numbers, and is otherwise left out, never a fault.
     """
-    plain = NumericCsv.scan(path, schema, require_label)
+    parts = map_csv(path, schema, lambda dataset: dataset.columns, require_label)
+    if len(parts) == 1:
+        return Dataset(schema, parts[0])
+    # Each part leaves out an optional label on its own, so a column is kept
+    # where every part kept it; each part's column is dropped once it is joined.
+    names = [c.name for c in schema.columns if all(c.name in part for part in parts)]
+    return Dataset(schema, {name: np.concatenate([part.pop(name) for part in parts]) for name in names})
+
+
+def map_csv(
+    path, schema: Schema, task, require_label: bool = True, use_label: bool = True, pack=lambda result: result
+) -> list:
+    """task(dataset) over the rows of the CSV at path, read against schema
+    as load_csv_blocks(path, schema, require_label) reads them, in order;
+    when use_label is False the one-pass parse leaves the label unparsed, so
+    a dataset may lack it though its cells are numbers. A file that
+    NumericCsv takes, of two NumericCsv.parts(1) parts or more, is cut into
+    NumericCsv.parts, as many for each of fork_map's processes, when it can
+    run a pool of at most one process per such part: each part is one
+    fork_map task, which parses the part and runs task on it, so that a
+    process holds one part at a time and only pack(task's result), which
+    must pickle, comes back, one per part. Every other file is parsed whole
+    and task runs once; one that the one-pass parse refuses, in any part or
+    whole, or whose task raises a DataError in a part, goes straight to
+    load_csv_blocks, which names the first fault in its usual order. task
+    may empty its dataset's columns once it is done with them."""
+    plain = NumericCsv.scan(path, schema, require_label, use_label)
+    processes = pool_size(len(plain.parts(1))) if plain is not None else 1
+    if processes > 1:
+        parts = plain.parts(processes)
+
+        def part_task(i: int):
+            """task's result for one part, or None where the part has a fault."""
+            dataset = plain.dataset(parts[i])
+            if dataset is None:
+                return None
+            try:
+                return pack(task(dataset))
+            except DataError:
+                return None
+
+        results = fork_map(part_task, len(parts))
+        if all(result is not None for result in results):
+            return results
+        plain = None
     dataset = plain.dataset() if plain is not None else None
-    return dataset if dataset is not None else load_csv_blocks(path, schema, require_label)
+    if dataset is None:
+        dataset = load_csv_blocks(path, schema, require_label)
+    return [task(dataset)]
 
 
 def load_csv_blocks(path, schema: Schema, require_label: bool = True) -> Dataset:

@@ -553,7 +553,7 @@ class TestPooledReadBack:
         assert len(expected["y"]) == 200 * 8
         for cpus in (1, 2):
             set_cpus(monkeypatch, cpus)
-            assert {name: values.tobytes() for name, values in cli.load_csv(path, schema).columns.items()} == expected
+            assert {name: values.tobytes() for name, values in load_csv(path, schema).columns.items()} == expected
         assert pools == []
 
     def test_killed_worker_exits_3_and_is_no_training_error(

@@ -31,7 +31,7 @@ from usnrt.data import (
     train_test_split,
 )
 
-from conftest import feature_matrix
+from conftest import assert_no_child_left, feature_matrix, set_cpus
 
 
 SCHEMA = Schema.from_mapping({"x1": "continuous", "x2": "continuous", "y": "label"})
@@ -646,6 +646,42 @@ class TestLoadCsvOnePass:
         for name, values in whole.columns.items():
             joined = np.concatenate([block.columns[name] for block in blocks])
             assert joined.tobytes() == values.tobytes()
+
+
+def _column_bytes(dataset):
+    return {name: values.tobytes() for name, values in dataset.columns.items()}
+
+
+class TestLoadCsvInParts:
+    """load_csv reads a file past data._PART_BYTES in parts, in fork_map's
+    processes where a pool can run, as the CLI's commands read it."""
+
+    @pytest.fixture
+    def path(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_PART_BYTES", 256)
+        return write_csv(tmp_path / "d.csv", "x1,x2,y\n" + "".join(f"{i},{i / 7!r},{-i}\n" for i in range(200)))
+
+    def test_parts_give_the_block_readers_columns(self, monkeypatch, pools, path):
+        expected = _column_bytes(data.load_csv_blocks(path, SCHEMA))
+        assert len(expected["y"]) == 200 * 8
+        set_cpus(monkeypatch, 2)
+        assert _column_bytes(load_csv(path, SCHEMA)) == expected
+        assert pools == [2]
+        assert_no_child_left()
+
+    def test_label_left_out_by_the_last_part_is_left_out_of_the_join(self, monkeypatch, pools, path):
+        """Each part leaves out an optional label on its own; with NA in the
+        last row only the last part leaves it out, and the joined file lacks
+        it too, its features those of the block reader bit for bit."""
+        path.write_text(path.read_text().removesuffix("-199\n") + "NA\n")
+        expected = _column_bytes(data.load_csv_blocks(path, SCHEMA, require_label=False))
+        assert list(expected) == ["x1", "x2"]
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            loaded = load_csv(path, SCHEMA, require_label=False)
+            assert loaded.labels is None and _column_bytes(loaded) == expected
+        assert pools == [2]
+        assert_no_child_left()
 
 
 class TestPreprocess:
